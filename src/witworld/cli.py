@@ -5,7 +5,8 @@ Verbs: ``prbox``, ``rsp``, ``check-state``, ``check-effect``, ``check-map``,
 certificate is printed), 2 inconclusive or unsupported, 64 usage error,
 65 malformed input file.  Every verb has a ``--json`` mode; diagnostics go
 to standard error.  The environment variable ``WITWORLD_SEED`` supplies
-the default search seed.
+the default search seed; a value that is not an integer, like an
+out-of-range search flag, is a usage error.
 """
 
 from __future__ import annotations
@@ -72,13 +73,14 @@ def _verdict_exit(status: str) -> int:
 
 
 def _cfg_from_args(args) -> SearchConfig:
-    base = SearchConfig()
-    return SearchConfig(
-        grid=args.grid if getattr(args, "grid", None) is not None else base.grid,
-        restarts=args.restarts if getattr(args, "restarts", None) is not None else base.restarts,
-        seed=args.seed if getattr(args, "seed", None) is not None else base.seed,
-        tol=args.tol if getattr(args, "tol", None) is not None else base.tol,
-    )
+    given = {
+        k: getattr(args, k) for k in ("grid", "restarts", "seed", "tol")
+        if getattr(args, k, None) is not None
+    }
+    try:
+        return SearchConfig(**given)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _add_search_flags(p):
@@ -345,8 +347,6 @@ def _cmd_lhs(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="witworld", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint for searches; output is independent of it")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("prbox", help="print the PR box table and its CHSH value")
@@ -404,9 +404,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads < 1:
-        print("--threads must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except _UsageError as exc:

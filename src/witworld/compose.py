@@ -50,10 +50,11 @@ _SQRT2 = np.sqrt(2.0)
 
 
 def _default_seed() -> int:
+    raw = os.environ.get("WITWORLD_SEED", "0")
     try:
-        return int(os.environ.get("WITWORLD_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(f"WITWORLD_SEED must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,16 @@ class SearchConfig:
     restarts: int = 500
     seed: int = field(default_factory=_default_seed)
     tol: float = DEFAULT_TOL
+
+    def __post_init__(self):
+        if self.grid < 1:
+            raise ValueError(f"grid must be >= 1, got {self.grid}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (np.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -238,50 +249,53 @@ def _min_qubit_pair(C: np.ndarray, cfg: SearchConfig):
 
 
 def _projector_coeffs(psi: np.ndarray) -> np.ndarray:
-    d = psi.shape[0]
-    proj = np.outer(psi, psi.conj())
-    return np.real(np.einsum("kij,ji->k", hermitian_basis(d), proj))
-
-
-def _haar_state(rng: np.random.Generator, d: int) -> np.ndarray:
-    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return psi / np.linalg.norm(psi)
-
-
-def _alternate_general(red: np.ndarray, qdims: Sequence[int], psis: list):
-    """Per-factor eigenvector descent for >2 or higher-dimensional factors."""
-    coeff_vecs = [_projector_coeffs(p) for p in psis]
-    val = np.inf
-    for _ in range(200):
-        prev = val
-        for i in range(len(qdims)):
-            t = red
-            # contract highest axes first so remaining axis indices stay valid
-            for j in range(len(qdims) - 1, -1, -1):
-                if j != i:
-                    t = np.tensordot(coeff_vecs[j], t, axes=([0], [j]))
-            mat = np.einsum("k,kij->ij", t.ravel(), hermitian_basis(qdims[i]))
-            vals, vecs = np.linalg.eigh(mat)
-            val = float(vals[0])
-            psis[i] = vecs[:, 0]
-            coeff_vecs[i] = _projector_coeffs(psis[i])
-        if abs(prev - val) < 1e-13:
-            break
-    full = red
-    for j in range(len(qdims) - 1, -1, -1):
-        full = np.tensordot(coeff_vecs[j], full, axes=([0], [j]))
-    return float(full), coeff_vecs
+    """Coefficients of the projector onto ``psi``; leading axes are a stack."""
+    proj = psi[..., :, None] * psi.conj()[..., None, :]
+    return np.real(np.einsum("kij,...ji->...k", hermitian_basis(psi.shape[-1]), proj))
 
 
 def _min_quantum_general(red: np.ndarray, qdims: Sequence[int], cfg: SearchConfig,
                          rng: np.random.Generator):
-    best_val, best_factors = np.inf, None
-    for _ in range(max(cfg.restarts, 1)):
-        psis = [_haar_state(rng, d) for d in qdims]
-        val, coeff_vecs = _alternate_general(red, qdims, list(psis))
-        if val < best_val:
-            best_val, best_factors = val, coeff_vecs
-    return best_val, best_factors
+    """Seeded random-restart descent over >2 or higher-dimensional factors.
+
+    Every restart starts from Haar-random pure states and sweeps the
+    factors in order, replacing each by the ground state of the operator
+    left after contracting ``red`` with the other factors.  A restart stops
+    once the last factor's eigenvalue moves by less than 1e-13 over a
+    sweep, or after 200 sweeps.  All restarts run as one stack: each step
+    is a single contraction and a single batched ``eigh``.  The winner is
+    the first restart with the smallest final value.
+    """
+    n = len(qdims)
+    bases = [hermitian_basis(d) for d in qdims]
+    axes, stack = _LETTERS[:n], _LETTERS[n]
+    # row-major, this is the order of per-restart, per-factor (real, imaginary)
+    # draws, so the values and the generator state match a restart-by-restart loop
+    draws = rng.normal(size=(cfg.restarts, 2 * sum(qdims)))
+    rows, col = [], 0
+    for d in qdims:
+        psi = draws[:, col:col + d] + 1j * draws[:, col + d:col + 2 * d]
+        col += 2 * d
+        rows.append(_projector_coeffs(psi / np.linalg.norm(psi, axis=1, keepdims=True)))
+    scripts = [
+        ",".join([axes] + [stack + axes[j] for j in range(n) if j != i]) + "->" + stack + axes[i]
+        for i in range(n)
+    ]
+    last = np.full(cfg.restarts, np.inf)
+    active = np.arange(cfg.restarts)
+    for _ in range(200):
+        for i in range(n):
+            t = np.einsum(scripts[i], red, *(rows[j][active] for j in range(n) if j != i))
+            vals, vecs = np.linalg.eigh(np.einsum("rk,kij->rij", t, bases[i]))
+            rows[i][active] = _projector_coeffs(vecs[:, :, 0])
+        moving = np.abs(last[active] - vals[:, 0]) >= 1e-13
+        last[active] = vals[:, 0]
+        active = active[moving]
+        if not active.size:
+            break
+    full = np.einsum(",".join([axes] + [stack + a for a in axes]) + "->" + stack, red, *rows)
+    best = int(np.argmin(full))
+    return float(full[best]), [row[best].copy() for row in rows]
 
 
 def _min_over_quantum(red: np.ndarray, qdims: Sequence[int], cfg: SearchConfig,

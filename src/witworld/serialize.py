@@ -139,14 +139,9 @@ def search_config_to_json(cfg: SearchConfig) -> dict:
 def search_config_from_json(obj) -> SearchConfig:
     if not isinstance(obj, dict):
         raise MalformedInputError("search configuration must be an object")
-    base = SearchConfig()
+    casts = {"grid": int, "restarts": int, "seed": int, "tol": float}
     try:
-        return SearchConfig(
-            grid=int(obj.get("grid", base.grid)),
-            restarts=int(obj.get("restarts", base.restarts)),
-            seed=int(obj.get("seed", base.seed)),
-            tol=float(obj.get("tol", base.tol)),
-        )
+        return SearchConfig(**{k: cast(obj[k]) for k, cast in casts.items() if k in obj})
     except (TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad search configuration: {exc}") from exc
 

@@ -349,7 +349,7 @@ def assemblage_from_realization(
         cod = meas.codomain.atoms
         if len(cod) != 1 or not isinstance(cod[0], Classical):
             raise ValueError(f"measurement {i} must output a classical outcome")
-        if not trace_condition_check(meas, "preserving").accepted:
+        if not trace_condition_check(meas, "preserving", cfg).accepted:
             raise ValueError(f"measurement {i} is not normalized")
         settings.append(atoms[0].v)
         outcomes.append(cod[0].v)

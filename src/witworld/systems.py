@@ -146,6 +146,8 @@ class GptVector:
                 f"coefficient length {c.size} does not match system "
                 f"{self.system} of dimension {self.system.dim}"
             )
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 

@@ -66,6 +66,8 @@ class LinearMap:
                 f"matrix shape {m.shape} does not match "
                 f"{self.codomain} x {self.domain} = ({self.codomain.dim}, {self.domain.dim})"
             )
+        if not np.isfinite(m).all():
+            raise ValueError("map matrix entries must be finite")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 

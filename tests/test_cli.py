@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from witworld.cli import main
 from witworld.serialize import (
@@ -151,7 +152,21 @@ def test_usage_errors(capsys):
     assert run(capsys, "no-such-verb")[0] == 64
     assert run(capsys, "check-state", "builtin:nope")[0] == 64
     assert run(capsys, "check-map", "builtin:unot2")[0] == 64  # missing --test
-    assert run(capsys, "--threads", "0", "prbox")[0] == 64
+    assert run(capsys, "--threads", "0", "prbox")[0] == 64  # no such flag
+    for flags in (["--grid", "0"], ["--grid", "-3"], ["--restarts", "0"],
+                  ["--restarts", "-5"], ["--seed", "-1"], ["--tol", "-1"], ["--tol", "nan"]):
+        code, out, err = run(capsys, "check-state", "builtin:swap2", *flags)
+        assert code == 64, flags
+        assert out == "" and "Traceback" not in err
+
+
+def test_malformed_seed_env_var_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("WITWORLD_SEED", "abc")
+    code, _, err = run(capsys, "check-state", "builtin:swap2")
+    assert code == 64
+    assert "WITWORLD_SEED" in err
+    assert run(capsys, "check-state", "builtin:swap2", "--seed", "3")[0] == 0
+    assert run(capsys, "assemblage", "pr-box", "--seed", "3")[0] == 0
 
 
 def test_malformed_input_exit_code(capsys, tmp_path):
@@ -163,11 +178,15 @@ def test_malformed_input_exit_code(capsys, tmp_path):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"system": ["Q2"], "coeffs": [1, 2]}))
     assert run(capsys, "check-state", str(wrong))[0] == 65
+    nan = tmp_path / "nan.json"
+    nan.write_text(json.dumps({"system": ["B2,2", "B2,2"], "coeffs": [float("nan")] + [0.0] * 8}))
+    assert run(capsys, "check-state", str(nan))[0] == 65
 
 
 def test_json_determinism_across_verbs(capsys):
     for argv in (
         ["check-state", "builtin:singlet-pt", "--json"],
+        ["check-map", "builtin:transpose3", "--test", "positivity", "--json"],
         ["assemblage", "bwi-star-star", "--verify-ns", "--json"],
     ):
         a = run(capsys, *argv)
@@ -196,3 +215,6 @@ def test_seed_env_var_sets_default(monkeypatch):
     assert SearchConfig().seed == 31337
     monkeypatch.delenv("WITWORLD_SEED")
     assert SearchConfig().seed == 0
+    monkeypatch.setenv("WITWORLD_SEED", "abc")
+    with pytest.raises(ValueError, match="WITWORLD_SEED"):
+        SearchConfig()

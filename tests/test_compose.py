@@ -17,6 +17,7 @@ from witworld import (
     composite_state_check,
     cone_generators,
     effect_cone_rays,
+    hermitian_basis,
     hermitian_tensor_to_vector,
     hermitian_to_vector,
     pair,
@@ -435,3 +436,113 @@ def test_partial_transpose_of_singlet_accepted_but_not_psd():
     # sanity for the helper itself
     m = vector_to_hermitian_tensor(builtin_state("singlet"))
     assert np.max(np.abs(partial_transpose(m) - vector_to_hermitian_tensor(pt))) < 1e-12
+
+
+# --- stacked restart descent --------------------------------------------------------
+
+
+def _reference_projector_coeffs(psi):
+    proj = np.outer(psi, psi.conj())
+    return np.real(np.einsum("kij,ji->k", hermitian_basis(psi.shape[0]), proj))
+
+
+def _reference_descent(red, qdims, psis):
+    coeff_vecs = [_reference_projector_coeffs(p) for p in psis]
+    val = np.inf
+    for _ in range(200):
+        prev = val
+        for i in range(len(qdims)):
+            t = red
+            for j in range(len(qdims) - 1, -1, -1):
+                if j != i:
+                    t = np.tensordot(coeff_vecs[j], t, axes=([0], [j]))
+            mat = np.einsum("k,kij->ij", t.ravel(), hermitian_basis(qdims[i]))
+            vals, vecs = np.linalg.eigh(mat)
+            val = float(vals[0])
+            coeff_vecs[i] = _reference_projector_coeffs(vecs[:, 0])
+        if abs(prev - val) < 1e-13:
+            break
+    full = red
+    for j in range(len(qdims) - 1, -1, -1):
+        full = np.tensordot(coeff_vecs[j], full, axes=([0], [j]))
+    return float(full), coeff_vecs
+
+
+def _reference_min_quantum_general(red, qdims, cfg, rng):
+    """One descent per restart, each from its own Haar-random start."""
+    best_val, best_factors = np.inf, None
+    for _ in range(cfg.restarts):
+        psis = []
+        for d in qdims:
+            psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+            psis.append(psi / np.linalg.norm(psi))
+        val, coeff_vecs = _reference_descent(red, qdims, psis)
+        if val < best_val:
+            best_val, best_factors = val, coeff_vecs
+    return best_val, best_factors
+
+
+# The stopping rule resolves a value to 1e-13, which pins the minimizing
+# factors only to about its square root; restarts converged to the same
+# minimum can also swap places as the winner by a rounding.
+_FACTOR_ATOL = 1e-5
+
+
+@pytest.mark.parametrize("qdims", [[2, 3], [3, 3], [2, 2, 2]])
+@pytest.mark.parametrize("restarts", [1, 7, 40])
+def test_stacked_descent_matches_per_restart_loop(qdims, restarts):
+    from witworld.compose import _min_quantum_general
+
+    gen = np.random.default_rng(restarts + 10 * len(qdims) + qdims[0])
+    cfg = SearchConfig(restarts=restarts)
+    for _ in range(3):
+        red = gen.normal(size=tuple(d * d for d in qdims))
+        seed = int(gen.integers(2**31))
+        rng_ref, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref_val, ref_factors = _reference_min_quantum_general(red, qdims, cfg, rng_ref)
+        val, factors = _min_quantum_general(red, qdims, cfg, rng_new)
+        assert val == pytest.approx(ref_val, abs=1e-12)
+        for f, g in zip(factors, ref_factors):
+            assert np.allclose(f, g, atol=_FACTOR_ATOL)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("restarts", [1, 7, 40])
+def test_stacked_descent_matches_through_finite_factors(monkeypatch, restarts):
+    import witworld.compose as compose
+
+    gen = np.random.default_rng(restarts)
+    atoms = (Classical(2), Quantum(3), Quantum(3))
+    specs = compose._effect_side_specs(atoms)
+    coeffs = gen.normal(size=system(*atoms).dim)
+    cfg = SearchConfig(restarts=restarts, seed=int(gen.integers(2**31)))
+
+    def recording(impl, states):
+        def wrapped(red, qdims, cfg, rng):
+            out = impl(red, qdims, cfg, rng)
+            states.append(rng.bit_generator.state)
+            return out
+        return wrapped
+
+    new_states, ref_states = [], []
+    monkeypatch.setattr(compose, "_min_quantum_general",
+                        recording(compose._min_quantum_general, new_states))
+    res = compose.minimize_product_form(coeffs, specs, cfg)
+    monkeypatch.setattr(compose, "_min_quantum_general",
+                        recording(_reference_min_quantum_general, ref_states))
+    ref = compose.minimize_product_form(coeffs, specs, cfg)
+
+    assert res.value == pytest.approx(ref.value, abs=1e-12)
+    assert not res.conclusive and not ref.conclusive
+    for f, g in zip(res.factors, ref.factors):
+        assert np.allclose(f, g, atol=_FACTOR_ATOL)
+    assert len(new_states) == len(ref_states) == 2
+    assert new_states == ref_states
+
+
+def test_search_config_rejects_bad_ranges():
+    for kwargs in ({"grid": 0}, {"grid": -3}, {"restarts": 0}, {"restarts": -5},
+                   {"seed": -1}, {"tol": -1.0}, {"tol": float("nan")}, {"tol": float("inf")}):
+        with pytest.raises(ValueError):
+            SearchConfig(**kwargs)
+    assert SearchConfig(grid=1, restarts=1, tol=0.0).restarts == 1

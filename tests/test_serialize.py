@@ -87,8 +87,16 @@ def test_search_config_round_trip_and_defaults():
     assert search_config_from_json(search_config_to_json(cfg)) == cfg
     partial = search_config_from_json({"grid": 60})
     assert partial.grid == 60 and partial.restarts == SearchConfig().restarts
-    with pytest.raises(MalformedInputError):
-        search_config_from_json({"grid": "many"})
+    for bad in ({"grid": "many"}, {"grid": 0}, {"tol": -1.0}):
+        with pytest.raises(MalformedInputError):
+            search_config_from_json(bad)
+
+
+def test_search_config_with_seed_ignores_seed_env_var(monkeypatch):
+    monkeypatch.setenv("WITWORLD_SEED", "abc")
+    assert search_config_from_json({"seed": 3}).seed == 3
+    with pytest.raises(ValueError, match="WITWORLD_SEED"):
+        search_config_from_json({})
 
 
 @pytest.mark.parametrize("name", ["pr-box", "bwi-star", "bwi-star-star", "instrumental-star"])

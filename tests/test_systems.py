@@ -52,6 +52,12 @@ def test_coefficient_length_must_match():
         GptVector(system(Quantum(2)), np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficients_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        GptVector(system(Quantum(2), Quantum(3)), np.r_[bad, np.zeros(35)])
+
+
 def test_hermitian_basis_is_orthonormal():
     for d in (2, 3, 4):
         basis = hermitian_basis(d)

@@ -65,6 +65,10 @@ def test_apply_identity_and_shape_errors():
         apply(identity_map(Q2), GptVector(system(Classical(4)), np.zeros(4)))
     with pytest.raises(ValueError):
         LinearMap(Q2, Q2, np.eye(3))
+    bad = np.eye(4)
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        LinearMap(Q2, Q2, bad)
 
 
 def test_transpose_fixes_real_symmetric_states():
