@@ -3,7 +3,8 @@
 Verbs: ``prbox``, ``rsp``, ``check-state``, ``check-effect``, ``check-map``,
 ``assemblage``, ``lhs``.  Exit codes: 0 accepted/success, 1 rejected (a
 certificate is printed), 2 inconclusive or unsupported, 64 usage error,
-65 malformed input file.  Every verb has a ``--json`` mode; diagnostics go
+65 malformed input file, 70 internal error (the traceback goes to
+standard error).  Every verb has a ``--json`` mode; diagnostics go
 to standard error.  The environment variable ``WITWORLD_SEED`` supplies
 the default search seed; a value that is not an integer, like an
 out-of-range search flag, is a usage error.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+import traceback
 
 import numpy as np
 
@@ -56,6 +58,7 @@ EXIT_REJECTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_BAD_INPUT = 65
+EXIT_SOFTWARE = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -209,9 +212,11 @@ def _cmd_check_state(args) -> int:
     verdict = composite_state_check(v, _cfg_from_args(args))
     extra = None
     if verdict.rejected and verdict.witness is not None:
-        extra = {"violating_effect": gptvector_to_json(verdict.witness.as_vector())}
+        # a product effect ray on composites, a plain effect on one atom
+        w = verdict.witness.as_vector() if hasattr(verdict.witness, "as_vector") else verdict.witness
+        extra = {"violating_effect": gptvector_to_json(w)}
         if not args.json:
-            print(f"violating product effect: {verdict.witness.as_vector().coeffs}", file=sys.stderr)
+            print(f"violating product effect: {w.coeffs}", file=sys.stderr)
     return _report_verdict(args, verdict, extra)
 
 
@@ -231,6 +236,11 @@ def _cmd_check_map(args) -> int:
     if args.test == "positivity":
         return _report_verdict(args, positivity_check(t, cfg))
     if args.test == "cp":
+        if not all(len(s.atoms) == 1 and isinstance(s.atoms[0], Quantum)
+                   for s in (t.domain, t.codomain)):
+            raise _UsageError(
+                f"--test cp needs a single quantum domain and codomain, got {t.domain} -> {t.codomain}"
+            )
         verdict, min_eig = quantum_cp_check(t, cfg.tol)
         if args.json:
             print(dump_json({"status": verdict.status, "min_choi_eigenvalue": min_eig}))
@@ -293,6 +303,7 @@ def _cmd_assemblage(args) -> int:
             else:
                 messages.append(f"lhs: {verdict.status}")
                 payload["lhs"] = {"status": verdict.status}
+                code = max(code, EXIT_INCONCLUSIVE)
         else:
             messages.append("lhs: not applicable to this scenario")
             payload["lhs"] = {"status": "not-applicable"}
@@ -415,6 +426,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception:
+        traceback.print_exc()
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

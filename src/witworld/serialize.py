@@ -37,11 +37,20 @@ class MalformedInputError(ValueError):
     """Raised when a JSON document does not match the expected format."""
 
 
+def _float_array(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(f"{what} must be numbers: {exc}") from exc
+
+
 def atom_to_str(atom) -> str:
     return str(atom)
 
 
 def atom_from_str(s: str):
+    if not isinstance(s, str):
+        raise MalformedInputError(f"cannot parse atom {s!r} (expected a string)")
     m = re.fullmatch(r"Q(\d+)", s)
     if m:
         return Quantum(int(m.group(1)))
@@ -71,8 +80,8 @@ def _matrix_to_json(m: np.ndarray) -> dict:
 def _matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj:
         raise MalformedInputError("matrix must be an object with 're' (and optional 'im')")
-    re_part = np.asarray(obj["re"], dtype=float)
-    im_part = np.asarray(obj.get("im", np.zeros_like(re_part)), dtype=float)
+    re_part = _float_array(obj["re"], "matrix 're'")
+    im_part = _float_array(obj.get("im", np.zeros_like(re_part)), "matrix 'im'")
     if re_part.shape != im_part.shape or re_part.ndim != 2:
         raise MalformedInputError("matrix 're' and 'im' must be equal-shape 2d arrays")
     return re_part + 1j * im_part
@@ -94,7 +103,7 @@ def gptvector_from_json(obj) -> GptVector:
         raise MalformedInputError("vector must be an object with 'system'")
     sys = system_from_json(obj["system"])
     if "coeffs" in obj:
-        coeffs = np.asarray(obj["coeffs"], dtype=float)
+        coeffs = _float_array(obj["coeffs"], "coeffs")
         try:
             return GptVector(sys, coeffs)
         except ValueError as exc:
@@ -126,7 +135,7 @@ def linear_map_from_json(obj) -> LinearMap:
         return LinearMap(
             system_from_json(obj["domain"]),
             system_from_json(obj["codomain"]),
-            np.asarray(obj["matrix"], dtype=float),
+            _float_array(obj["matrix"], "map matrix"),
         )
     except ValueError as exc:
         raise MalformedInputError(str(exc)) from exc
@@ -197,6 +206,8 @@ def assemblage_to_json(asm: Assemblage) -> dict:
 def assemblage_from_json(obj) -> Assemblage:
     if not isinstance(obj, dict) or "scenario" not in obj or "elements" not in obj:
         raise MalformedInputError("assemblage must carry 'scenario' and 'elements'")
+    if not isinstance(obj["elements"], dict):
+        raise MalformedInputError("assemblage 'elements' must be an object keyed by element")
     scenario = obj["scenario"]
     if scenario not in (BIPARTITE, MULTIPARTITE, BOB_WITH_INPUT, INSTRUMENTAL):
         raise MalformedInputError(f"unknown scenario {scenario!r}")

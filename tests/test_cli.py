@@ -1,9 +1,13 @@
 """Command-line behavior: verbs, exit codes, JSON determinism."""
 
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from witworld.cli import main
 from witworld.serialize import (
@@ -11,6 +15,7 @@ from witworld.serialize import (
     dump_json,
     gptvector_to_json,
     linear_map_to_json,
+    system_from_json,
 )
 from witworld import builtin_state, transpose_map, hermitian_tensor_to_vector
 
@@ -73,6 +78,15 @@ def test_check_state_file_and_rejection(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["status"] == "rejected"
     assert "violating_effect" in payload
+
+
+def test_check_state_single_atom_rejection(capsys, tmp_path):
+    # one atom: the witness is a plain effect, not a product effect ray
+    path = tmp_path / "q2.json"
+    path.write_text(json.dumps({"system": ["Q2"], "coeffs": [0.0, 0.0, 0.0, 1.0]}))
+    code, out, err = run(capsys, "check-state", str(path), "--json")
+    assert code == 1 and "Traceback" not in err
+    assert json.loads(out)["violating_effect"]["system"] == ["Q2"]
 
 
 def test_check_effect(capsys, tmp_path):
@@ -181,6 +195,10 @@ def test_malformed_input_exit_code(capsys, tmp_path):
     nan = tmp_path / "nan.json"
     nan.write_text(json.dumps({"system": ["B2,2", "B2,2"], "coeffs": [float("nan")] + [0.0] * 8}))
     assert run(capsys, "check-state", str(nan))[0] == 65
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps({"scenario": "bipartite", "outcomes": [2], "settings": [2],
+                                  "d": 2, "elements": []}))
+    assert run(capsys, "lhs", str(listed))[0] == 65
 
 
 def test_json_determinism_across_verbs(capsys):
@@ -218,3 +236,138 @@ def test_seed_env_var_sets_default(monkeypatch):
     monkeypatch.setenv("WITWORLD_SEED", "abc")
     with pytest.raises(ValueError, match="WITWORLD_SEED"):
         SearchConfig()
+
+
+def test_assemblage_verify_lhs_unsupported_is_inconclusive(capsys):
+    argv = ["assemblage", "gleason", "--witness", "builtin:singlet", "--verify-lhs"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert "lhs: unsupported" in out
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 2
+    assert json.loads(out)["lhs"]["status"] == "unsupported"
+
+
+def test_check_map_cp_on_non_quantum_map_is_usage_error(capsys):
+    code, out, err = run(capsys, "check-map", "builtin:copy2", "--test", "cp")
+    assert code == 64
+    assert out == ""
+    assert "--test cp" in err and "Traceback" not in err
+
+
+def test_internal_error_exits_70_with_traceback(capsys, monkeypatch):
+    from witworld import cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_prbox", broken)
+    code, out, err = run(capsys, "prbox")
+    assert code == cli.EXIT_SOFTWARE == 70
+    assert out == ""
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+# --- exit-code properties over generated files and flags ---------------------------
+
+_ATOMS = ("Q2", "Q3", "C2", "C3", "B2,2")
+_any_float = st.floats(allow_nan=True, allow_infinity=True, width=64)
+_finite = st.floats(min_value=-2.0, max_value=2.0)
+
+
+def _dim(atoms):
+    return system_from_json(list(atoms)).dim
+
+
+@st.composite
+def _state_doc(draw):
+    """(JSON text, whether it holds a non-finite number)."""
+    kind = draw(st.sampled_from(["finite", "non-finite", "wrong-length", "garbage"]))
+    if kind == "garbage":
+        text = draw(st.sampled_from(
+            ["{oops", "[]", "null", '{"system": "Q2"}', '{"system": ["Q9x"], "coeffs": [1]}',
+             '{"system": ["Q2"], "coeffs": {"a": 1}}', '{"system": ["Q2"], "coeffs": ["x", 1, 2, 3]}',
+             '{"system": ["Q2"], "matrix": {"re": 1}}']))
+        return text, False
+    atoms = draw(st.lists(st.sampled_from(_ATOMS), min_size=1, max_size=2))
+    if atoms == ["Q3", "Q3"]:  # keep the random-restart searches to one Q3 factor
+        atoms = ["Q3", "Q2"]
+    n = _dim(atoms) + (draw(st.sampled_from([-1, 1])) if kind == "wrong-length" else 0)
+    coeffs = draw(st.lists(_finite, min_size=n, max_size=n))
+    bad = False
+    if kind == "non-finite":
+        coeffs[draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        bad = True
+    return json.dumps({"system": atoms, "coeffs": coeffs}), bad
+
+
+@st.composite
+def _map_doc(draw):
+    kind = draw(st.sampled_from(["finite", "non-finite", "wrong-shape", "garbage"]))
+    if kind == "garbage":
+        text = draw(st.sampled_from(
+            ["{", '{"domain": ["Q2"]}', '{"domain": ["Q2"], "codomain": ["Q2"], "matrix": {"a": 1}}',
+             '{"domain": "Q2", "codomain": ["Q2"], "matrix": [[1]]}',
+             '{"domain": ["Q2"], "codomain": ["Q2"], "matrix": [["a", 1, 2, 3]]}']))
+        return text, False
+    dom = draw(st.lists(st.sampled_from(("Q2", "Q3", "C2")), min_size=1, max_size=2))
+    cod = [draw(st.sampled_from(("Q2", "C2", "B2,2")))]
+    if "Q3" in dom:  # keep the random-restart searches to one Q3 factor
+        dom = ["Q3"]
+    rows, cols = _dim(cod), _dim(dom) + (1 if kind == "wrong-shape" else 0)
+    matrix = draw(st.lists(st.lists(_finite, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    bad = False
+    if kind == "non-finite":
+        matrix[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+        bad = True
+    return json.dumps({"domain": dom, "codomain": cod, "matrix": matrix}), bad
+
+
+@st.composite
+def _search_flags(draw):
+    flags, bad = [], False
+    if draw(st.booleans()):
+        flags += ["--grid", str(draw(st.integers(-2, 50)))]
+    if draw(st.booleans()):
+        flags += ["--restarts", str(draw(st.integers(-2, 20)))]
+    if draw(st.booleans()):
+        flags += ["--seed", str(draw(st.integers(-1, 2**31)))]
+    if draw(st.booleans()):
+        tol = draw(st.one_of(st.floats(0, 1e-3), _any_float))
+        flags += ["--tol", repr(tol)]
+        bad = not math.isfinite(tol)
+    return flags, bad
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    doc=st.one_of(
+        st.tuples(st.sampled_from(["check-state", "check-effect"]), _state_doc()),
+        st.tuples(
+            st.sampled_from(["positivity", "cp", "trace-preserving", "trace-nonincreasing"]),
+            _map_doc(),
+        ),
+    ),
+    flags=_search_flags(),
+)
+def test_generated_inputs_exit_with_documented_codes(tmp_path_factory, doc, flags):
+    verb, (text, bad_doc) = doc
+    path = tmp_path_factory.mktemp("doc") / "input.json"
+    path.write_text(text)
+    argv = [verb, str(path)] if verb.startswith("check-") else [
+        "check-map", str(path), "--test", verb]
+    argv += flags[0]
+    code, err = _run_quietly(argv)
+    assert code in (0, 1, 2, 64, 65), (argv, text, err)
+    assert "Traceback" not in err
+    if bad_doc or flags[1]:
+        assert code != 0, (argv, text)

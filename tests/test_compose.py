@@ -13,6 +13,7 @@ from witworld import (
     SearchConfig,
     box_pair_state,
     builtin_state,
+    choi_matrix,
     composite_effect_check,
     composite_state_check,
     cone_generators,
@@ -29,11 +30,20 @@ from witworld import (
     system,
     tensor,
     tensor_all,
+    transpose_map,
     unit_effect,
+    unot_map,
     vector_to_hermitian,
     vector_to_hermitian_tensor,
 )
-from witworld.compose import scalar_one
+from witworld.compose import (
+    _bloch_scan,
+    _effect_side_specs,
+    _min_qubit_pair,
+    _sphere_grid,
+    minimize_product_form,
+    scalar_one,
+)
 
 from conftest import (
     local_deterministic_box,
@@ -237,6 +247,133 @@ def test_mixed_box_and_qubit_pair_engine():
         pair_margin = composite_state_check(hermitian_tensor_to_vector(m, (2, 2))).margin
         assert res.margin == pytest.approx(min(0.0, pair_margin), abs=1e-9)
         assert res.rejected == (shift > 0)
+
+
+# --- Bloch scan and stacked qubit-pair descent ------------------------------------
+
+
+def _reference_scan(C, grid):
+    """The scan over (G, 4) rows of projector coefficients, one row per direction."""
+    points = grid.T / np.sqrt(2.0)
+    q = points @ C
+    vals = (q[:, 0] - np.linalg.norm(q[:, 1:], axis=1)) / np.sqrt(2.0)
+    g = int(np.argmin(vals))
+    return float(vals[g]), g
+
+
+def test_scan_matches_reference_formula():
+    rng = np.random.default_rng(1)
+    grid = _sphere_grid(24)
+    for _ in range(10):
+        C = rng.normal(size=(4, 4))
+        val, idx = _bloch_scan(C, grid)
+        ref_val, ref_idx = _reference_scan(C, grid)
+        assert val == pytest.approx(ref_val, abs=1e-12)
+        assert idx == ref_idx
+
+
+def test_scan_value_is_minimum_eigenvalue_of_steered_operator():
+    # at each grid point the scan value equals the exact minimum of the
+    # remaining rank-1 factor, computed here with raw matrix eigenvalues
+    rng = np.random.default_rng(2)
+    grid = _sphere_grid(16)
+    C = rng.normal(size=(4, 4))
+    val, idx = _bloch_scan(C, grid)
+    q = C.T @ grid[:, idx] / np.sqrt(2.0)
+    operator = np.einsum("k,kij->ij", q, hermitian_basis(2))
+    assert val == pytest.approx(np.linalg.eigvalsh(operator).min(), abs=1e-12)
+
+
+def test_ties_resolve_to_first_index():
+    grid = np.zeros((4, 4))
+    grid[0] = 1.0  # all columns identical: every value ties
+    _, idx = _bloch_scan(np.eye(4), grid)
+    assert idx == 0
+
+
+def test_grid_shape_and_poles():
+    grid = _sphere_grid(10)
+    assert grid.shape == (4, 10 * 20 + 6)
+    assert not grid.flags.writeable
+    assert np.all(grid[0] == 1.0)
+    assert np.max(np.abs(np.linalg.norm(grid[1:], axis=0) - 1.0)) < 1e-12
+    axes = [(0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
+    assert np.array_equal(grid[1:, -6:].T, axes)
+
+
+def _qubit_coeffs(n):
+    return np.concatenate(([1.0], n)) / np.sqrt(2.0)
+
+
+def _alternate_qubit_pair(C, n0, step_tol=1e-6):
+    """Alternating closed-form descent of f(n, m) = p(n)^T C p(m) from one start."""
+    n = n0
+    m = np.array([0.0, 0.0, 1.0])
+    for _ in range(300):
+        q = C.T @ _qubit_coeffs(n)
+        nq = np.linalg.norm(q[1:])
+        m_new = -q[1:] / nq if nq > 1e-15 else m
+        g = C @ _qubit_coeffs(m_new)
+        ng = np.linalg.norm(g[1:])
+        n_new = -g[1:] / ng if ng > 1e-15 else n
+        step = max(np.linalg.norm(n_new - n), np.linalg.norm(m_new - m))
+        n, m = n_new, m_new
+        if step < step_tol:
+            break
+    return float(_qubit_coeffs(n) @ C @ _qubit_coeffs(m))
+
+
+def _reference_min_qubit_pair(C, cfg):
+    """One descent per start: the scan's argmin, then the six axis directions."""
+    grid = _sphere_grid(cfg.grid)
+    _, g = _reference_scan(C, grid)
+    best = np.inf
+    for i in [g] + list(range(grid.shape[1] - 6, grid.shape[1])):
+        val = _alternate_qubit_pair(C, grid[1:, i].copy())
+        if val < best:
+            best = val
+    return best
+
+
+def test_stacked_qubit_pair_matches_per_start_loop():
+    rng = np.random.default_rng(31)
+    mats = [rng.normal(size=(4, 4)) for _ in range(200)]
+    mats += [random_decomposable_witness(rng).coeffs.reshape(4, 4) for _ in range(20)]
+    mats += [
+        builtin_state("swap2").coeffs.reshape(4, 4),
+        transpose_map(2).matrix,
+        unot_map(2).matrix,
+        hermitian_tensor_to_vector(choi_matrix(transpose_map(2)), (2, 2)).coeffs.reshape(4, 4),
+        hermitian_tensor_to_vector(choi_matrix(unot_map(2)), (2, 2)).coeffs.reshape(4, 4),
+        np.eye(4),                 # every start ties
+        np.zeros((4, 4)),          # every direction update keeps the previous one
+        np.diag([1.0, 0, 0, 0]),
+    ]
+    cfg = SearchConfig()
+    for C in mats:
+        val, (pn, pm) = _min_qubit_pair(C, cfg)
+        ref = _reference_min_qubit_pair(C, cfg)
+        assert val == pytest.approx(ref, abs=1e-12)
+        assert (val >= -cfg.tol) == (ref >= -cfg.tol)
+        assert pn @ C @ pm == pytest.approx(val, abs=1e-12)
+        assert np.linalg.norm(pn[1:]) == pytest.approx(np.sqrt(0.5))
+        assert np.linalg.norm(pm[1:]) == pytest.approx(np.sqrt(0.5))
+
+
+@pytest.mark.parametrize("atoms", [(B22, B22), (Q2, Q2), (Q2, Quantum(3))])
+def test_engine_rejects_non_finite_coefficients(atoms):
+    # finite generators, the qubit-pair search and the random restarts
+    specs = _effect_side_specs(atoms)
+    dim = system(*atoms).dim
+    cfg = SearchConfig(restarts=3)
+    for bad in (np.nan, np.inf, -np.inf):
+        coeffs = np.full(dim, 0.1)
+        coeffs[dim // 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            minimize_product_form(coeffs, specs, cfg)
+    with pytest.raises(ValueError, match="finite"):
+        minimize_product_form(np.full(dim, np.nan), specs, cfg)
+    assert np.isfinite(minimize_product_form(np.full(dim, 0.1), specs, cfg).value)
 
 
 # --- composite effects -----------------------------------------------------------
