@@ -44,6 +44,7 @@ from .steering import (
     LhsConfig,
     LhsModel,
     SteeringInequality,
+    StrategyCapError,
     assemblage_from_realization,
     lhs_check,
     ns_check,

@@ -2,7 +2,8 @@
 
 Verbs: ``prbox``, ``rsp``, ``check-state``, ``check-effect``, ``check-map``,
 ``assemblage``, ``lhs``.  Exit codes: 0 accepted/success, 1 rejected (a
-certificate is printed), 2 inconclusive or unsupported, 64 usage error,
+certificate is printed), 2 inconclusive, unsupported or not applicable
+(``lhs`` on a scenario it does not take), 64 usage error,
 65 malformed input file, 70 internal error (the traceback goes to
 standard error).  Every verb has a ``--json`` mode; diagnostics go
 to standard error.  The environment variable ``WITWORLD_SEED`` supplies
@@ -45,6 +46,7 @@ from .steering import (
     BIPARTITE,
     MULTIPARTITE,
     PAPER_ASSEMBLAGE_NAMES,
+    StrategyCapError,
     lhs_check,
     ns_check,
     paper_assemblage,
@@ -319,12 +321,25 @@ def _cmd_assemblage(args) -> int:
     return code
 
 
+def _lhs_inconclusive(args, status: str, detail: str) -> int:
+    if args.json:
+        print(dump_json({"status": status, "detail": detail}))
+    else:
+        print(f"{status}: {detail}")
+    return EXIT_INCONCLUSIVE
+
+
 def _cmd_lhs(args) -> int:
     asm = assemblage_from_json(load_json_file(args.file))
     if asm.scenario not in (BIPARTITE, MULTIPARTITE):
-        print("lhs test supports bipartite or multipartite assemblages", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    verdict, model = lhs_check(asm)
+        return _lhs_inconclusive(
+            args, "not-applicable",
+            f"the lhs test takes bipartite or multipartite assemblages, not {asm.scenario}",
+        )
+    try:
+        verdict, model = lhs_check(asm)
+    except StrategyCapError as exc:
+        return _lhs_inconclusive(args, UNSUPPORTED, str(exc))
     if verdict.status == REJECTED:
         cert = steering_inequality_to_json(verdict.witness, asm.scenario)
         if args.json:
@@ -333,12 +348,8 @@ def _cmd_lhs(args) -> int:
             print("infeasible; violated inequality:")
             print(dump_json(cert))
         return EXIT_REJECTED
-    if verdict.status == UNSUPPORTED:
-        if args.json:
-            print(dump_json({"status": "unsupported", "detail": verdict.detail}))
-        else:
-            print(f"unsupported: {verdict.detail}")
-        return EXIT_INCONCLUSIVE
+    if verdict.status != ACCEPTED:
+        return _lhs_inconclusive(args, verdict.status, verdict.detail)
     payload = {
         "status": "feasible",
         "detail": verdict.detail,

@@ -51,31 +51,32 @@ def solve_feasibility(A, b, tol: float = 1e-9, max_iter: int | None = None) -> L
     iterations = 0
     while iterations < max_iter:
         # Bland: entering variable is the lowest index with negative reduced cost.
-        enter = -1
-        for j in range(n + m):
-            if tab[m, j] < -_PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+        negative = np.flatnonzero(tab[m, :n + m] < -_PIVOT_TOL)
+        if negative.size == 0:
             break
+        enter = int(negative[0])
+        col = tab[:m, enter]
+        rows = np.flatnonzero(col > _PIVOT_TOL)
+        ratios = tab[rows, -1] / col[rows]
         leave, best_ratio = -1, np.inf
-        for i in range(m):
-            if tab[i, enter] > _PIVOT_TOL:
-                ratio = tab[i, -1] / tab[i, enter]
-                if ratio < best_ratio - _PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= _PIVOT_TOL
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio, leave = ratio, i
+        for i, ratio in zip(rows, ratios):
+            if ratio < best_ratio - _PIVOT_TOL or (
+                abs(ratio - best_ratio) <= _PIVOT_TOL
+                and (leave < 0 or basis[i] < basis[leave])
+            ):
+                best_ratio, leave = ratio, i
         if leave < 0:
             # Phase-1 objective is bounded below by 0, so this cannot happen
             # with artificial variables present; treat defensively.
             break
         piv = tab[leave, enter]
         tab[leave, :] /= piv
-        for i in range(m + 1):
-            if i != leave and tab[i, enter] != 0.0:
-                tab[i, :] -= tab[i, enter] * tab[leave, :]
+        # One rank-1 update over the rows with a nonzero entering entry;
+        # rows with a zero entry are left alone, as a row-by-row update would.
+        factors = tab[:, enter].copy()
+        factors[leave] = 0.0
+        hit = np.flatnonzero(factors)
+        tab[hit] -= factors[hit, None] * tab[leave]
         basis[leave] = enter
         iterations += 1
 

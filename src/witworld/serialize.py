@@ -214,8 +214,9 @@ def assemblage_from_json(obj) -> Assemblage:
     try:
         outcomes = tuple(int(v) for v in obj["outcomes"])
         settings = tuple(int(v) for v in obj["settings"])
+        bob_inputs = None if obj.get("bob_inputs") is None else int(obj["bob_inputs"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError(f"bad outcome/setting lists: {exc}") from exc
+        raise MalformedInputError(f"bad outcome/setting/input counts: {exc}") from exc
     elements = {}
     for key_str, val in obj["elements"].items():
         key = _element_key_from_str(scenario, key_str)
@@ -233,7 +234,7 @@ def assemblage_from_json(obj) -> Assemblage:
             raise MalformedInputError(f"element {key_str} needs 'matrix' re/im or a vector")
     try:
         return Assemblage(
-            scenario, outcomes, settings, elements, bob_inputs=obj.get("bob_inputs")
+            scenario, outcomes, settings, elements, bob_inputs=bob_inputs
         )
     except ValueError as exc:
         raise MalformedInputError(str(exc)) from exc

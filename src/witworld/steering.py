@@ -57,7 +57,7 @@ from .transforms import (
     PAULI_Y,
     PAULI_Z,
 )
-from .verdict import ACCEPTED, REJECTED, UNSUPPORTED, MembershipVerdict
+from .verdict import ACCEPTED, INCONCLUSIVE_ACCEPT, REJECTED, UNSUPPORTED, MembershipVerdict
 
 BIPARTITE = "bipartite"
 MULTIPARTITE = "multipartite"
@@ -95,6 +95,20 @@ class Assemblage:
             raise ValueError("bob-with-input assemblages need bob_inputs")
         if self.scenario != BOB_WITH_INPUT and self.bob_inputs is not None:
             raise ValueError(f"{self.scenario} assemblages take no bob_inputs")
+        parties = len(self.outcomes)
+        if parties != len(self.settings) or parties < 1 or (
+                self.scenario != MULTIPARTITE and parties != 1):
+            raise ValueError(
+                f"{self.scenario} assemblage with outcomes {self.outcomes} and settings "
+                f"{self.settings}: need one count of each per black-box party"
+            )
+        counts = self.outcomes + self.settings
+        if self.bob_inputs is not None:
+            counts += (self.bob_inputs,)
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 1
+                   for c in counts):
+            raise ValueError(f"outcome, setting and input counts must be positive integers, "
+                             f"got {counts}")
         expected = set(self._expected_keys())
         got = set(self.elements)
         if got != expected:
@@ -436,11 +450,21 @@ class LhsModel:
         return GptVector(sys, out if out is not None else np.zeros(sys.dim))
 
     def max_error(self, asm: Assemblage) -> float:
-        _, _, els = asm.as_parties()
-        return max(
-            float(np.max(np.abs(self.element(a, x).coeffs - el.coeffs)))
-            for (a, x), el in els.items()
-        )
+        """Largest coefficient deviation of the rebuilt elements from ``asm``."""
+        _, settings, els = asm.as_parties()
+        keys = list(els)
+        target = np.array([els[k].coeffs for k in keys])
+        a_arr = np.array([a for a, _ in keys])
+        x_arr = np.array([x for _, x in keys])
+        # hit[row, i]: strategy i answers a_vec to x_vec on every party
+        hit = np.ones((len(keys), len(self.strategies)), dtype=bool)
+        for p, s in enumerate(settings):
+            table = np.array([lam[p] for lam in self.strategies], dtype=int)
+            hit &= table.reshape(-1, s).T[x_arr[:, p]] == a_arr[:, p, None]
+        rebuilt = np.zeros_like(target)
+        for i, state in enumerate(self.local_states):
+            rebuilt[hit[:, i]] += state.coeffs
+        return float(np.max(np.abs(rebuilt - target)))
 
 
 @dataclass(frozen=True)
@@ -460,35 +484,69 @@ class SteeringInequality:
         ))
 
 
-def _common_eigenbasis(mats, tol):
-    scale = max(1.0, max(float(np.max(np.abs(m))) for m in mats))
+class StrategyCapError(ValueError):
+    """The deterministic strategy count exceeds :attr:`LhsConfig.strategy_cap`."""
+
+
+def _common_eigenbasis(stack, tol, scale):
+    """A unitary diagonalizing every matrix of ``stack``, and the rotated stack.
+
+    Returns ``(None, None)`` when two matrices fail to commute within
+    tolerance (checked row by row, stopping at the first failing row) or
+    no trial combination separates the joint eigenspaces.
+    """
     ctol = max(tol, 1e-10) * scale
-    for a, b in itertools.combinations(mats, 2):
-        if np.max(np.abs(a @ b - b @ a)) > ctol:
-            return None
+    for i in range(len(stack) - 1):
+        a, rest = stack[i], stack[i + 1:]
+        if np.max(np.abs(a @ rest - rest @ a)) > ctol:
+            return None, None
     for seed in (190452, 881237, 55901):
-        w = np.random.default_rng(seed).normal(size=len(mats))
-        h = sum(wi * m for wi, m in zip(w, mats))
+        w = np.random.default_rng(seed).normal(size=len(stack))
+        h = sum(wi * m for wi, m in zip(w, stack))
         _, u = np.linalg.eigh(h)
-        off = 0.0
-        for m in mats:
-            r = u.conj().T @ m @ u
-            off = max(off, float(np.max(np.abs(r - np.diag(np.diag(r))))))
-        if off <= max(tol, 1e-9) * scale:
-            return u
-    return None
+        rotated = u.conj().T @ stack @ u
+        off = np.abs(rotated)
+        diag = np.arange(off.shape[1])
+        off[:, diag, diag] = 0.0
+        if float(np.max(off)) <= max(tol, 1e-9) * scale:
+            return u, rotated
+    return None, None
 
 
-def _party_strategies(outcomes, settings, cap):
+def _party_responses(outcomes, settings, cap):
+    """Per-party response tables, one column per deterministic strategy.
+
+    ``tables[p][x, j]`` is the outcome party ``p``'s ``j``-th response
+    function gives to setting ``x``, with ``j`` in ``itertools.product``
+    order over the settings.
+    """
     total = 1
     for o, s in zip(outcomes, settings):
         total *= o ** s
         if total > cap:
-            raise ValueError(f"deterministic strategy count exceeds the cap of {cap}")
-    per_party = [
-        list(itertools.product(range(o), repeat=s)) for o, s in zip(outcomes, settings)
-    ]
-    return list(itertools.product(*per_party))
+            raise StrategyCapError(f"deterministic strategy count exceeds the cap of {cap}")
+    return [np.indices((o,) * s).reshape(s, -1) for o, s in zip(outcomes, settings)]
+
+
+def _response_matrix(keys, outcomes, tables):
+    """0/1 matrix: rows are element keys, columns deterministic strategies.
+
+    Columns follow ``itertools.product`` over the parties' response
+    functions, so one party's indicator rows are combined with the next
+    party's by outer products.
+    """
+    dmat = np.ones((len(keys), 1))
+    for p, (o, table) in enumerate(zip(outcomes, tables)):
+        indicator = (table[None, :, :] == np.arange(o)[:, None, None]).astype(float)
+        rows = indicator[[k[0][p] for k in keys], [k[1][p] for k in keys]]
+        dmat = (dmat[:, :, None] * rows[:, None, :]).reshape(len(keys), -1)
+    return dmat
+
+
+def _strategy(index, tables):
+    """The per-party response functions of strategy column ``index``."""
+    picks = np.unravel_index(index, [t.shape[1] for t in tables])
+    return tuple(tuple(t[:, j].tolist()) for t, j in zip(tables, picks))
 
 
 def lhs_check(asm: Assemblage, solver_cfg: LhsConfig | None = None):
@@ -500,37 +558,51 @@ def lhs_check(asm: Assemblage, solver_cfg: LhsConfig | None = None):
     yields an explicit reconstructing :class:`LhsModel`; infeasibility
     yields a :class:`SteeringInequality` certificate.  Non-commuting
     assemblages are reported as unsupported.
+
+    Both are checked before a verdict is given: a certificate ``y`` must
+    score at most ``tol * max(1, |y|)`` on every deterministic strategy
+    and more than that on the eigenvalue table, and a model must rebuild
+    every element within ``tol * max(1, |elements|)``.  A certificate that
+    fails is reported as unsupported, a model that fails as
+    inconclusive-accept.
     """
     cfg = solver_cfg or LhsConfig()
     if asm.scenario not in (BIPARTITE, MULTIPARTITE):
         raise ValueError(f"LHS test supports bipartite or multipartite, got {asm.scenario}")
     outcomes, settings, els = asm.as_parties()
     keys = sorted(els)
-    mats = [vector_to_hermitian(els[k]) for k in keys]
-    u = _common_eigenbasis(mats, cfg.tol)
+    stack = np.array([vector_to_hermitian(els[k]) for k in keys])
+    scale = max(1.0, float(np.max(np.abs(stack))))
+    u, rotated = _common_eigenbasis(stack, cfg.tol, scale)
     if u is None:
         return (
             MembershipVerdict(UNSUPPORTED, detail="elements do not commute within tolerance"),
             None,
         )
-    d = mats[0].shape[0]
-    strategies = _party_strategies(outcomes, settings, cfg.strategy_cap)
-    dmat = np.zeros((len(keys), len(strategies)))
-    for col, lam in enumerate(strategies):
-        for row, (a_vec, x_vec) in enumerate(keys):
-            if all(f[x] == a for f, a, x in zip(lam, a_vec, x_vec)):
-                dmat[row, col] = 1.0
-    tables = np.empty((len(keys), d))
-    for row, m in enumerate(mats):
-        tables[row] = np.real(np.diag(u.conj().T @ m @ u))
+    d = stack.shape[1]
+    responses = _party_responses(outcomes, settings, cfg.strategy_cap)
+    dmat = _response_matrix(keys, outcomes, responses)
+    tables = np.real(np.diagonal(rotated, axis1=1, axis2=2))
 
-    weights = np.zeros((len(strategies), d))
+    weights = np.zeros((dmat.shape[1], d))
     for k in range(d):
         res = solve_feasibility(dmat, tables[:, k], tol=cfg.tol)
         if not res.feasible:
             y = res.certificate
+            value = float(y @ tables[:, k])
+            worst = float(np.max(y @ dmat))
+            ytol = cfg.tol * max(1.0, float(np.max(np.abs(y))))
+            if worst > ytol or not value > ytol:
+                return (
+                    MembershipVerdict(
+                        UNSUPPORTED,
+                        detail=(f"the LP certificate fails its check (strategy score "
+                                f"{worst:.3g}, value {value:.3g})"),
+                    ),
+                    None,
+                )
             coeffs = {key: float(y[row]) for row, key in enumerate(keys) if abs(y[row]) > 1e-13}
-            cert = SteeringInequality(coeffs, u[:, k].copy(), float(y @ tables[:, k]))
+            cert = SteeringInequality(coeffs, u[:, k].copy(), value)
             return (
                 MembershipVerdict(
                     REJECTED,
@@ -541,16 +613,23 @@ def lhs_check(asm: Assemblage, solver_cfg: LhsConfig | None = None):
                 None,
             )
         weights[:, k] = res.x
-    el_sys = next(iter(els.values())).system
-    keep = [i for i in range(len(strategies)) if np.sum(weights[i]) > 1e-13]
+    totals = weights.sum(axis=1)
     local_states, wts, lams = [], [], []
-    for i in keep:
+    for i in np.flatnonzero(totals > 1e-13):
         mat = u @ np.diag(weights[i]) @ u.conj().T
         local_states.append(hermitian_to_vector((mat + mat.conj().T) / 2))
-        wts.append(float(np.sum(weights[i])))
-        lams.append(strategies[i])
+        wts.append(float(totals[i]))
+        lams.append(_strategy(i, responses))
     model = LhsModel(tuple(lams), tuple(wts), tuple(local_states))
     err = model.max_error(asm)
+    if err > cfg.tol * scale:
+        return (
+            MembershipVerdict(
+                INCONCLUSIVE_ACCEPT, margin=-err,
+                detail=f"the LP model reconstructs only within {err:.3g}",
+            ),
+            None,
+        )
     return (
         MembershipVerdict(ACCEPTED, margin=-err, detail=f"model reconstructs within {err:.3g}"),
         model,

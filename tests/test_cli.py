@@ -162,6 +162,33 @@ def test_lhs_verb(capsys, tmp_path):
     assert payload["certificate"]["value"] > 0
 
 
+def test_lhs_verb_on_other_scenarios_is_not_applicable(capsys, tmp_path):
+    for name, scenario in (("bwi-star", "bob-with-input"), ("instrumental-star", "instrumental")):
+        path = tmp_path / f"{name}.json"
+        run(capsys, "assemblage", name, "--emit", str(path))
+        code, out, _ = run(capsys, "lhs", str(path), "--json")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["status"] == "not-applicable"
+        assert scenario in payload["detail"]
+        code, out, _ = run(capsys, "lhs", str(path))
+        assert code == 2 and out.startswith("not-applicable:")
+
+
+def test_lhs_verb_over_the_strategy_cap_is_unsupported(capsys, tmp_path):
+    # well formed and commuting, but 2**21 deterministic strategies
+    half = {"re": [[0.25, 0.0], [0.0, 0.25]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    doc = {"scenario": "bipartite", "outcomes": [2], "settings": [21], "d": 2,
+           "elements": {f"a={a}|x={x}": half for a in range(2) for x in range(21)}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "lhs", str(path), "--json")
+    assert code == 2 and "Traceback" not in err
+    payload = json.loads(out)
+    assert payload["status"] == "unsupported"
+    assert "cap" in payload["detail"]
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "no-such-verb")[0] == 64
     assert run(capsys, "check-state", "builtin:nope")[0] == 64
@@ -199,6 +226,13 @@ def test_malformed_input_exit_code(capsys, tmp_path):
     listed.write_text(json.dumps({"scenario": "bipartite", "outcomes": [2], "settings": [2],
                                   "d": 2, "elements": []}))
     assert run(capsys, "lhs", str(listed))[0] == 65
+    for counts in ({"bob_inputs": "two"}, {"bob_inputs": 0}, {"outcomes": [0]}):
+        doc = {"scenario": "bob-with-input", "outcomes": [1], "settings": [1], "bob_inputs": 1,
+               "elements": {"a=0|x=0;y=0": {"re": [[1.0]]}}}
+        bad_counts = tmp_path / "counts.json"
+        bad_counts.write_text(json.dumps({**doc, **counts}))
+        code, _, err = run(capsys, "lhs", str(bad_counts))
+        assert code == 65 and "Traceback" not in err, counts
 
 
 def test_json_determinism_across_verbs(capsys):
@@ -345,7 +379,7 @@ def _run_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -366,8 +400,87 @@ def test_generated_inputs_exit_with_documented_codes(tmp_path_factory, doc, flag
     argv = [verb, str(path)] if verb.startswith("check-") else [
         "check-map", str(path), "--test", verb]
     argv += flags[0]
-    code, err = _run_quietly(argv)
+    code, _, err = _run_quietly(argv)
     assert code in (0, 1, 2, 64, 65), (argv, text, err)
     assert "Traceback" not in err
     if bad_doc or flags[1]:
         assert code != 0, (argv, text)
+
+
+_LHS_KEYS = {
+    "bipartite": [f"a={a}|x={x}" for a in range(2) for x in range(2)],
+    "multipartite": [f"a={a},{b}|x={x},{y}" for a in range(2) for b in range(2)
+                     for x in range(2) for y in range(2)],
+    "instrumental": [f"a={a}|x={x}" for a in range(2) for x in range(2)],
+    "bob-with-input": [f"a={a}|x={x};y={y}" for a in range(2) for x in range(2)
+                       for y in range(2)],
+}
+
+
+@st.composite
+def _assemblage_doc(draw):
+    """(JSON text, whether it holds a non-finite number, whether it must be decided)."""
+    kind = draw(st.sampled_from(
+        ["commuting", "non-commuting", "non-finite", "non-psd", "non-square", "list-element",
+         "missing-key", "extra-key", "other-scenario", "garbage"]))
+    if kind == "garbage":
+        text = draw(st.sampled_from(
+            ["{", "[]", '{"scenario": "bipartite"}', '{"scenario": "x", "elements": {}}',
+             '{"scenario": "bipartite", "outcomes": [2], "settings": [2], "elements": {"a=0": 1}}',
+             '{"scenario": "bipartite", "outcomes": "2", "settings": [2], "elements": {}}',
+             '{"scenario": "bipartite", "outcomes": [0], "settings": [2], "elements": {}}',
+             '{"scenario": "bipartite", "outcomes": [2, 2], "settings": [2], "elements": {}}',
+             '{"scenario": "bob-with-input", "outcomes": [1], "settings": [1], '
+             '"bob_inputs": "two", "elements": {"a=0|x=0;y=0": {"re": [[1.0]]}}}']))
+        return text, False, False
+    scenario = draw(st.sampled_from(
+        ["instrumental", "bob-with-input"] if kind == "other-scenario"
+        else ["bipartite", "multipartite"]))
+    keys = list(_LHS_KEYS[scenario])
+    diag = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)
+    elements = {k: {"re": np.diag(draw(diag)).tolist(), "im": [[0.0, 0.0], [0.0, 0.0]]}
+                for k in keys}
+    bad = False
+    target = draw(st.sampled_from(keys))
+    if kind == "non-commuting":
+        w = draw(st.floats(0.05, 1.0))
+        elements[target]["re"] = [[w, w], [w, w]]
+    elif kind == "non-finite":
+        part, i, j = draw(st.sampled_from(["re", "im"])), draw(st.integers(0, 1)), draw(
+            st.integers(0, 1))
+        elements[target][part][i][j] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        bad = True
+    elif kind == "non-psd":
+        elements[target]["re"][1][1] = -draw(st.floats(0.01, 1.0))
+    elif kind == "non-square":
+        elements[target] = {"re": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]}
+    elif kind == "list-element":
+        elements[target] = elements[target]["re"]
+    elif kind == "missing-key":
+        del elements[target]
+    elif kind == "extra-key":
+        elements[target.replace("a=0", "a=2").replace("a=1", "a=2")] = elements[target]
+    doc = {"scenario": scenario, "outcomes": [2] * (2 if scenario == "multipartite" else 1),
+           "settings": [2] * (2 if scenario == "multipartite" else 1), "d": 2,
+           "elements": elements}
+    if scenario == "bob-with-input":
+        doc["bob_inputs"] = 2
+    # a real diagonal assemblage is always decided: feasible or a checked certificate
+    return json.dumps(doc), bad, kind == "commuting"
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_assemblage_doc(), as_json=st.booleans())
+def test_generated_lhs_files_exit_with_documented_codes(tmp_path_factory, doc, as_json):
+    text, bad_doc, decided = doc
+    path = tmp_path_factory.mktemp("asm") / "assemblage.json"
+    path.write_text(text)
+    code, out, err = _run_quietly(["lhs", str(path)] + (["--json"] if as_json else []))
+    assert code in (0, 1, 2, 64, 65), (text, err)
+    assert "Traceback" not in err
+    if bad_doc:
+        assert code != 0, text
+    if decided:
+        assert code in (0, 1), (text, out)
+    if as_json and code in (0, 1, 2):
+        assert json.loads(out)["status"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from witworld.lp import solve_feasibility
+from witworld.lp import _PIVOT_TOL, solve_feasibility
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -89,3 +89,122 @@ def test_degenerate_cycling_guard():
 def test_shape_mismatch():
     with pytest.raises(ValueError):
         solve_feasibility(np.eye(2), np.zeros(3))
+
+
+# --- parity with the row-by-row simplex ----------------------------------------------
+
+
+def _row_loop_solve(A, b, tol=1e-9, max_iter=None):
+    """The simplex with per-row Python loops: the reference for the vectorized pivots."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.asarray(b, dtype=float).reshape(-1)
+    m, n = A.shape
+    if max_iter is None:
+        max_iter = 200 * (n + m + 1)
+    flip = np.where(b < 0, -1.0, 1.0)
+    A1 = A * flip[:, None]
+    b1 = b * flip
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = A1
+    tab[:m, n:n + m] = np.eye(m)
+    tab[:m, -1] = b1
+    tab[m, :n] = -A1.sum(axis=0)
+    tab[m, -1] = -b1.sum()
+    basis = list(range(n, n + m))
+    iterations = 0
+    while iterations < max_iter:
+        enter = -1
+        for j in range(n + m):
+            if tab[m, j] < -_PIVOT_TOL:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave, best_ratio = -1, np.inf
+        for i in range(m):
+            if tab[i, enter] > _PIVOT_TOL:
+                ratio = tab[i, -1] / tab[i, enter]
+                if ratio < best_ratio - _PIVOT_TOL or (
+                    abs(ratio - best_ratio) <= _PIVOT_TOL
+                    and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best_ratio, leave = ratio, i
+        if leave < 0:
+            break
+        piv = tab[leave, enter]
+        tab[leave, :] /= piv
+        for i in range(m + 1):
+            if i != leave and tab[i, enter] != 0.0:
+                tab[i, :] -= tab[i, enter] * tab[leave, :]
+        basis[leave] = enter
+        iterations += 1
+
+    objective = -tab[m, -1]
+    scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
+    if objective <= tol * scale:
+        x = np.zeros(n)
+        for i, j in enumerate(basis):
+            if j < n:
+                x[j] = max(tab[i, -1], 0.0)
+        return True, x, None, iterations
+    cols = np.empty((m, m))
+    c_b = np.empty(m)
+    for i, j in enumerate(basis):
+        if j < n:
+            cols[:, i] = A1[:, j]
+            c_b[i] = 0.0
+        else:
+            cols[:, i] = np.eye(m)[:, j - n]
+            c_b[i] = 1.0
+    y1, *_ = np.linalg.lstsq(cols.T, c_b, rcond=None)
+    return False, None, y1 * flip, iterations
+
+
+def _parity_instances():
+    rng = np.random.default_rng(4242)
+    for trial in range(100):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 14))
+        kind = trial % 5
+        if kind == 0:  # feasible by construction
+            A = rng.normal(size=(m, n))
+            yield A, A @ rng.uniform(0, 1, size=n)
+        elif kind == 1:  # mostly infeasible
+            yield rng.normal(size=(m, n)), rng.normal(size=m)
+        elif kind == 2:  # degenerate: zero right-hand sides, sparse columns
+            A = rng.normal(size=(m, n)) * (rng.uniform(size=(m, n)) < 0.4)
+            b = A @ (rng.uniform(size=n) * (rng.uniform(size=n) < 0.3))
+            yield A, b
+        elif kind == 3:  # tie-heavy: 0/1 strategy columns and rational tables, as in LHS problems
+            A = (rng.uniform(size=(m, n)) < 0.5).astype(float)
+            b = rng.integers(0, 3, size=m) / 4.0
+            yield A, b
+        else:  # a row below the pivot tolerance with a zero right-hand side: never a pivot row
+            A = rng.normal(size=(m, n))
+            A[0] = np.abs(A[0]) * 1e-12
+            b = A @ rng.uniform(0, 1, size=n)
+            b[0] = 0.0
+            yield A, b
+    # LHS-shaped: rows (party, a, x) over the 16 response-function pairs of two
+    # parties, with mixtures (feasible) and arbitrary tables (mostly not)
+    strategies = np.indices((2, 2, 2, 2)).reshape(4, -1)
+    dmat = np.array([[float(strategies[2 * p + x, j] == a) for j in range(16)]
+                     for p in range(2) for a in range(2) for x in range(2)])
+    for t in range(20):
+        yield dmat, dmat @ rng.dirichlet(np.ones(16)) * (1.0 if t % 2 else 0.5)
+        yield dmat, rng.dirichlet(np.ones(8)) * 2
+
+
+def test_vectorized_pivots_match_row_loop_bit_for_bit():
+    checked = {True: 0, False: 0}
+    for A, b in _parity_instances():
+        for max_iter in (None, 1, 3):
+            res = solve_feasibility(A, b, max_iter=max_iter)
+            feasible, x, y, iterations = _row_loop_solve(A, b, max_iter=max_iter)
+            assert res.feasible == feasible
+            assert res.iterations == iterations
+            if feasible:
+                assert np.array_equal(res.x, x)
+            else:
+                assert np.array_equal(res.certificate, y)
+            checked[feasible] += 1
+    assert min(checked.values()) > 50

@@ -1,5 +1,7 @@
 """Assemblages: realizations, no-signalling checks, LHS feasibility, wiring."""
 
+import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -28,11 +30,17 @@ from witworld import (
     vector_to_hermitian,
     wire_instrumental,
 )
+from witworld import lp, steering
 from witworld.steering import (
     BIPARTITE,
     BOB_WITH_INPUT,
     MULTIPARTITE,
     LhsConfig,
+    StrategyCapError,
+    _common_eigenbasis,
+    _party_responses,
+    _response_matrix,
+    _strategy,
 )
 from witworld.transforms import PAULI_X, PAULI_Y, PAULI_Z
 from witworld.protocols import singlet_vector
@@ -425,6 +433,9 @@ def test_lhs_scenario_guard_and_strategy_cap():
     asm = paper_assemblage("pr-box")
     with pytest.raises(ValueError):
         lhs_check(asm, LhsConfig(strategy_cap=3))
+    with pytest.raises(StrategyCapError):
+        lhs_check(asm, LhsConfig(strategy_cap=15))
+    assert lhs_check(asm, LhsConfig(strategy_cap=16))[0].rejected
 
 
 # --- oracle agreement ---------------------------------------------------------------
@@ -451,3 +462,149 @@ def test_lhs_check_agrees_with_scipy_oracle():
         assert verdict.status in ("accepted", "rejected")
         assert verdict.accepted == lhs_scipy_oracle(asm, np.random.default_rng(100 + checked))
         checked += 1
+
+
+# --- checked verdicts ------------------------------------------------------------------
+
+
+def _local_bipartite():
+    rng = np.random.default_rng(13)
+    rho = random_density(rng, 2)
+    p = rng.dirichlet([1, 1], size=2)  # p[x][a]
+    return _bipartite({(a, x): _vec(p[x][a] * rho) for a in range(2) for x in range(2)})
+
+
+def test_lp_stopped_early_is_not_a_rejection(monkeypatch):
+    asm = _local_bipartite()
+    results = []
+
+    def one_pivot(A, b, tol=1e-9):
+        results.append(lp.solve_feasibility(A, b, tol=tol, max_iter=1))
+        return results[-1]
+
+    monkeypatch.setattr(steering, "solve_feasibility", one_pivot)
+    verdict, model = lhs_check(asm)
+    # the stopped LP claims infeasibility, but its certificate scores above 0 on
+    # some deterministic strategy, so it separates nothing
+    assert not results[-1].feasible
+    assert verdict.status == "unsupported"
+    assert "certificate" in verdict.detail
+    assert model is None
+    monkeypatch.undo()
+    assert lhs_check(asm)[0].accepted
+
+
+def test_model_that_misses_the_elements_is_not_accepted(monkeypatch):
+    def sloppy(A, b, tol=1e-9):
+        res = lp.solve_feasibility(A, b, tol=tol)
+        return dataclasses.replace(res, x=res.x * 1.01) if res.feasible else res
+
+    monkeypatch.setattr(steering, "solve_feasibility", sloppy)
+    verdict, model = lhs_check(_local_bipartite())
+    assert verdict.status == "inconclusive-accept"
+    assert verdict.margin < -1e-9
+    assert model is None
+
+
+# --- parity with the loop-built LHS pieces -------------------------------------------
+
+
+def _nested_loop_dmat(keys, outcomes, settings):
+    """Strategy list and 0/1 matrix built entry by entry: the reference."""
+    per_party = [list(itertools.product(range(o), repeat=s)) for o, s in zip(outcomes, settings)]
+    strategies = list(itertools.product(*per_party))
+    dmat = np.zeros((len(keys), len(strategies)))
+    for col, lam in enumerate(strategies):
+        for row, (a_vec, x_vec) in enumerate(keys):
+            if all(f[x] == a for f, a, x in zip(lam, a_vec, x_vec)):
+                dmat[row, col] = 1.0
+    return strategies, dmat
+
+
+def _party_keys(outcomes, settings):
+    return sorted(
+        (a, x)
+        for x in itertools.product(*(range(s) for s in settings))
+        for a in itertools.product(*(range(o) for o in outcomes))
+    )
+
+
+@pytest.mark.parametrize("outcomes, settings", [
+    ((2,), (2,)), ((3,), (2,)), ((2, 3), (3, 2)), ((3, 2), (1, 2)), ((2, 2, 2), (2, 2, 2)),
+])
+def test_response_matrix_matches_nested_loops(outcomes, settings):
+    keys = _party_keys(outcomes, settings)
+    responses = _party_responses(outcomes, settings, 10 ** 6)
+    strategies, dmat = _nested_loop_dmat(keys, outcomes, settings)
+    assert np.array_equal(_response_matrix(keys, outcomes, responses), dmat)
+    assert [_strategy(j, responses) for j in range(len(strategies))] == strategies
+
+
+def _pairwise_eigenbasis(mats, tol):
+    """Pair-by-pair commutation check and per-matrix rotation: the reference."""
+    scale = max(1.0, max(float(np.max(np.abs(m))) for m in mats))
+    ctol = max(tol, 1e-10) * scale
+    for a, b in itertools.combinations(mats, 2):
+        if np.max(np.abs(a @ b - b @ a)) > ctol:
+            return None, None
+    for seed in (190452, 881237, 55901):
+        w = np.random.default_rng(seed).normal(size=len(mats))
+        h = sum(wi * m for wi, m in zip(w, mats))
+        _, u = np.linalg.eigh(h)
+        off = 0.0
+        for m in mats:
+            r = u.conj().T @ m @ u
+            off = max(off, float(np.max(np.abs(r - np.diag(np.diag(r))))))
+        if off <= max(tol, 1e-9) * scale:
+            return u, np.array([np.real(np.diag(u.conj().T @ m @ u)) for m in mats])
+    return None, None
+
+
+def _unequal_local_assemblage(rng, d=3, hidden=4):
+    """Outcomes (2, 3), settings (3, 2): a shared-randomness model in a random basis."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    weights = rng.dirichlet(np.ones(hidden))
+    states = [w * q @ np.diag(rng.dirichlet(np.ones(d))) @ q.conj().T for w in weights]
+    responses = [(tuple(rng.integers(0, 2, size=3)), tuple(rng.integers(0, 3, size=2)))
+                 for _ in range(hidden)]
+    els = {}
+    for a, x in _party_keys((2, 3), (3, 2)):
+        m = sum((s for s, (f, g) in zip(states, responses) if f[x[0]] == a[0] and g[x[1]] == a[1]),
+                np.zeros((d, d), dtype=complex))
+        els[(a, x)] = _vec(m)
+    return Assemblage(MULTIPARTITE, (2, 3), (3, 2), els)
+
+
+def test_common_eigenbasis_matches_pairwise_loop():
+    rng = np.random.default_rng(31)
+    cases = [paper_assemblage("pr-box"), _local_bipartite(), _unequal_local_assemblage(rng)]
+    cases.append(_bipartite({
+        (0, 0): _vec(np.diag([0.5, 0.0])), (1, 0): _vec(np.diag([0.0, 0.5])),
+        (0, 1): _vec(np.full((2, 2), 0.25)), (1, 1): _vec(np.array([[0.25, -0.25], [-0.25, 0.25]])),
+    }))
+    for asm in cases:
+        _, _, els = asm.as_parties()
+        mats = [vector_to_hermitian(els[k]) for k in sorted(els)]
+        stack = np.array(mats)
+        scale = max(1.0, float(np.max(np.abs(stack))))
+        u, rotated = _common_eigenbasis(stack, 1e-9, scale)
+        u_ref, tables_ref = _pairwise_eigenbasis(mats, 1e-9)
+        assert (u is None) == (u_ref is None)
+        if u is not None:
+            assert np.array_equal(u, u_ref)
+            assert np.array_equal(np.real(np.diagonal(rotated, axis1=1, axis2=2)), tables_ref)
+    assert u is None  # the last case does not commute
+
+
+def test_unequal_cardinality_assemblage_is_lhs():
+    rng = np.random.default_rng(32)
+    for _ in range(5):
+        asm = _unequal_local_assemblage(rng)
+        verdict, model = lhs_check(asm)
+        assert verdict.accepted
+        err = model.max_error(asm)
+        assert err < 1e-9
+        # the element-by-element rebuild gives the same error
+        _, _, els = asm.as_parties()
+        assert err == max(float(np.max(np.abs(model.element(a, x).coeffs - el.coeffs)))
+                          for (a, x), el in els.items())
