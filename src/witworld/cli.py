@@ -224,7 +224,8 @@ def _cmd_check_state(args) -> int:
 
 def _cmd_check_effect(args) -> int:
     e = _load_state(args.file)
-    verdict = composite_effect_check(e, tol=_cfg_from_args(args).tol, cfg=_cfg_from_args(args))
+    cfg = _cfg_from_args(args)
+    verdict = composite_effect_check(e, tol=cfg.tol, cfg=cfg)
     extra = None
     if verdict.rejected and verdict.witness is not None:
         w = verdict.witness.as_vector() if hasattr(verdict.witness, "as_vector") else verdict.witness

@@ -15,6 +15,11 @@ minimum) followed by one stacked alternating closed-form descent from 7
 starts; this path is exact for the systems of interest.  Searches over
 higher-dimensional quantum factors use seeded random restarts and report
 only inconclusive acceptance.
+
+Effect validity is the dual question: ``e`` and ``u - e`` must be
+separable.  On Q2*Q2, Q2*Q3 and Q3*Q2 separable equals PPT, so there it
+is decided exactly by the eigenvalues of ``e``, ``u - e`` and their
+partial transposes; elsewhere it is searched for over product states.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ def _default_seed() -> int:
         raise ValueError(f"WITWORLD_SEED must be an integer, got {raw!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchConfig:
     """Knobs for the heuristic parts of cone-membership searches.
 
@@ -82,7 +87,7 @@ class SearchConfig:
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductEffectRay:
     """A product of local dual-cone generators, one factor per atom."""
 
@@ -167,21 +172,21 @@ def vector_to_hermitian_tensor(v: GptVector) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteGenerators:
     """Finite generator list for one factor (vertices or dual rays)."""
 
     vectors: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuantumGenerators:
     """Rank-1 projector generators for one quantum factor."""
 
     d: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductMin:
     value: float
     factors: tuple          # per-factor coefficient arrays, atom order
@@ -553,6 +558,47 @@ def _validate_certificate(e: GptVector, decomposition, tol: float):
     return True, f"separable certificate with weight sum {total:.6g}"
 
 
+def ppt_dims(sys: SystemType) -> tuple | None:
+    """Local dimensions of a system on which separable equals PPT, else None.
+
+    That holds for two quantum atoms with d1 * d2 <= 6 (Peres 1996;
+    Horodecki, Horodecki and Horodecki 1996): Q2*Q2, Q2*Q3 and Q3*Q2.
+    """
+    atoms = sys.atoms
+    if (len(atoms) == 2 and all(isinstance(a, Quantum) for a in atoms)
+            and atoms[0].d * atoms[1].d <= 6):
+        return atoms[0].d, atoms[1].d
+    return None
+
+
+def _partial_transpose(m: np.ndarray, dims: tuple) -> np.ndarray:
+    """Transpose the second tensor factor; leading axes are a stack."""
+    d1, d2 = dims
+    return m.reshape(m.shape[:-2] + (d1, d2, d1, d2)).swapaxes(-3, -1).reshape(m.shape)
+
+
+def ppt_min(mats: np.ndarray, dims: tuple, tol: float) -> tuple[float, GptVector | None]:
+    """Exact minimum of tr(M W) over the normalized states W, M in a stack.
+
+    On a system where :func:`ppt_dims` holds, every state is P + Q^Γ with
+    P, Q PSD (Størmer 1963; Woronowicz 1976), so the minimum over
+    unit-trace states is the lowest eigenvalue of any M or M^Γ.  One
+    batched ``eigh`` covers the stack and its partial transposes.  Returns
+    that minimum and, when it is below ``-tol``, the state attaining it:
+    vv† for an eigenvector v of some M, (vv†)^Γ for one of some M^Γ.
+    """
+    vals, vecs = np.linalg.eigh(np.concatenate([mats, _partial_transpose(mats, dims)]))
+    i = int(np.argmin(vals[:, 0]))
+    margin = float(vals[i, 0])
+    if margin >= -tol:
+        return margin, None
+    v = vecs[i, :, 0]
+    w = np.outer(v, v.conj())
+    if i >= len(mats):
+        w = _partial_transpose(w, dims)
+    return margin, hermitian_tensor_to_vector(w, dims)
+
+
 def composite_effect_check(
     e: GptVector,
     certified_separable=None,
@@ -563,13 +609,15 @@ def composite_effect_check(
 
     A supplied separable decomposition ``[(weight, [factor, ...]), ...]``
     with valid factors and sub-unit weight sum certifies validity exactly.
-    Product effects are certified automatically.  Without a certificate
-    the test is a heuristic: it samples product states, the registered
-    extreme probe states, and the product-state minima of ``e`` and
-    ``u - e``; finding a violation rejects conclusively, finding none only
-    reports inconclusive acceptance.
+    On Q2*Q2, Q2*Q3 and Q3*Q2 the test is otherwise exact: ``e`` is valid
+    iff ``e`` and ``u - e`` are PSD and PPT, the margin is the lowest of
+    the four eigenvalues, and a rejection carries the state attaining it.
+    Elsewhere product effects are certified automatically, and the rest
+    is a heuristic: it samples product states, the registered extreme
+    probe states, and the product-state minima of ``e`` and ``u - e``;
+    finding a violation rejects conclusively, finding none only reports
+    inconclusive acceptance.
     """
-    cfg = cfg or SearchConfig(tol=tol)
     atoms = e.atoms
     if len(atoms) == 0:
         val = float(e.coeffs[0])
@@ -584,6 +632,16 @@ def composite_effect_check(
         if ok:
             return MembershipVerdict(ACCEPTED, margin=0.0, detail=detail)
         detail = f"certificate rejected ({detail}); "
+    dims = ppt_dims(e.system)
+    if dims is not None:
+        mat = vector_to_hermitian_tensor(e)
+        margin, witness = ppt_min(np.stack([mat, np.eye(len(mat)) - mat]), dims, tol)
+        if witness is None:
+            return MembershipVerdict(ACCEPTED, margin=margin, detail=detail + "e and u - e are PPT")
+        return MembershipVerdict(
+            REJECTED, margin=margin, witness=witness,
+            detail=detail + f"evaluates to {pair(e, witness):.6g} on a state",
+        )
     if float(np.max(np.abs(e.coeffs))) == 0.0:
         return MembershipVerdict(ACCEPTED, margin=0.0, detail="zero effect")
     factors = _rank_one_effect_factors(e)
@@ -593,6 +651,7 @@ def composite_effect_check(
             return MembershipVerdict(ACCEPTED, margin=0.0, detail="product-effect certificate")
 
     # Heuristic path: product-state extrema plus registered probe states.
+    cfg = cfg or SearchConfig(tol=tol)
     specs = _state_side_specs(atoms)
     lo = minimize_product_form(e.coeffs, specs, cfg)
     hi = minimize_product_form(-e.coeffs, specs, cfg)
@@ -728,9 +787,9 @@ def pr_state() -> GptVector:
 def _two_qubit_probes() -> list:
     # Bell states and their partial transposes: non-product members of the
     # two-qubit composite cone.  Not a complete generator list (the witness
-    # cone has a continuum of extreme rays), but they catch the canonical
-    # invalid effects, e.g. entangled projectors pair at -1/2 with the
-    # partially transposed orthogonal Bell state.
+    # cone has a continuum of extreme rays); positivity checks of maps on
+    # Q2*Q2 probe their images.  Effects and trace conditions on Q2*Q2 are
+    # decided by the exact PPT test instead.
     bells = [
         np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0),
         np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0),

@@ -84,6 +84,8 @@ def _matrix_from_json(obj) -> np.ndarray:
     im_part = _float_array(obj.get("im", np.zeros_like(re_part)), "matrix 'im'")
     if re_part.shape != im_part.shape or re_part.ndim != 2:
         raise MalformedInputError("matrix 're' and 'im' must be equal-shape 2d arrays")
+    if not (np.isfinite(re_part).all() and np.isfinite(im_part).all()):
+        raise MalformedInputError("matrix 're' and 'im' entries must be finite")
     return re_part + 1j * im_part
 
 

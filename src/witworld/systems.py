@@ -29,7 +29,7 @@ EPS_HERM = 1e-10
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Classical:
     """Classical system with ``v`` outcomes."""
 
@@ -47,7 +47,7 @@ class Classical:
         return f"C{self.v}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quantum:
     """Quantum system on a ``d``-dimensional Hilbert space."""
 
@@ -65,7 +65,7 @@ class Quantum:
         return f"Q{self.d}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Boxworld:
     """Box system with ``n`` measurements of ``k`` outcomes each."""
 
@@ -89,7 +89,7 @@ class Boxworld:
 AtomicSystem = Union[Classical, Quantum, Boxworld]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemType:
     """Ordered list of atomic systems; the empty tuple is the scalar system."""
 
@@ -132,7 +132,7 @@ def dimension(sys: SystemType) -> int:
     return sys.dim
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GptVector:
     """Real coefficient vector over a system; a state or an effect by context."""
 

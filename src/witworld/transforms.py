@@ -22,9 +22,12 @@ from .compose import (
     composite_effect_check,
     composite_state_check,
     minimize_product_form,
+    ppt_dims,
+    ppt_min,
     probe_states,
     product_generators_complete,
     tensor_all,
+    vector_to_hermitian_tensor,
     _effect_side_specs,
     _state_side_specs,
 )
@@ -51,7 +54,7 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class LinearMap:
     """Real matrix of shape dim(codomain) x dim(domain)."""
 
@@ -237,7 +240,7 @@ def partial_apply_classical(t: LinearMap, x: int) -> LinearMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PositivityViolation:
     """Input state and codomain effect exhibiting a positivity failure."""
 
@@ -346,8 +349,10 @@ def trace_condition_check(t: LinearMap, mode: str,
     """Check ``u(T(s)) = u(s)`` (preserving) or ``<=`` (non-increasing).
 
     The preserving case is a linear identity, checked exactly.  The
-    non-increasing case minimizes the deficit ``u(s) - u(T(s))`` over the
-    domain cone generators.
+    non-increasing case asks that the deficit ``u - T^T u`` be nonnegative
+    on the domain cone.  On Q2*Q2, Q2*Q3 and Q3*Q2 domains that is exact:
+    the deficit and its partial transpose must be PSD.  Elsewhere the
+    deficit is minimized over the domain cone generators.
     """
     cfg = cfg or SearchConfig()
     u_dom = unit_effect(t.domain).coeffs
@@ -361,10 +366,15 @@ def trace_condition_check(t: LinearMap, mode: str,
     if mode != "non-increasing":
         raise ValueError(f"unknown mode {mode!r}; use 'preserving' or 'non-increasing'")
     deficit = u_dom - t.matrix.T @ u_cod
+    dims = ppt_dims(t.domain)
     if len(t.domain.atoms) == 0:
         margin = float(deficit[0])
         conclusive = True
         witness = None
+    elif dims is not None:
+        mat = vector_to_hermitian_tensor(GptVector(t.domain, deficit))
+        margin, witness = ppt_min(mat[None], dims, cfg.tol)
+        conclusive = True
     else:
         res = minimize_product_form(deficit, _state_side_specs(t.domain.atoms), cfg)
         margin = res.value
@@ -385,7 +395,7 @@ def trace_condition_check(t: LinearMap, mode: str,
         return MembershipVerdict(status, margin=float(margin))
     return MembershipVerdict(
         REJECTED, margin=float(margin), witness=witness,
-        detail=f"trace increases by {-margin:.6g} on a cone generator",
+        detail=f"trace increases by {-margin:.6g} on a state",
     )
 
 

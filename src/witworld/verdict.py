@@ -11,7 +11,7 @@ INCONCLUSIVE_ACCEPT = "inconclusive-accept"
 UNSUPPORTED = "unsupported"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MembershipVerdict:
     """Outcome of a membership or validity test.
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,33 @@ def test_check_effect(capsys, tmp_path):
     dump_json(gptvector_to_json(u), str(path2))
     code, out, _ = run(capsys, "check-effect", str(path2))
     assert code == 0
+
+
+def test_check_effect_bell_projector_rejected_with_replayable_state(capsys, tmp_path):
+    amp = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+    path = tmp_path / "bell.json"
+    dump_json(gptvector_to_json(hermitian_tensor_to_vector(np.outer(amp, amp), (2, 2))), str(path))
+    code, out, _ = run(capsys, "check-effect", str(path), "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "rejected"
+    assert payload["margin"] == pytest.approx(-0.5, abs=1e-12)
+    state = tmp_path / "violating.json"
+    dump_json(payload["violating_state"], str(state))
+    code, out, _ = run(capsys, "check-state", str(state), "--json")
+    assert code == 0
+    assert json.loads(out)["status"] == "accepted"
+
+
+def test_check_effect_separable_qubit_pair_mixture_accepted(capsys, tmp_path):
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    plus = np.full((2, 2), 0.5)
+    e = 0.5 * np.kron(p0, plus) + 0.4 * np.kron(p1, np.eye(2) - plus)
+    path = tmp_path / "separable.json"
+    dump_json(gptvector_to_json(hermitian_tensor_to_vector(e, (2, 2))), str(path))
+    code, out, _ = run(capsys, "check-effect", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["status"] == "accepted"
 
 
 def test_check_map_cp_rejection(capsys):
@@ -233,6 +261,16 @@ def test_malformed_input_exit_code(capsys, tmp_path):
         bad_counts.write_text(json.dumps({**doc, **counts}))
         code, _, err = run(capsys, "lhs", str(bad_counts))
         assert code == 65 and "Traceback" not in err, counts
+
+
+def test_non_finite_matrix_file_exits_65_without_warning(capsys, tmp_path):
+    path = tmp_path / "inf_im.json"
+    path.write_text(json.dumps({"system": ["Q2"], "matrix": {
+        "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, float("inf")], [0.0, 0.0]]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "check-effect", str(path))
+    assert code == 65 and "finite" in err and "Hermitian" not in err
 
 
 def test_json_determinism_across_verbs(capsys):

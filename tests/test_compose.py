@@ -1,6 +1,7 @@
 """Composite systems: tensoring, max-tensor membership, effects, steering."""
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -37,11 +38,14 @@ from witworld import (
     vector_to_hermitian_tensor,
 )
 from witworld.compose import (
+    ProductEffectRay,
     _bloch_scan,
     _effect_side_specs,
     _min_qubit_pair,
     _sphere_grid,
+    _state_side_specs,
     minimize_product_form,
+    ppt_dims,
     scalar_one,
 )
 
@@ -449,20 +453,153 @@ def test_correlation_functional_rejected_on_probe_state():
 def test_quantum_effect_pair_checks():
     p = hermitian_to_vector(np.diag([1.0, 0.0]).astype(complex))
     res = composite_effect_check(tensor(p, p))
-    assert res.passed
+    assert res.accepted
     big = GptVector(system(Q2, Q2), 1.9 * tensor(p, p).coeffs)
     assert composite_effect_check(big).rejected
 
 
 def test_entangled_projector_is_not_a_valid_effect():
     # nonnegative on every product state, but pairs at -1/2 with the
-    # partially transposed orthogonal Bell state, which is itself a valid
-    # state here; the registered probes make the rejection conclusive
+    # partially transposed singlet, which is itself a valid state here;
+    # the PPT test finds it exactly
     amp = np.array([1.0, 0, 0, 1.0]) / np.sqrt(2)
     bell_effect = hermitian_tensor_to_vector(np.outer(amp, amp), (2, 2))
     res = composite_effect_check(bell_effect)
     assert res.rejected
+    assert res.margin == pytest.approx(-0.5, abs=1e-12)
     assert pair(bell_effect, res.witness) == pytest.approx(-0.5, abs=1e-12)
+
+
+def _random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _random_local_effect(rng, d):
+    u = _random_unitary(rng, d)
+    return u @ np.diag(rng.uniform(0.0, 1.0, size=d)) @ u.conj().T
+
+
+def _random_effects(rng, d1, d2, count):
+    """(kind, matrix) pairs: random 0 <= E <= I, separable mixtures
+    (valid by construction) and entangled pure projectors (invalid)."""
+    n = d1 * d2
+    out = []
+    for i in range(count):
+        kind = ("any", "separable", "entangled")[i % 3]
+        if kind == "any":
+            u = _random_unitary(rng, n)
+            m = u @ np.diag(rng.uniform(0.0, 1.0, size=n)) @ u.conj().T
+        elif kind == "separable":
+            weights = rng.dirichlet(np.ones(3)) * rng.uniform(0.3, 1.0)
+            m = sum(w * np.kron(_random_local_effect(rng, d1), _random_local_effect(rng, d2))
+                    for w in weights)
+        else:
+            psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+            m = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        out.append((kind, m))
+    return out
+
+
+def _product_search_effect_check(e, cfg):
+    """The product-state search that decided these effects before the PPT
+    test: the minima of e and u - e over product states plus the registered
+    probe states.  Returns (status, margin); only a rejection is conclusive."""
+    specs = _state_side_specs(e.atoms)
+    lo = minimize_product_form(e.coeffs, specs, cfg).value
+    hi = -minimize_product_form(-e.coeffs, specs, cfg).value
+    vals = [lo, hi] + [pair(e, p) for p in probe_states(e.system)]
+    margin = min(min(v, 1.0 - v) for v in vals)
+    return ("rejected" if margin < -cfg.tol else "inconclusive-accept"), margin
+
+
+def _assert_witness_replays(e, res, cfg):
+    w = res.witness
+    assert w.system == e.system
+    assert composite_state_check(w, cfg).passed
+    assert pair(unit_effect(w.system), w) == pytest.approx(1.0, abs=1e-9)
+    val = pair(e, w)
+    assert val < -cfg.tol or val > 1.0 + cfg.tol
+    assert min(val, 1.0 - val) == pytest.approx(res.margin, abs=1e-9)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_ppt_effect_test_is_at_least_as_strict_as_product_search(dims):
+    rng = np.random.default_rng(sum(dims) * 10 + dims[0])
+    cfg = SearchConfig(restarts=20, seed=1)
+    rejected = 0
+    for kind, m in _random_effects(rng, *dims, 69):
+        e = hermitian_tensor_to_vector(m, dims)
+        res = composite_effect_check(e, cfg=cfg)
+        ref_status, ref_margin = _product_search_effect_check(e, cfg)
+        assert res.status in ("accepted", "rejected")
+        assert res.margin <= ref_margin + 1e-9
+        if ref_status == "rejected":
+            assert res.rejected
+        if kind == "separable":
+            assert res.accepted, res.describe()
+        if kind == "entangled":
+            assert res.rejected, res.describe()
+        if res.rejected:
+            rejected += 1
+            _assert_witness_replays(e, res, cfg)
+        else:
+            assert res.witness is None
+    assert rejected >= 23
+
+
+def test_ppt_effect_margin_is_the_lowest_eigenvalue():
+    rng = np.random.default_rng(8)
+    for dims in [(2, 2), (2, 3), (3, 2)]:
+        for _, m in _random_effects(rng, *dims, 6):
+            n = m.shape[0]
+            mats = [m, np.eye(n) - m]
+            mats += [partial_transpose(x, *dims) for x in mats]
+            lowest = min(np.linalg.eigvalsh(x)[0] for x in mats)
+            res = composite_effect_check(hermitian_tensor_to_vector(m, dims))
+            assert res.margin == pytest.approx(lowest, abs=1e-12)
+
+
+def test_ppt_gate_covers_only_small_quantum_pairs():
+    Q3 = Quantum(3)
+    assert ppt_dims(system(Q2, Q2)) == (2, 2)
+    assert ppt_dims(system(Q2, Q3)) == (2, 3)
+    assert ppt_dims(system(Q3, Q2)) == (3, 2)
+    for sys in (system(Q3, Q3), system(Q2, Quantum(4)), system(Q2, Q2, Q2),
+                system(Classical(2), Q2), system(B22, Q2), system(Q2)):
+        assert ppt_dims(sys) is None
+
+
+def test_tiles_bound_entangled_effect_is_never_accepted():
+    # I minus the projector onto the five "Tiles" UPB vectors is PPT but
+    # entangled, so it is not separable: an invalid effect on Q3*Q3 that a
+    # PPT test would wrongly accept.
+    k = np.eye(3)
+
+    def minus(a, b):
+        return (k[a] - k[b]) / np.sqrt(2)
+
+    plus = k.sum(axis=0) / np.sqrt(3)
+    tiles = [np.kron(k[0], minus(0, 1)), np.kron(minus(0, 1), k[2]),
+             np.kron(k[2], minus(1, 2)), np.kron(minus(1, 2), k[0]), np.kron(plus, plus)]
+    m = np.eye(9) - sum(np.outer(v, v) for v in tiles)
+    for x in (m, np.eye(9) - m):
+        assert np.linalg.eigvalsh(x)[0] > -1e-12
+        assert np.linalg.eigvalsh(partial_transpose(x, 3, 3))[0] > -1e-12
+    res = composite_effect_check(hermitian_tensor_to_vector(m, (3, 3)))
+    assert res.status != "accepted"
+
+
+def test_rejected_verdict_with_product_ray_witness_pickles():
+    rays = effect_cone_rays(B22)
+    e = GptVector(system(B22, B22), 1.5 * tensor(rays[0], rays[0]).coeffs)
+    res = composite_effect_check(e)
+    assert res.rejected and isinstance(res.witness, ProductEffectRay)
+    assert not hasattr(res, "__dict__")
+    back = pickle.loads(pickle.dumps(res))
+    assert (back.status, back.margin, back.detail) == (res.status, res.margin, res.detail)
+    assert back.witness.as_vector().system == res.witness.as_vector().system
+    assert np.array_equal(back.witness.as_vector().coeffs, res.witness.as_vector().coeffs)
 
 
 def test_two_qubit_probes_are_valid_states():

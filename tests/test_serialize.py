@@ -1,5 +1,7 @@
 """JSON round trips and malformed-input rejection."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,17 @@ def test_vector_malformed():
         gptvector_from_json({"system": ["C2"], "matrix": {"re": [[1, 0], [0, 1]]}})
     with pytest.raises(MalformedInputError):
         gptvector_from_json({"system": ["Q2"]})
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_matrix_rejected_before_arithmetic(part, bad):
+    entries = {"re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    entries[part][0][1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MalformedInputError, match="finite"):
+            gptvector_from_json({"system": ["Q2"], "matrix": entries})
 
 
 def test_linear_map_round_trip():

@@ -17,9 +17,11 @@ from witworld import (
     compose_par,
     compose_seq,
     cone_generators,
+    composite_effect_check,
     controlled_map,
     copy_map,
     effect_cone_rays,
+    hermitian_tensor_to_vector,
     hermitian_to_vector,
     identity_map,
     measurement_map,
@@ -40,6 +42,7 @@ from witworld import (
 )
 from witworld.protocols import singlet_vector
 from witworld.transforms import (
+    PAULI_X,
     PAULI_Y,
     apply_to_matrix,
     computational_measurement,
@@ -268,6 +271,48 @@ def test_quantum_trace_nonincreasing_via_sphere_minimum():
     t = LinearMap(Q2, Q2, m)
     assert trace_condition_check(t, "non-increasing").accepted
     assert trace_condition_check(t, "preserving").rejected
+
+
+def _map_to_scalar_with_deficit(deficit):
+    """T with u - T^T u equal to ``deficit``: T(s) = <u - deficit, s>."""
+    u = unit_effect(deficit.system).coeffs
+    return LinearMap(deficit.system, system(), (u - deficit.coeffs).reshape(1, -1))
+
+
+def test_trace_nonincreasing_rejects_rotated_bell_deficit():
+    # The deficit is a locally rotated Bell projector: nonnegative on every
+    # product state, and off the registered Bell probes, so a product
+    # search finds nothing; its partial transpose has eigenvalue -1/2.
+    def rot(p, angle):
+        return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * p
+
+    bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    amp = np.kron(rot(PAULI_X, np.pi / 3), rot(PAULI_Y, np.pi / 2)) @ bell
+    deficit = hermitian_tensor_to_vector(np.outer(amp, amp.conj()), (2, 2))
+    t = _map_to_scalar_with_deficit(deficit)
+    res = trace_condition_check(t, "non-increasing")
+    assert res.rejected
+    assert res.margin == pytest.approx(-0.5, abs=1e-12)
+    w = res.witness
+    assert composite_state_check(w).accepted
+    assert pair(unit_effect(w.system), w) == pytest.approx(1.0, abs=1e-12)
+    assert apply(t, w).coeffs[0] == pytest.approx(1.5, abs=1e-12)
+
+
+def test_trace_nonincreasing_is_exact_on_qubit_qutrit():
+    # a separable deficit (a product of local effects) on Q2*Q3: accepted,
+    # not inconclusive; the same map scaled past the unit fails
+    rng = np.random.default_rng(4)
+    a, b = random_density(rng, 2), random_density(rng, 3)
+    deficit = hermitian_tensor_to_vector(np.kron(a, b), (2, 3))
+    res = trace_condition_check(_map_to_scalar_with_deficit(deficit), "non-increasing")
+    assert res.accepted
+    assert res.margin >= -1e-12
+    assert composite_effect_check(deficit).accepted
+    bad = GptVector(deficit.system, -deficit.coeffs)
+    res = trace_condition_check(_map_to_scalar_with_deficit(bad), "non-increasing")
+    assert res.rejected
+    assert pair(bad, res.witness) == pytest.approx(res.margin, abs=1e-12)
 
 
 # --- classical machinery -----------------------------------------------------------
