@@ -13,7 +13,9 @@ For a pair of qubit factors the projector optimization is handled by a
 grid scan over one Bloch sphere (the other sphere has a closed-form
 minimum) followed by one stacked alternating closed-form descent from 7
 starts; this path is exact for the systems of interest.  Searches over
-higher-dimensional quantum factors use seeded random restarts and report
+more or higher-dimensional quantum factors use seeded random restarts,
+run as one stacked descent that takes a qubit factor's ground state in
+closed form and a larger factor's from a batched ``eigh``, and report
 only inconclusive acceptance.
 
 Effect validity is the dual question: ``e`` and ``u - e`` must be
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -293,10 +296,62 @@ def _min_qubit_pair(C: np.ndarray, cfg: SearchConfig):
     return float(vals[best]), [p[best, 0], p[best, 1]]
 
 
+@functools.lru_cache(maxsize=8)
+def _real_basis(d: int) -> np.ndarray:
+    """``hermitian_basis(d)`` as a read-only real (d^2, 2 d^2) matrix.
+
+    Row k holds basis element k in row-major order with real and imaginary
+    parts interleaved, the memory layout of a complex array.  So for real
+    coefficient rows ``t`` the operators are ``(t @ B).view(complex)``, and
+    for a stack of matrices ``P`` the coefficients tr(P B_k) are
+    ``P.view(float) @ B.T``: each B_k is Hermitian, so tr(P B_k) is the
+    sum of Re P * Re B_k + Im P * Im B_k over entries.
+    """
+    return hermitian_basis(d).view(float).reshape(d * d, 2 * d * d)
+
+
 def _projector_coeffs(psi: np.ndarray) -> np.ndarray:
-    """Coefficients of the projector onto ``psi``; leading axes are a stack."""
-    proj = psi[..., :, None] * psi.conj()[..., None, :]
-    return np.real(np.einsum("kij,...ji->...k", hermitian_basis(psi.shape[-1]), proj))
+    """Coefficients of the projectors onto the rows of the stack ``psi``."""
+    d = psi.shape[-1]
+    proj = psi[:, :, None] * psi.conj()[:, None, :]
+    return proj.view(float).reshape(len(psi), 2 * d * d) @ _real_basis(d).T
+
+
+def _ground_states(t: np.ndarray, prev: np.ndarray):
+    """Lowest eigenvalue and ground-state projector of a stack of operators.
+
+    Row r of ``t`` holds the coefficients of one operator and row r of
+    ``prev`` those of a projector for the same factor.  A qubit has the
+    closed form: value (t0 - |t_vec|) / sqrt(2) and projector
+    (1, -t_vec / |t_vec|) / sqrt(2), keeping the direction of ``prev``
+    where |t_vec| <= 1e-15 (the value is then t0 / sqrt(2) up to that
+    size).  Larger factors take a batched ``eigh`` and ignore ``prev``.
+    Returns the values and the projector coefficients, one row each.
+    """
+    if t.shape[1] == 4:
+        dirs = _steer_directions(t[:, 1:], prev[:, 1:] * _SQRT2)
+        vals = (t[:, 0] + np.einsum("ij,ij->i", dirs, t[:, 1:])) / _SQRT2
+        proj = np.empty_like(t)
+        proj[:, 0] = 1.0
+        proj[:, 1:] = dirs
+        return vals, proj / _SQRT2
+    d = math.isqrt(t.shape[1])
+    mats = (t @ _real_basis(d)).view(complex).reshape(len(t), d, d)
+    vals, vecs = np.linalg.eigh(mats)
+    return vals[:, 0], _projector_coeffs(vecs[:, :, 0])
+
+
+def _contract(red: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Contract the leading axes of ``red`` with one stack of rows each.
+
+    ``red`` has no stack axis; ``rows[j]`` is (S, D_j) for its axis j.  The
+    first contraction is one matmul, the rest batched matvecs; the result
+    is (S, size of the remaining axes).
+    """
+    t = rows[0] @ red.reshape(rows[0].shape[1], -1)
+    for row in rows[1:]:
+        t = np.matmul(row[:, None, :], t.reshape(len(t), row.shape[1], -1))[:, 0]
+    return t
 
 
 def _min_quantum_general(red: np.ndarray, qdims: Sequence[int], cfg: SearchConfig,
@@ -305,15 +360,16 @@ def _min_quantum_general(red: np.ndarray, qdims: Sequence[int], cfg: SearchConfi
 
     Every restart starts from Haar-random pure states and sweeps the
     factors in order, replacing each by the ground state of the operator
-    left after contracting ``red`` with the other factors.  A restart stops
-    once the last factor's eigenvalue moves by less than 1e-13 over a
-    sweep, or after 200 sweeps.  All restarts run as one stack: each step
-    is a single contraction and a single batched ``eigh``.  The winner is
-    the first restart with the smallest final value.
+    left after contracting ``red`` with the other factors: closed form for
+    a qubit, ``eigh`` for a larger factor (:func:`_ground_states`).  A
+    restart stops once the last factor's eigenvalue moves by less than
+    1e-13 over a sweep, or after 200 sweeps.  All restarts run as one
+    stack, and the contraction for each factor goes one other factor at a
+    time.  The winner is the first restart with the smallest final value.
     """
     n = len(qdims)
-    bases = [hermitian_basis(d) for d in qdims]
-    axes, stack = _LETTERS[:n], _LETTERS[n]
+    # red with axis i moved last, so contracting the others leaves factor i
+    reds = [np.ascontiguousarray(np.moveaxis(red, i, -1)) for i in range(n)]
     # row-major, this is the order of per-restart, per-factor (real, imaginary)
     # draws, so the values and the generator state match a restart-by-restart loop
     draws = rng.normal(size=(cfg.restarts, 2 * sum(qdims)))
@@ -322,23 +378,22 @@ def _min_quantum_general(red: np.ndarray, qdims: Sequence[int], cfg: SearchConfi
         psi = draws[:, col:col + d] + 1j * draws[:, col + d:col + 2 * d]
         col += 2 * d
         rows.append(_projector_coeffs(psi / np.linalg.norm(psi, axis=1, keepdims=True)))
-    scripts = [
-        ",".join([axes] + [stack + axes[j] for j in range(n) if j != i]) + "->" + stack + axes[i]
-        for i in range(n)
-    ]
     last = np.full(cfg.restarts, np.inf)
     active = np.arange(cfg.restarts)
+    cur = list(rows)  # the rows of the active restarts
     for _ in range(200):
         for i in range(n):
-            t = np.einsum(scripts[i], red, *(rows[j][active] for j in range(n) if j != i))
-            vals, vecs = np.linalg.eigh(np.einsum("rk,kij->rij", t, bases[i]))
-            rows[i][active] = _projector_coeffs(vecs[:, :, 0])
-        moving = np.abs(last[active] - vals[:, 0]) >= 1e-13
-        last[active] = vals[:, 0]
+            t = _contract(reds[i], cur[:i] + cur[i + 1:])
+            vals, cur[i] = _ground_states(t, cur[i])
+        moving = np.abs(last[active] - vals) >= 1e-13
+        last[active] = vals
+        for row, c in zip(rows, cur):
+            row[active] = c
         active = active[moving]
+        cur = [c[moving] for c in cur]
         if not active.size:
             break
-    full = np.einsum(",".join([axes] + [stack + a for a in axes]) + "->" + stack, red, *rows)
+    full = _contract(red, rows)[:, 0]
     best = int(np.argmin(full))
     return float(full[best]), [row[best].copy() for row in rows]
 
@@ -348,9 +403,11 @@ def _min_over_quantum(red: np.ndarray, qdims: Sequence[int], cfg: SearchConfig,
     if not qdims:
         return float(red), []
     if len(qdims) == 1:
-        mat = np.einsum("k,kij->ij", red.ravel(), hermitian_basis(qdims[0]))
-        vals, vecs = np.linalg.eigh(mat)
-        return float(vals[0]), [_projector_coeffs(vecs[:, 0])]
+        # a qubit operator that is a multiple of the identity keeps |0><0|
+        # (+z), the ground state eigh returns for it
+        zero = _projector_coeffs(np.eye(qdims[0], dtype=complex)[:1])
+        vals, proj = _ground_states(red.reshape(1, -1), zero)
+        return float(vals[0]), [proj[0]]
     if len(qdims) == 2 and qdims[0] == 2 and qdims[1] == 2:
         return _min_qubit_pair(red.reshape(4, 4), cfg)
     return _min_quantum_general(red, qdims, cfg, rng)
@@ -490,6 +547,8 @@ def steer(v: GptVector, e: GptVector, on: int | Sequence[int] | None = None) -> 
 def reduced_state(v: GptVector, keep: Sequence[int]) -> GptVector:
     """Steer with the unit effect on every atom not in ``keep``."""
     keep = set(keep)
+    if any(not 0 <= i < len(v.atoms) for i in keep):
+        raise IndexError(f"factor index out of range: {sorted(keep)}")
     drop = tuple(i for i in range(len(v.atoms)) if i not in keep)
     u = tensor_all([unit_effect(system(v.atoms[i])) for i in drop])
     return steer(v, u, on=drop)

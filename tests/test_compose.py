@@ -648,6 +648,14 @@ def test_steer_errors():
         steer(s, unit_effect(system(Q2)), on=(0,))
 
 
+def test_reduced_state_rejects_out_of_range_keep():
+    s = builtin_state("singlet")
+    for keep in ([5], [-1], [0, 2]):
+        with pytest.raises(IndexError):
+            reduced_state(s, keep)
+    assert reduced_state(s, [0]).system == system(Q2)
+
+
 def test_steer_non_contiguous_factors():
     rng = np.random.default_rng(33)
     a = GptVector(system(B22), rng.normal(size=3))
@@ -762,7 +770,7 @@ def _reference_min_quantum_general(red, qdims, cfg, rng):
 _FACTOR_ATOL = 1e-5
 
 
-@pytest.mark.parametrize("qdims", [[2, 3], [3, 3], [2, 2, 2]])
+@pytest.mark.parametrize("qdims", [[2, 3], [3, 3], [2, 2, 2], [3, 2], [2, 2, 2, 2]])
 @pytest.mark.parametrize("restarts", [1, 7, 40])
 def test_stacked_descent_matches_per_restart_loop(qdims, restarts):
     from witworld.compose import _min_quantum_general
@@ -779,6 +787,43 @@ def test_stacked_descent_matches_per_restart_loop(qdims, restarts):
         for f, g in zip(factors, ref_factors):
             assert np.allclose(f, g, atol=_FACTOR_ATOL)
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _eigh_ground_states(t):
+    vals, vecs = np.linalg.eigh(np.einsum("rk,kij->rij", t, hermitian_basis(2)))
+    return vals[:, 0], np.array([_reference_projector_coeffs(v) for v in vecs[:, :, 0]])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e12])
+def test_qubit_ground_states_match_eigh(scale):
+    from witworld.compose import _ground_states
+
+    gen = np.random.default_rng(17)
+    t = scale * gen.normal(size=(200, 4))
+    prev = np.tile([1.0, 0.0, 0.0, 1.0], (200, 1)) / np.sqrt(2.0)
+    vals, proj = _ground_states(t, prev)
+    ref_vals, ref_proj = _eigh_ground_states(t)
+    assert np.allclose(vals, ref_vals, rtol=0, atol=1e-14 * scale)
+    assert np.allclose(proj, ref_proj, rtol=0, atol=1e-14)
+
+
+def test_qubit_ground_states_keep_previous_direction_on_a_multiple_of_identity():
+    from witworld.compose import _ground_states, _min_over_quantum
+
+    gen = np.random.default_rng(19)
+    t = np.zeros((50, 4))
+    t[:, 0] = gen.normal(size=50)
+    n = gen.normal(size=(50, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    prev = np.column_stack([np.ones(50), n]) / np.sqrt(2.0)
+    vals, proj = _ground_states(t, prev)
+    assert np.array_equal(vals, t[:, 0] / np.sqrt(2.0))
+    assert np.allclose(proj, prev, rtol=0, atol=1e-15)
+    # a lone qubit keeps +z, the ground state eigh returns for the identity
+    val, factors = _min_over_quantum(np.array([1.0, 0.0, 0.0, 0.0]), [2], SearchConfig(), gen)
+    assert val == 1.0 / np.sqrt(2.0)
+    plus_z = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    assert np.allclose(factors[0], plus_z, rtol=0, atol=1e-16)
 
 
 @pytest.mark.parametrize("restarts", [1, 7, 40])
