@@ -374,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prbox", help="print the PR box table and its CHSH value")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_prbox)
 
     p = sub.add_parser("rsp", help="run remote state preparation")
     p.add_argument("--theta", type=float, default=0.0)
@@ -382,19 +381,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", dest="grid_states", type=int, metavar="N",
                    help="run a deterministic N-state grid instead of one state")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_rsp)
 
     p = sub.add_parser("check-state", help="composite cone membership of a state")
     p.add_argument("file", help="JSON file or builtin:NAME")
     _add_search_flags(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_check_state)
 
     p = sub.add_parser("check-effect", help="validity of an effect")
     p.add_argument("file", help="JSON file or builtin:NAME")
     _add_search_flags(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_check_effect)
 
     p = sub.add_parser("check-map", help="positivity / CP / trace tests of a map")
     p.add_argument("file", help="JSON file or builtin:NAME")
@@ -402,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["positivity", "cp", "trace-preserving", "trace-nonincreasing"])
     _add_search_flags(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_check_map)
 
     p = sub.add_parser("assemblage", help="build and verify a named assemblage")
     p.add_argument("name", choices=list(PAPER_ASSEMBLAGE_NAMES))
@@ -412,23 +407,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", help="for gleason: JSON file or builtin:NAME")
     _add_search_flags(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_assemblage)
 
     p = sub.add_parser("lhs", help="shared-randomness feasibility of an assemblage file")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_lhs)
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; safe to call many times in one process.
+
+    The parser is built on the first call and reused: ``parse_args`` keeps
+    no state between calls.  The verb's ``_cmd_*`` function is looked up
+    when the call runs, not bound when the parser is built.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = globals()["_cmd_" + args.verb.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

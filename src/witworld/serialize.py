@@ -28,6 +28,8 @@ from .systems import (
     GptVector,
     Quantum,
     SystemType,
+    hermitian_stack_to_coeffs,
+    system,
     vector_to_hermitian,
 )
 from .transforms import LinearMap
@@ -219,27 +221,57 @@ def assemblage_from_json(obj) -> Assemblage:
         bob_inputs = None if obj.get("bob_inputs") is None else int(obj["bob_inputs"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad outcome/setting/input counts: {exc}") from exc
-    elements = {}
+    d = obj.get("d")
+    if "d" in obj and (not isinstance(d, int) or isinstance(d, bool) or d < 1):
+        raise MalformedInputError(f"assemblage 'd' must be a positive integer, got {d!r}")
+    # matrix-form elements wait in `pending`, keyed in place in `elements`,
+    # so the dict keeps the file's order once they are converted as one stack
+    elements, pending = {}, {}
     for key_str, val in obj["elements"].items():
         key = _element_key_from_str(scenario, key_str)
         if isinstance(val, dict) and "re" in val:
             mat = _matrix_from_json(val)
             if mat.shape[0] != mat.shape[1]:
                 raise MalformedInputError(f"element {key_str} matrix is not square")
-            try:
-                elements[key] = hermitian_tensor_to_vector(mat, (mat.shape[0],))
-            except ValueError as exc:
-                raise MalformedInputError(str(exc)) from exc
+            elements[key] = None
+            pending[key] = key_str, mat
         elif isinstance(val, dict) and "coeffs" in val:
             elements[key] = gptvector_from_json(val)
+            pending.pop(key, None)
         else:
             raise MalformedInputError(f"element {key_str} needs 'matrix' re/im or a vector")
+    if pending:
+        elements.update(_hermitian_elements(pending))
     try:
-        return Assemblage(
-            scenario, outcomes, settings, elements, bob_inputs=bob_inputs
-        )
+        asm = Assemblage(scenario, outcomes, settings, elements, bob_inputs=bob_inputs)
     except ValueError as exc:
         raise MalformedInputError(str(exc)) from exc
+    if d is not None and d != asm.d:
+        raise MalformedInputError(f"assemblage declares d={d} but its elements have d={asm.d}")
+    return asm
+
+
+def _hermitian_elements(pending: dict) -> dict:
+    """Single-qudit vectors of the matrix-form elements ``{key: (key_str, matrix)}``."""
+    key_strs = [key_str for key_str, _ in pending.values()]
+    mats = [mat for _, mat in pending.values()]
+    for key_str, mat in zip(key_strs, mats):
+        if mat.shape != mats[0].shape:
+            raise MalformedInputError(
+                f"element {key_str} matrix is {mat.shape[0]}x{mat.shape[0]}, but element "
+                f"{key_strs[0]} is {mats[0].shape[0]}x{mats[0].shape[0]}"
+            )
+    stack = np.stack(mats)
+    # the tolerance of hermitian_tensor_to_vector
+    skew = np.max(np.abs(stack - stack.conj().transpose(0, 2, 1)), axis=(1, 2))
+    bad = np.flatnonzero(skew > 1e-8)
+    if bad.size:
+        raise MalformedInputError(
+            f"element {key_strs[bad[0]]} matrix is not Hermitian within tolerance"
+        )
+    sys = system(Quantum(stack.shape[1]))
+    return {key: GptVector(sys, row)
+            for key, row in zip(pending, hermitian_stack_to_coeffs(stack))}
 
 
 def steering_inequality_to_json(cert: SteeringInequality, scenario: str) -> dict:

@@ -34,6 +34,7 @@ from .systems import (
     SystemType,
     atomic_state_check,
     classical_outcome_effect,
+    coeffs_to_hermitian_stack,
     effect_cone_rays,
     hermitian_to_vector,
     pair,
@@ -122,9 +123,11 @@ class Assemblage:
             sys = sys or el.system
             if el.system != sys:
                 raise ValueError("elements live on different systems")
-            check = atomic_state_check(el, ELEMENT_PSD_TOL)
-            if not check.accepted:
-                raise ValueError(f"element {key} is not positive: {check.describe()}")
+        failing = np.flatnonzero(_lowest_eigenvalues(self.elements) < -ELEMENT_PSD_TOL)
+        if failing.size:
+            key = list(self.elements)[failing[0]]
+            check = atomic_state_check(self.elements[key], ELEMENT_PSD_TOL)
+            raise ValueError(f"element {key} is not positive: {check.describe()}")
 
     def _expected_keys(self):
         if self.scenario == MULTIPARTITE:
@@ -167,6 +170,17 @@ class Assemblage:
         raise ValueError(f"cannot flatten a {self.scenario} assemblage to parties")
 
 
+def _lowest_eigenvalues(elements: dict) -> np.ndarray:
+    """Lowest eigenvalue of each element's matrix, in dict order.
+
+    One batched ``eigh`` (not ``eigvalsh``) over the stacked matrices: each
+    value has the bits of the margin :func:`atomic_state_check` reports.
+    """
+    els = list(elements.values())
+    mats = coeffs_to_hermitian_stack(np.array([el.coeffs for el in els]), els[0].atoms[0].d)
+    return np.linalg.eigh(mats)[0][:, 0]
+
+
 def _stack(asm: Assemblage):
     """Element coefficients as an array of shape (*outcomes, *settings, dim)."""
     outcomes, settings, els = asm.as_parties()
@@ -182,13 +196,11 @@ def _stack(asm: Assemblage):
 # ---------------------------------------------------------------------------
 
 
-def _positivity_margin(asm: Assemblage, tol: float):
-    worst, which = np.inf, None
-    for key, el in asm.elements.items():
-        m = atomic_state_check(el, tol).margin
-        if m < worst:
-            worst, which = m, key
-    return worst, which
+def _positivity_margin(asm: Assemblage):
+    """The lowest element eigenvalue and the first key (in dict order) with it."""
+    lowest = _lowest_eigenvalues(asm.elements)
+    i = int(np.argmin(lowest))
+    return float(lowest[i]), list(asm.elements)[i]
 
 
 def ns_check_bipartite(asm: Assemblage, tol: float = 1e-9) -> MembershipVerdict:
@@ -196,7 +208,7 @@ def ns_check_bipartite(asm: Assemblage, tol: float = 1e-9) -> MembershipVerdict:
     if asm.scenario != BIPARTITE:
         raise ValueError(f"expected a bipartite assemblage, got {asm.scenario}")
     failures = []
-    margin, key = _positivity_margin(asm, tol)
+    margin, key = _positivity_margin(asm)
     if margin < -tol:
         failures.append(f"element {key} not positive ({margin:.3g})")
     sums = np.stack([
@@ -226,7 +238,7 @@ def ns_check_multipartite(asm: Assemblage, tol: float = 1e-9) -> MembershipVerdi
     if asm.scenario != MULTIPARTITE:
         raise ValueError(f"expected a multipartite assemblage, got {asm.scenario}")
     failures = []
-    margin, key = _positivity_margin(asm, tol)
+    margin, key = _positivity_margin(asm)
     if margin < -tol:
         failures.append(f"element {key} not positive ({margin:.3g})")
     arr = _stack(asm)
@@ -262,7 +274,7 @@ def ns_check_bob_with_input(asm: Assemblage, tol: float = 1e-9) -> MembershipVer
     if asm.scenario != BOB_WITH_INPUT:
         raise ValueError(f"expected a bob-with-input assemblage, got {asm.scenario}")
     failures = []
-    margin, key = _positivity_margin(asm, tol)
+    margin, key = _positivity_margin(asm)
     if margin < -tol:
         failures.append(f"element {key} not positive ({margin:.3g})")
     n_a, n_x, n_y = asm.outcomes[0], asm.settings[0], asm.bob_inputs
@@ -571,7 +583,7 @@ def lhs_check(asm: Assemblage, solver_cfg: LhsConfig | None = None):
         raise ValueError(f"LHS test supports bipartite or multipartite, got {asm.scenario}")
     outcomes, settings, els = asm.as_parties()
     keys = sorted(els)
-    stack = np.array([vector_to_hermitian(els[k]) for k in keys])
+    stack = coeffs_to_hermitian_stack(np.array([els[k].coeffs for k in keys]), asm.d)
     scale = max(1.0, float(np.max(np.abs(stack))))
     u, rotated = _common_eigenbasis(stack, cfg.tol, scale)
     if u is None:

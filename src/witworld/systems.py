@@ -237,6 +237,22 @@ def vector_to_hermitian(v: GptVector) -> np.ndarray:
     return np.einsum("k,kij->ij", v.coeffs, hermitian_basis(d))
 
 
+def hermitian_stack_to_coeffs(mats: np.ndarray) -> np.ndarray:
+    """Coefficient rows of a stack of Hermitian matrices, shape ``(n, d^2)``.
+
+    Row ``i`` equals ``hermitian_to_vector(mats[i]).coeffs`` bit for bit
+    (an unoptimized einsum, unlike ``matmul`` or ``tensordot``).  The
+    caller checks Hermiticity.
+    """
+    return np.real(np.einsum("kij,nji->nk", hermitian_basis(mats.shape[-1]), mats))
+
+
+def coeffs_to_hermitian_stack(coeffs: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of :func:`hermitian_stack_to_coeffs`, bit for bit per row
+    equal to :func:`vector_to_hermitian`."""
+    return np.einsum("nk,kij->nij", coeffs, hermitian_basis(d))
+
+
 # ---------------------------------------------------------------------------
 # Unit effects
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import warnings
@@ -273,15 +274,71 @@ def test_non_finite_matrix_file_exits_65_without_warning(capsys, tmp_path):
     assert code == 65 and "finite" in err and "Hermitian" not in err
 
 
-def test_json_determinism_across_verbs(capsys):
+def _local_assemblage_doc(parties, seed):
+    """A commuting qubit assemblage: in a random basis, each eigenvector's
+    slice is a mixture of local deterministic boxes, so it has an LHS model."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    strategies = list(itertools.product(itertools.product(range(2), repeat=2), repeat=parties))
+    mixtures = [lam * rng.dirichlet(np.ones(len(strategies)))
+                for lam in rng.dirichlet([1.5, 1.5])]
+    elements = {}
+    for a in itertools.product(range(2), repeat=parties):
+        for x in itertools.product(range(2), repeat=parties):
+            m = sum(
+                sum(w for w, fs in zip(mix, strategies)
+                    if all(f[xi] == ai for f, ai, xi in zip(fs, a, x)))
+                * np.outer(u[:, k], u[:, k].conj())
+                for k, mix in enumerate(mixtures))
+            key = f"a={','.join(map(str, a))}|x={','.join(map(str, x))}"
+            elements[key] = {"re": np.real(m).tolist(), "im": np.imag(m).tolist()}
+    return {"scenario": "multipartite", "outcomes": [2] * parties,
+            "settings": [2] * parties, "d": 2, "elements": elements}
+
+
+def test_json_determinism_across_verbs(capsys, tmp_path):
+    two_party = tmp_path / "prbox.json"
+    run(capsys, "assemblage", "pr-box", "--emit", str(two_party))
+    three_party = tmp_path / "local3.json"
+    three_party.write_text(json.dumps(_local_assemblage_doc(3, 3)))
     for argv in (
         ["check-state", "builtin:singlet-pt", "--json"],
         ["check-map", "builtin:transpose3", "--test", "positivity", "--json"],
         ["assemblage", "bwi-star-star", "--verify-ns", "--json"],
+        ["lhs", str(two_party), "--json"],
+        ["lhs", str(three_party), "--json"],
+        ["assemblage", "gleason", "--witness", "builtin:singlet", "--verify-ns",
+         "--verify-lhs", "--json"],
     ):
         a = run(capsys, *argv)
         b = run(capsys, *argv)
         assert a == b
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, monkeypatch):
+    from witworld import cli
+
+    path = tmp_path / "local3.json"
+    path.write_text(json.dumps(_local_assemblage_doc(3, 4)))
+    calls = [
+        ["no-such-verb"],
+        ["lhs", str(path), "--json"],
+        ["--help"],
+        ["check-state", "builtin:swap2"],
+        ["check-map", "builtin:unot2"],  # missing --test
+        ["lhs", str(path)],
+    ]
+    alone = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        alone.append(_run_quietly(argv)[:2])
+    assert [code for code, _ in alone] == [64, 0, 0, 0, 64, 0]
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [_run_quietly(argv)[:2] for argv in calls] == alone
+    assert len(built) == 1
 
 
 def test_inconclusive_exit_code(capsys, tmp_path):
@@ -457,10 +514,12 @@ _LHS_KEYS = {
 
 @st.composite
 def _assemblage_doc(draw):
-    """(JSON text, whether it holds a non-finite number, whether it must be decided)."""
+    """(JSON text, whether it holds a non-finite number, whether it must be decided,
+    whether it must exit 65)."""
     kind = draw(st.sampled_from(
         ["commuting", "non-commuting", "non-finite", "non-psd", "non-square", "list-element",
-         "missing-key", "extra-key", "other-scenario", "garbage"]))
+         "missing-key", "extra-key", "other-scenario", "garbage", "non-hermitian",
+         "mixed-size", "bad-d"]))
     if kind == "garbage":
         text = draw(st.sampled_from(
             ["{", "[]", '{"scenario": "bipartite"}', '{"scenario": "x", "elements": {}}',
@@ -470,7 +529,7 @@ def _assemblage_doc(draw):
              '{"scenario": "bipartite", "outcomes": [2, 2], "settings": [2], "elements": {}}',
              '{"scenario": "bob-with-input", "outcomes": [1], "settings": [1], '
              '"bob_inputs": "two", "elements": {"a=0|x=0;y=0": {"re": [[1.0]]}}}']))
-        return text, False, False
+        return text, False, False, False
     scenario = draw(st.sampled_from(
         ["instrumental", "bob-with-input"] if kind == "other-scenario"
         else ["bipartite", "multipartite"]))
@@ -498,19 +557,27 @@ def _assemblage_doc(draw):
         del elements[target]
     elif kind == "extra-key":
         elements[target.replace("a=0", "a=2").replace("a=1", "a=2")] = elements[target]
+    elif kind == "non-hermitian":
+        w = draw(st.floats(0.01, 1.0))
+        elements[target]["im"] = [[0.0, w], [w, 0.0]]
+    elif kind == "mixed-size":
+        elements[target] = {"re": np.diag(draw(diag) + [0.5]).tolist(), "im": [[0.0] * 3] * 3}
     doc = {"scenario": scenario, "outcomes": [2] * (2 if scenario == "multipartite" else 1),
            "settings": [2] * (2 if scenario == "multipartite" else 1), "d": 2,
            "elements": elements}
+    if kind == "bad-d":
+        doc["d"] = draw(st.sampled_from([3, 1, 0, -2, "two", None, True, [2]]))
     if scenario == "bob-with-input":
         doc["bob_inputs"] = 2
     # a real diagonal assemblage is always decided: feasible or a checked certificate
-    return json.dumps(doc), bad, kind == "commuting"
+    return (json.dumps(doc), bad, kind == "commuting",
+            kind in ("non-hermitian", "mixed-size", "bad-d"))
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(doc=_assemblage_doc(), as_json=st.booleans())
 def test_generated_lhs_files_exit_with_documented_codes(tmp_path_factory, doc, as_json):
-    text, bad_doc, decided = doc
+    text, bad_doc, decided, malformed = doc
     path = tmp_path_factory.mktemp("asm") / "assemblage.json"
     path.write_text(text)
     code, out, err = _run_quietly(["lhs", str(path)] + (["--json"] if as_json else []))
@@ -520,5 +587,7 @@ def test_generated_lhs_files_exit_with_documented_codes(tmp_path_factory, doc, a
         assert code != 0, text
     if decided:
         assert code in (0, 1), (text, out)
+    if malformed:
+        assert code == 65, (text, err)
     if as_json and code in (0, 1, 2):
         assert json.loads(out)["status"]

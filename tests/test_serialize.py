@@ -11,6 +11,7 @@ from witworld import (
     Quantum,
     SearchConfig,
     hermitian_tensor_to_vector,
+    hermitian_to_vector,
     lhs_check,
     paper_assemblage,
     pr_state,
@@ -32,6 +33,8 @@ from witworld.serialize import (
     search_config_to_json,
     steering_inequality_to_json,
 )
+
+from conftest import random_psd
 
 
 def test_atom_codes():
@@ -135,6 +138,64 @@ def test_assemblage_malformed():
         assemblage_from_json(broken)
     with pytest.raises(MalformedInputError):
         assemblage_from_json({"scenario": "bipartite"})
+
+
+def _random_psd_json(rng, d):
+    m = random_psd(rng, d) * 10.0 ** rng.uniform(-6, 2)
+    return {"re": np.real(m).tolist(), "im": np.imag(m).tolist()}
+
+
+def _column_doc(elements, **extra):
+    """A bipartite document with one setting and one outcome per element."""
+    return {"scenario": "bipartite", "outcomes": [len(elements)], "settings": [1],
+            "elements": {f"a={a}|x=0": el for a, el in enumerate(elements)}, **extra}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_batched_loader_matches_per_element_conversion_bit_for_bit(d):
+    # the byte-identical --json contract rests on this equality
+    rng = np.random.default_rng(d)
+    for n in range(1, 65):
+        doc = _column_doc([_random_psd_json(rng, d) for _ in range(n)])
+        asm = assemblage_from_json(doc)
+        assert list(asm.elements) == [(a, 0) for a in range(n)]
+        for (a, _), el in asm.elements.items():
+            entry = doc["elements"][f"a={a}|x=0"]
+            m = np.array(entry["re"]) + 1j * np.array(entry["im"])
+            assert el.system == system(Quantum(d))
+            assert np.array_equal(el.coeffs, hermitian_tensor_to_vector(m, (d,)).coeffs)
+            assert np.array_equal(el.coeffs, hermitian_to_vector(m).coeffs)
+
+
+def test_assemblage_keeps_file_order_across_element_forms():
+    rng = np.random.default_rng(1)
+    coeffs = {"system": ["Q2"], "coeffs": hermitian_to_vector(np.eye(2) / 2).coeffs.tolist()}
+    doc = _column_doc([_random_psd_json(rng, 2), coeffs, _random_psd_json(rng, 2), coeffs])
+    doc["elements"] = dict(reversed(list(doc["elements"].items())))
+    asm = assemblage_from_json(doc)
+    assert list(asm.elements) == [(3, 0), (2, 0), (1, 0), (0, 0)]
+    assert np.array_equal(asm.elements[(1, 0)].coeffs, coeffs["coeffs"])
+
+
+def test_assemblage_d_is_checked_when_present():
+    rng = np.random.default_rng(2)
+    elements = [_random_psd_json(rng, 2) for _ in range(2)]
+    assert assemblage_from_json(_column_doc(elements)).d == 2
+    assert assemblage_from_json(_column_doc(elements, d=2)).d == 2
+    for d in (3, 1, 0, -2, "two", "2", 2.5, True, None, [2]):
+        with pytest.raises(MalformedInputError, match="'d' must be|declares d="):
+            assemblage_from_json(_column_doc(elements, d=d))
+
+
+def test_malformed_elements_are_named():
+    rng = np.random.default_rng(3)
+    elements = [_random_psd_json(rng, 2) for _ in range(3)]
+    skew = dict(elements[1], im=[[0.0, 0.25], [0.25, 0.0]])
+    with pytest.raises(MalformedInputError) as exc:
+        assemblage_from_json(_column_doc([elements[0], skew, skew]))
+    assert str(exc.value) == "element a=1|x=0 matrix is not Hermitian within tolerance"
+    with pytest.raises(MalformedInputError, match=r"element a=2\|x=0 matrix is 3x3"):
+        assemblage_from_json(_column_doc(elements[:2] + [_random_psd_json(rng, 3)]))
 
 
 def test_certificate_json_shape():

@@ -31,13 +31,17 @@ from witworld import (
     wire_instrumental,
 )
 from witworld import lp, steering
+from witworld.systems import atomic_state_check
 from witworld.steering import (
     BIPARTITE,
     BOB_WITH_INPUT,
     MULTIPARTITE,
+    ELEMENT_PSD_TOL,
     LhsConfig,
     StrategyCapError,
     _common_eigenbasis,
+    _lowest_eigenvalues,
+    _positivity_margin,
     _party_responses,
     _response_matrix,
     _strategy,
@@ -50,6 +54,7 @@ from conftest import (
     random_box_measurement,
     random_density,
     random_local_box,
+    random_psd,
 )
 
 B22 = Boxworld(2, 2)
@@ -87,6 +92,81 @@ def test_assemblage_validates_coverage_and_positivity():
         Assemblage("nonsense", (2,), (2,), els)
     with pytest.raises(ValueError):
         Assemblage(BIPARTITE, (2,), (2,), els, bob_inputs=2)
+
+
+def _random_hermitian_elements(rng, d, n, negative=()):
+    """``n`` PSD elements ``(a, 0)`` over ``Q<d>``; those in ``negative`` get a
+    negative eigenvalue."""
+    els = {}
+    for a in range(n):
+        m = random_psd(rng, d) / d
+        if a in negative:
+            m = m - (np.linalg.eigvalsh(m)[0] + rng.uniform(1e-3, 1.0)) * np.eye(d)
+        els[(a, 0)] = _vec(m)
+    return els
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_batched_psd_check_matches_atomic_state_check(d):
+    rng = np.random.default_rng(40 + d)
+    for n in (1, 2, 9, 64):
+        for negative in ((), (n - 1,), tuple(range(n // 2, n, 3))):
+            els = _random_hermitian_elements(rng, d, n, negative)
+            checks = [atomic_state_check(el, ELEMENT_PSD_TOL) for el in els.values()]
+            assert np.array_equal(_lowest_eigenvalues(els), [c.margin for c in checks])
+            if not negative:
+                Assemblage(BIPARTITE, (n,), (1,), els)
+                continue
+            # the first failing key in dict order, with its per-element message
+            order = list(rng.permutation(n))
+            shuffled = {(int(a), 0): els[(int(a), 0)] for a in order}
+            first = next(k for k in shuffled if k[0] in negative)
+            expected = (f"element {first} is not positive: "
+                        f"{atomic_state_check(shuffled[first], ELEMENT_PSD_TOL).describe()}")
+            with pytest.raises(ValueError) as exc:
+                Assemblage(BIPARTITE, (n,), (1,), shuffled)
+            assert str(exc.value) == expected
+
+
+def _looped_positivity_margin(asm, tol):
+    worst, which = np.inf, None
+    for key, el in asm.elements.items():
+        m = atomic_state_check(el, tol).margin
+        if m < worst:
+            worst, which = m, key
+    return worst, which
+
+
+def test_positivity_margin_matches_per_element_loop():
+    rng = np.random.default_rng(7)
+    asms = [paper_assemblage(name) for name in ("pr-box", "bwi-star", "bwi-star-star")]
+    for d in (2, 3, 4):
+        els = _random_hermitian_elements(rng, d, 8)
+        els[(5, 0)] = els[(2, 0)]  # a tie: the first key in dict order wins
+        asms.append(Assemblage(BIPARTITE, (8,), (1,), els))
+    for asm in asms:
+        worst, key = _positivity_margin(asm)
+        assert (worst, key) == _looped_positivity_margin(asm, 1e-9)
+        assert type(worst) is float
+
+
+def test_lhs_stack_matches_per_element_matrices(monkeypatch):
+    seen = []
+
+    def spy(stack, tol, scale):
+        seen.append(stack)
+        return _common_eigenbasis(stack, tol, scale)
+
+    monkeypatch.setattr(steering, "_common_eigenbasis", spy)
+    rng = np.random.default_rng(11)
+    asms = [paper_assemblage("pr-box"), _bipartite(_uniform_elements())]
+    for d in (3, 4):
+        asms.append(Assemblage(BIPARTITE, (6,), (1,), _random_hermitian_elements(rng, d, 6)))
+    for asm in asms:
+        lhs_check(asm)
+        _, _, els = asm.as_parties()
+        expected = np.array([vector_to_hermitian(els[k]) for k in sorted(els)])
+        assert np.array_equal(seen.pop(), expected)
 
 
 # --- realizations ------------------------------------------------------------------
