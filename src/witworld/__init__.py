@@ -8,7 +8,6 @@ on top of them.
 """
 
 from .compose import (
-    ProductEffectRay,
     SearchConfig,
     box_pair_state,
     composite_effect_check,

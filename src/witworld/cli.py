@@ -213,23 +213,19 @@ def _cmd_check_state(args) -> int:
     v = _load_state(args.file)
     verdict = composite_state_check(v, _cfg_from_args(args))
     extra = None
-    if verdict.rejected and verdict.witness is not None:
-        # a product effect ray on composites, a plain effect on one atom
-        w = verdict.witness.as_vector() if hasattr(verdict.witness, "as_vector") else verdict.witness
-        extra = {"violating_effect": gptvector_to_json(w)}
+    if verdict.rejected:
+        extra = {"violating_effect": gptvector_to_json(verdict.witness)}
         if not args.json:
-            print(f"violating product effect: {w.coeffs}", file=sys.stderr)
+            print(f"violating effect: {verdict.witness.coeffs}", file=sys.stderr)
     return _report_verdict(args, verdict, extra)
 
 
 def _cmd_check_effect(args) -> int:
     e = _load_state(args.file)
-    cfg = _cfg_from_args(args)
-    verdict = composite_effect_check(e, tol=cfg.tol, cfg=cfg)
+    verdict = composite_effect_check(e, cfg=_cfg_from_args(args))
     extra = None
-    if verdict.rejected and verdict.witness is not None:
-        w = verdict.witness.as_vector() if hasattr(verdict.witness, "as_vector") else verdict.witness
-        extra = {"violating_state": gptvector_to_json(w)}
+    if verdict.rejected:
+        extra = {"violating_state": gptvector_to_json(verdict.witness)}
     return _report_verdict(args, verdict, extra)
 
 

@@ -21,7 +21,8 @@ only inconclusive acceptance.
 Effect validity is the dual question: ``e`` and ``u - e`` must be
 separable.  On Q2*Q2, Q2*Q3 and Q3*Q2 separable equals PPT, so there it
 is decided exactly by the eigenvalues of ``e``, ``u - e`` and their
-partial transposes; elsewhere it is searched for over product states.
+partial transposes; elsewhere it is searched for over product states
+and registered probe states, exactly where those generate the cone.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -88,16 +89,6 @@ class SearchConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
-
-
-@dataclass(frozen=True, slots=True)
-class ProductEffectRay:
-    """A product of local dual-cone generators, one factor per atom."""
-
-    factors: tuple
-
-    def as_vector(self) -> GptVector:
-        return tensor_all(self.factors)
 
 
 def tensor(v1: GptVector, v2: GptVector) -> GptVector:
@@ -433,7 +424,7 @@ def minimize_product_form(coeffs: np.ndarray, specs: Sequence, cfg: SearchConfig
     tensor_w = coeffs.reshape(dims)
     finite_axes = [i for i, s in enumerate(specs) if isinstance(s, FiniteGenerators)]
     qdims = [s.d for s in specs if isinstance(s, QuantumGenerators)]
-    conclusive = len(qdims) <= 1 or (len(qdims) == 2 and qdims == [2, 2])
+    conclusive = len(qdims) <= 1 or qdims == [2, 2]
     rng = np.random.default_rng(cfg.seed)
 
     best_val, best_factors = np.inf, None
@@ -471,10 +462,25 @@ def _state_side_specs(atoms: Sequence) -> list:
     ]
 
 
-def _ray_from_factors(atoms: Sequence, factors: Sequence[np.ndarray]) -> ProductEffectRay:
-    return ProductEffectRay(
-        tuple(GptVector(system(a), f) for a, f in zip(atoms, factors))
-    )
+def _product(atoms: Sequence, factors: Sequence[np.ndarray]) -> GptVector:
+    """The tensor product of per-atom coefficient arrays, as one vector."""
+    return tensor_all([GptVector(system(a), f) for a, f in zip(atoms, factors)])
+
+
+def _verdict(value: float, conclusive: bool, tol: float,
+             reject: Callable[[], tuple], detail: str = "") -> MembershipVerdict:
+    """The verdict on a minimum slack ``value``.
+
+    At ``value >= -tol`` the verdict is ``accepted`` with ``detail`` when
+    the minimum is ``conclusive`` and ``inconclusive-accept`` otherwise.
+    Below that it is ``rejected`` with the (witness, detail) pair that
+    ``reject()`` returns; the witness is only built then.
+    """
+    if value >= -tol:
+        return MembershipVerdict(ACCEPTED if conclusive else INCONCLUSIVE_ACCEPT,
+                                 margin=value, detail=detail)
+    witness, detail = reject()
+    return MembershipVerdict(REJECTED, margin=value, witness=witness, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -487,26 +493,15 @@ def composite_state_check(v: GptVector, cfg: SearchConfig | None = None) -> Memb
 
     Polytopic factors are checked exhaustively over their dual rays; a
     qubit pair is scanned and refined; anything larger falls back to a
-    seeded random-restart search whose acceptance is inconclusive.
+    seeded random-restart search whose acceptance is inconclusive.  A
+    rejection carries the product effect attaining the margin.
     """
     cfg = cfg or SearchConfig()
-    atoms = v.atoms
-    if len(atoms) == 0:
-        val = float(v.coeffs[0])
-        status = ACCEPTED if val >= -cfg.tol else REJECTED
-        return MembershipVerdict(status, margin=val)
-    if len(atoms) == 1:
+    if len(v.atoms) == 1:
         return atomic_state_check(v, cfg.tol)
-    res = minimize_product_form(v.coeffs, _effect_side_specs(atoms), cfg)
-    if res.value >= -cfg.tol:
-        status = ACCEPTED if res.conclusive else INCONCLUSIVE_ACCEPT
-        return MembershipVerdict(status, margin=res.value)
-    return MembershipVerdict(
-        REJECTED,
-        margin=res.value,
-        witness=_ray_from_factors(atoms, res.factors),
-        detail=f"product effect evaluates to {res.value:.6g}",
-    )
+    res = minimize_product_form(v.coeffs, _effect_side_specs(v.atoms), cfg)
+    return _verdict(res.value, res.conclusive, cfg.tol, lambda: (
+        _product(v.atoms, res.factors), f"product effect evaluates to {res.value:.6g}"))
 
 
 def steer(v: GptVector, e: GptVector, on: int | Sequence[int] | None = None) -> GptVector:
@@ -636,55 +631,84 @@ def _partial_transpose(m: np.ndarray, dims: tuple) -> np.ndarray:
     return m.reshape(m.shape[:-2] + (d1, d2, d1, d2)).swapaxes(-3, -1).reshape(m.shape)
 
 
-def ppt_min(mats: np.ndarray, dims: tuple, tol: float) -> tuple[float, GptVector | None]:
+def ppt_min(mats: np.ndarray, dims: tuple) -> tuple[float, Callable[[], GptVector]]:
     """Exact minimum of tr(M W) over the normalized states W, M in a stack.
 
     On a system where :func:`ppt_dims` holds, every state is P + Q^Γ with
     P, Q PSD (Størmer 1963; Woronowicz 1976), so the minimum over
     unit-trace states is the lowest eigenvalue of any M or M^Γ.  One
     batched ``eigh`` covers the stack and its partial transposes.  Returns
-    that minimum and, when it is below ``-tol``, the state attaining it:
-    vv† for an eigenvector v of some M, (vv†)^Γ for one of some M^Γ.
+    that minimum and a function building the state attaining it: vv† for
+    an eigenvector v of some M, (vv†)^Γ for one of some M^Γ.
     """
     vals, vecs = np.linalg.eigh(np.concatenate([mats, _partial_transpose(mats, dims)]))
     i = int(np.argmin(vals[:, 0]))
-    margin = float(vals[i, 0])
-    if margin >= -tol:
-        return margin, None
-    v = vecs[i, :, 0]
-    w = np.outer(v, v.conj())
-    if i >= len(mats):
-        w = _partial_transpose(w, dims)
-    return margin, hermitian_tensor_to_vector(w, dims)
+
+    def state() -> GptVector:
+        v = vecs[i, :, 0]
+        w = np.outer(v, v.conj())
+        if i >= len(mats):
+            w = _partial_transpose(w, dims)
+        return hermitian_tensor_to_vector(w, dims)
+
+    return float(vals[i, 0]), state
+
+
+def _state_min(f: GptVector, cfg: SearchConfig | None, complement: bool = False):
+    """Minimum of <f, s>, and of <u - f, s> with ``complement``, over states s.
+
+    The states are the normalized members of the state cone of ``f``'s
+    system.  Where :func:`ppt_dims` holds the minimum is exact
+    (:func:`ppt_min`).  Elsewhere it is the engine's minimum over products
+    of atomic vertices and projectors, lowered by the registered probe
+    states, and conclusive when the engine is and
+    :func:`product_generators_complete` holds.  Returns (value,
+    conclusive, state) where ``state()`` builds a state attaining the value.
+    """
+    dims = ppt_dims(f.system)
+    if dims is not None:
+        mat = vector_to_hermitian_tensor(f)
+        value, state = ppt_min(np.stack([mat, np.eye(len(mat)) - mat]) if complement
+                               else mat[None], dims)
+        return value, True, state
+    cfg = cfg or SearchConfig()
+    specs = _state_side_specs(f.atoms)
+    lo = minimize_product_form(f.coeffs, specs, cfg)
+    found = [(lo.value, lambda: _product(f.atoms, lo.factors))]
+    if complement:
+        hi = minimize_product_form(-f.coeffs, specs, cfg)
+        found.append((1.0 + hi.value, lambda: _product(f.atoms, hi.factors)))
+    for probe in probe_states(f.system):
+        val = pair(f, probe)
+        found.append((val, lambda p=probe: p))
+        if complement:
+            found.append((1.0 - val, lambda p=probe: p))
+    value, state = min(found, key=lambda c: c[0])
+    return value, lo.conclusive and product_generators_complete(f.system), state
 
 
 def composite_effect_check(
     e: GptVector,
     certified_separable=None,
-    tol: float = DEFAULT_TOL,
     cfg: SearchConfig | None = None,
 ) -> MembershipVerdict:
     """Effect validity on a composite system: 0 <= <e, s> <= 1 on all states.
 
     A supplied separable decomposition ``[(weight, [factor, ...]), ...]``
     with valid factors and sub-unit weight sum certifies validity exactly.
-    On Q2*Q2, Q2*Q3 and Q3*Q2 the test is otherwise exact: ``e`` is valid
-    iff ``e`` and ``u - e`` are PSD and PPT, the margin is the lowest of
-    the four eigenvalues, and a rejection carries the state attaining it.
-    Elsewhere product effects are certified automatically, and the rest
-    is a heuristic: it samples product states, the registered extreme
-    probe states, and the product-state minima of ``e`` and ``u - e``;
-    finding a violation rejects conclusively, finding none only reports
-    inconclusive acceptance.
+    Otherwise the margin is the lowest of <e, s> and <u - e, s> over the
+    states s found by :func:`_state_min`, and a rejection carries the state
+    attaining it.  That is exact on Q2*Q2, Q2*Q3 and Q3*Q2 (``e`` and
+    ``u - e`` must be PSD and PPT) and on systems whose product generators
+    and probes are complete.  Elsewhere product effects are certified
+    automatically, and the rest is a heuristic: finding a violation
+    rejects conclusively, finding none only reports inconclusive
+    acceptance.  The tolerance is ``cfg.tol``; a configuration is only
+    built when the heuristic search runs.
     """
-    atoms = e.atoms
-    if len(atoms) == 0:
-        val = float(e.coeffs[0])
-        ok = -tol <= val <= 1.0 + tol
-        return MembershipVerdict(ACCEPTED if ok else REJECTED, margin=min(val, 1.0 - val))
-    if len(atoms) == 1:
+    tol = cfg.tol if cfg is not None else DEFAULT_TOL
+    if len(e.atoms) == 1:
         return atomic_effect_check(e, tol)
-
     detail = ""
     if certified_separable is not None:
         ok, detail = _validate_certificate(e, certified_separable, tol)
@@ -692,53 +716,22 @@ def composite_effect_check(
             return MembershipVerdict(ACCEPTED, margin=0.0, detail=detail)
         detail = f"certificate rejected ({detail}); "
     dims = ppt_dims(e.system)
-    if dims is not None:
-        mat = vector_to_hermitian_tensor(e)
-        margin, witness = ppt_min(np.stack([mat, np.eye(len(mat)) - mat]), dims, tol)
-        if witness is None:
-            return MembershipVerdict(ACCEPTED, margin=margin, detail=detail + "e and u - e are PPT")
-        return MembershipVerdict(
-            REJECTED, margin=margin, witness=witness,
-            detail=detail + f"evaluates to {pair(e, witness):.6g} on a state",
-        )
-    if float(np.max(np.abs(e.coeffs))) == 0.0:
-        return MembershipVerdict(ACCEPTED, margin=0.0, detail="zero effect")
-    factors = _rank_one_effect_factors(e)
-    if factors is not None:
-        ok, _ = _validate_certificate(e, [(1.0, factors)], tol)
-        if ok:
+    if dims is None and e.atoms:
+        if not e.coeffs.any():
+            return MembershipVerdict(ACCEPTED, margin=0.0, detail="zero effect")
+        factors = _rank_one_effect_factors(e)
+        if factors is not None and _validate_certificate(e, [(1.0, factors)], tol)[0]:
             return MembershipVerdict(ACCEPTED, margin=0.0, detail="product-effect certificate")
+    value, conclusive, state = _state_min(e, cfg, complement=True)
 
-    # Heuristic path: product-state extrema plus registered probe states.
-    cfg = cfg or SearchConfig(tol=tol)
-    specs = _state_side_specs(atoms)
-    lo = minimize_product_form(e.coeffs, specs, cfg)
-    hi = minimize_product_form(-e.coeffs, specs, cfg)
-    margin = min(lo.value, 1.0 + hi.value)
-    if lo.value < -tol:
-        return MembershipVerdict(
-            REJECTED, margin=margin,
-            witness=_ray_from_factors(atoms, lo.factors),
-            detail=detail + f"evaluates to {lo.value:.6g} on a product state",
-        )
-    if -hi.value > 1.0 + tol:
-        return MembershipVerdict(
-            REJECTED, margin=margin,
-            witness=_ray_from_factors(atoms, hi.factors),
-            detail=detail + f"evaluates to {-hi.value:.6g} on a product state",
-        )
-    for probe in probe_states(e.system):
-        val = pair(e, probe)
-        margin = min(margin, val, 1.0 - val)
-        if val < -tol or val > 1.0 + tol:
-            return MembershipVerdict(
-                REJECTED, margin=margin, witness=probe,
-                detail=detail + f"evaluates to {val:.6g} on a probe state",
-            )
-    return MembershipVerdict(
-        INCONCLUSIVE_ACCEPT, margin=margin,
-        detail=detail + "no violation found (heuristic search)",
-    )
+    def reject():
+        w = state()
+        return w, detail + f"evaluates to {pair(e, w):.6g} on a state"
+
+    how = ("e and u - e are PPT" if dims is not None
+           else "no violation on the cone generators" if conclusive
+           else "no violation found (heuristic search)")
+    return _verdict(value, conclusive, tol, reject, detail + how)
 
 
 # ---------------------------------------------------------------------------

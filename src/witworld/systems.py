@@ -283,11 +283,6 @@ def unit_effect(sys: SystemType) -> GptVector:
 # ---------------------------------------------------------------------------
 
 
-def _boxworld_block(atom: Boxworld, i: int) -> slice:
-    w = atom.k - 1
-    return slice(i * w, (i + 1) * w)
-
-
 def _require_single_atom(v: GptVector) -> AtomicSystem:
     if len(v.atoms) != 1:
         raise ValueError(f"expected a single-atom system, got {v.system}")
@@ -299,7 +294,9 @@ def atomic_state_check(v: GptVector, tol: float = DEFAULT_TOL) -> MembershipVerd
 
     Quantum: the matrix must be positive semidefinite within ``tol``.
     Classical / box: the stored outcome weights must be nonnegative and
-    each block must not exceed the normalization coordinate.
+    each block must not exceed the normalization coordinate.  A rejection
+    carries the effect that attains the margin: a ground-state projector,
+    an outcome effect, a block's last-outcome effect or the unit effect.
     """
     atom = _require_single_atom(v)
     c = v.coeffs
@@ -316,29 +313,32 @@ def atomic_state_check(v: GptVector, tol: float = DEFAULT_TOL) -> MembershipVerd
             witness=hermitian_to_vector(proj),
             detail=f"eigenvalue {margin:.6g} < 0",
         )
-    if isinstance(atom, Classical):
-        blocks = [(c[: atom.v - 1], "")]
-    else:
-        blocks = [
-            (c[_boxworld_block(atom, i)], f"measurement {i}: ")
-            for i in range(atom.n)
-        ]
+    # block i holds the first k - 1 outcome weights of measurement i; its k
+    # outcome effects are effect_cone_rays(atom)[i * k:(i + 1) * k]
+    box = isinstance(atom, Boxworld)
+    n, k = (atom.n, atom.k) if box else (1, atom.v)
     last = float(c[-1])
     worst = last
     worst_detail = f"normalization coordinate {last:.6g}"
-    for block, label in blocks:
+    worst_ray = None  # index into effect_cone_rays(atom); None for the unit effect
+    for i in range(n):
+        block = c[i * (k - 1):(i + 1) * (k - 1)]
+        label = f"measurement {i}: " if box else ""
         if block.size:
             j = int(np.argmin(block))
             if block[j] < worst:
                 worst = float(block[j])
                 worst_detail = f"{label}outcome weight {block[j]:.6g}"
+                worst_ray = i * k + j
         slack = last - float(np.sum(block))
         if slack < worst:
             worst = slack
             worst_detail = f"{label}weights exceed normalization by {-slack:.6g}"
+            worst_ray = i * k + k - 1
     if worst >= -tol:
         return MembershipVerdict(ACCEPTED, margin=worst)
-    return MembershipVerdict(REJECTED, margin=worst, detail=worst_detail)
+    witness = unit_effect(v.system) if worst_ray is None else effect_cone_rays(atom)[worst_ray]
+    return MembershipVerdict(REJECTED, margin=worst, witness=witness, detail=worst_detail)
 
 
 def atomic_effect_check(e: GptVector, tol: float = DEFAULT_TOL) -> MembershipVerdict:
@@ -439,7 +439,7 @@ def effect_cone_rays(atom: AtomicSystem) -> list:
     if atom.n == 0:
         return [GptVector(sys, np.array([1.0]))]
     for i in range(atom.n):
-        block = _boxworld_block(atom, i)
+        block = slice(i * (atom.k - 1), (i + 1) * (atom.k - 1))
         for j in range(atom.k):
             c = np.zeros(atom.dim)
             if j < atom.k - 1:

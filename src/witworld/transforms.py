@@ -22,14 +22,14 @@ from .compose import (
     composite_effect_check,
     composite_state_check,
     minimize_product_form,
-    ppt_dims,
-    ppt_min,
     probe_states,
     product_generators_complete,
     tensor_all,
-    vector_to_hermitian_tensor,
     _effect_side_specs,
+    _product,
+    _state_min,
     _state_side_specs,
+    _verdict,
 )
 from .systems import (
     DEFAULT_TOL,
@@ -161,7 +161,8 @@ def measurement_map(effects: Sequence[GptVector], tol: float = DEFAULT_TOL) -> L
     for e in effects:
         if e.system != dom:
             raise ValueError("all outcome effects must share one system")
-        check = atomic_effect_check(e, tol) if len(dom) == 1 else composite_effect_check(e, tol=tol)
+        check = (atomic_effect_check(e, tol) if len(dom) == 1
+                 else composite_effect_check(e, cfg=SearchConfig(tol=tol)))
         if not check.passed:
             raise ValueError(f"invalid outcome effect: {check.describe()}")
     total = np.sum([e.coeffs for e in effects], axis=0)
@@ -245,12 +246,8 @@ class PositivityViolation:
     """Input state and codomain effect exhibiting a positivity failure."""
 
     input_state: GptVector
-    output_effect: GptVector | None
+    output_effect: GptVector
     value: float
-
-
-def _generator_factors(atoms, coeff_factors) -> GptVector:
-    return tensor_all([GptVector(system(a), c) for a, c in zip(atoms, coeff_factors)])
 
 
 def positivity_check(t: LinearMap, cfg: SearchConfig | None = None) -> MembershipVerdict:
@@ -261,43 +258,24 @@ def positivity_check(t: LinearMap, cfg: SearchConfig | None = None) -> Membershi
     by the engine; registered non-product extreme states of composite
     domains are checked explicitly.  Conclusive whenever both generator
     descriptions are complete and the quantum search is in its exact
-    regime.
+    regime.  A rejection carries a :class:`PositivityViolation`.
     """
     cfg = cfg or SearchConfig()
-    specs = _effect_side_specs(t.codomain.atoms) + _state_side_specs(t.domain.atoms)
-    w = t.matrix.reshape(-1)
-    res = minimize_product_form(w, specs, cfg) if specs else None
-    margin = res.value if res is not None else np.inf
-    witness = None
-    if res is not None and res.value < -cfg.tol:
-        n_cod = len(t.codomain.atoms)
-        eff = _generator_factors(t.codomain.atoms, res.factors[:n_cod])
-        inp = _generator_factors(t.domain.atoms, res.factors[n_cod:])
-        witness = PositivityViolation(inp, eff, res.value)
-    conclusive = (res is None or res.conclusive) and (
-        len(t.domain.atoms) <= 1 or product_generators_complete(t.domain)
-    )
+    cod, dom = t.codomain.atoms, t.domain.atoms
+    specs = _effect_side_specs(cod) + _state_side_specs(dom)
+    res = minimize_product_form(t.matrix.reshape(-1), specs, cfg)
+    n = len(cod)
+    margin, violation = res.value, lambda: PositivityViolation(
+        _product(dom, res.factors[n:]), _product(cod, res.factors[:n]), res.value)
+    conclusive = res.conclusive and product_generators_complete(t.domain)
     for probe in probe_states(t.domain):
-        img = apply(t, probe)
-        check = (
-            atomic_state_check(img, cfg.tol)
-            if len(img.atoms) == 1
-            else composite_state_check(img, cfg)
-        )
-        conclusive = conclusive and check.status in (ACCEPTED, REJECTED)
-        if check.margin is not None and check.margin < margin:
-            margin = check.margin
-            if check.rejected:
-                eff = check.witness.as_vector() if hasattr(check.witness, "as_vector") else check.witness
-                witness = PositivityViolation(probe, eff, margin)
-    margin = float(margin)
-    if margin >= -cfg.tol:
-        status = ACCEPTED if conclusive else INCONCLUSIVE_ACCEPT
-        return MembershipVerdict(status, margin=margin)
-    return MembershipVerdict(
-        REJECTED, margin=margin, witness=witness,
-        detail=f"maps a cone generator outside the codomain cone ({margin:.6g})",
-    )
+        check = composite_state_check(apply(t, probe), cfg)
+        conclusive = conclusive and check.status != INCONCLUSIVE_ACCEPT
+        if check.margin < margin:
+            margin, violation = check.margin, (
+                lambda p=probe, c=check: PositivityViolation(p, c.witness, c.margin))
+    return _verdict(margin, conclusive, cfg.tol, lambda: (
+        violation(), f"maps a cone generator outside the codomain cone ({margin:.6g})"))
 
 
 def apply_to_matrix(t: LinearMap, m: np.ndarray) -> np.ndarray:
@@ -365,38 +343,10 @@ def trace_condition_check(t: LinearMap, mode: str,
                                  detail=f"max |u(T(s)) - u(s)| deviation {err:.3g} on a basis")
     if mode != "non-increasing":
         raise ValueError(f"unknown mode {mode!r}; use 'preserving' or 'non-increasing'")
-    deficit = u_dom - t.matrix.T @ u_cod
-    dims = ppt_dims(t.domain)
-    if len(t.domain.atoms) == 0:
-        margin = float(deficit[0])
-        conclusive = True
-        witness = None
-    elif dims is not None:
-        mat = vector_to_hermitian_tensor(GptVector(t.domain, deficit))
-        margin, witness = ppt_min(mat[None], dims, cfg.tol)
-        conclusive = True
-    else:
-        res = minimize_product_form(deficit, _state_side_specs(t.domain.atoms), cfg)
-        margin = res.value
-        conclusive = res.conclusive and (
-            len(t.domain.atoms) <= 1 or product_generators_complete(t.domain)
-        )
-        witness = None
-        if res.value < -cfg.tol:
-            witness = _generator_factors(t.domain.atoms, res.factors)
-        for probe in probe_states(t.domain):
-            val = float(deficit @ probe.coeffs)
-            if val < margin:
-                margin = val
-                if val < -cfg.tol:
-                    witness = probe
-    if margin >= -cfg.tol:
-        status = ACCEPTED if conclusive else INCONCLUSIVE_ACCEPT
-        return MembershipVerdict(status, margin=float(margin))
-    return MembershipVerdict(
-        REJECTED, margin=float(margin), witness=witness,
-        detail=f"trace increases by {-margin:.6g} on a state",
-    )
+    deficit = GptVector(t.domain, u_dom - t.matrix.T @ u_cod)
+    margin, conclusive, state = _state_min(deficit, cfg)
+    return _verdict(margin, conclusive, cfg.tol, lambda: (
+        state(), f"trace increases by {-margin:.6g} on a state"))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ class MembershipVerdict:
 
     ``margin`` is the worst (most negative) slack encountered; acceptance
     means ``margin >= -tol`` for the test's tolerance.  On rejection,
-    ``witness`` carries the violating object (an effect ray, a product
-    effect, an input state, ...) so the failure can be reproduced.
+    ``witness`` carries the violating object so the failure can be
+    reproduced: the effect for a state test, the state for an effect or
+    trace test, an input state and an output effect for positivity.
     ``inconclusive-accept`` means a heuristic search found no violation
     but the search is not exhaustive for the system at hand.
     """

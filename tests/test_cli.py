@@ -91,6 +91,32 @@ def test_check_state_single_atom_rejection(capsys, tmp_path):
     assert json.loads(out)["violating_effect"]["system"] == ["Q2"]
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite number {name} in JSON output")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_check_state_classical_rejection_has_witness(capsys, tmp_path):
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps({"system": ["C2"], "coeffs": [-0.5, 1.0]}))
+    code, out, _ = run(capsys, "check-state", str(path), "--json")
+    assert code == 1
+    payload = _strict_json(out)
+    assert payload["margin"] == -0.5
+    assert payload["violating_effect"] == {"system": ["C2"], "coeffs": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize("entry, code, margin", [(-1.0, 1, -1.0), (1.0, 0, 1.0)])
+def test_check_map_scalar_positivity(capsys, tmp_path, entry, code, margin):
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps({"domain": [], "codomain": [], "matrix": [[entry]]}))
+    got, out, _ = run(capsys, "check-map", str(path), "--test", "positivity", "--json")
+    assert got == code
+    assert "Infinity" not in out
+    assert _strict_json(out)["margin"] == margin
+
+
 def test_check_effect(capsys, tmp_path):
     e = builtin_state("s-pr")  # a state vector; 1.5x the unit is an invalid effect
     import witworld
@@ -309,10 +335,13 @@ def test_json_determinism_across_verbs(capsys, tmp_path):
         ["lhs", str(three_party), "--json"],
         ["assemblage", "gleason", "--witness", "builtin:singlet", "--verify-ns",
          "--verify-lhs", "--json"],
+        ["check-effect", "builtin:swap2", "--json"],
+        ["check-map", "builtin:ctranspose2", "--test", "trace-nonincreasing", "--json"],
     ):
         a = run(capsys, *argv)
         b = run(capsys, *argv)
         assert a == b
+        _strict_json(a[1])
 
 
 def test_cached_parser_keeps_no_state_between_calls(tmp_path, monkeypatch):

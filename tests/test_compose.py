@@ -38,7 +38,6 @@ from witworld import (
     vector_to_hermitian_tensor,
 )
 from witworld.compose import (
-    ProductEffectRay,
     _bloch_scan,
     _effect_side_specs,
     _min_qubit_pair,
@@ -126,7 +125,7 @@ def test_negative_product_matrix_rejected():
     assert res.rejected
     assert res.margin < -0.9
     # the reported product effect reproduces the violation
-    ray = res.witness.as_vector()
+    ray = res.witness
     assert pair(ray, v) == pytest.approx(res.margin, abs=1e-9)
 
 
@@ -153,7 +152,7 @@ def test_entangled_nonwitness_rejected():
     m = np.outer(amp, amp) - 0.3 * np.eye(4)
     res = composite_state_check(hermitian_tensor_to_vector(m, (2, 2)))
     assert res.rejected
-    ray = res.witness.as_vector()
+    ray = res.witness
     val = pair(ray, hermitian_tensor_to_vector(m, (2, 2)))
     assert val < -1e-7
 
@@ -420,9 +419,24 @@ def test_separable_mixture_inconclusive_without_certificate_then_certified():
         0.5 * tensor(rays[0], rays[0]).coeffs + 0.5 * tensor(rays[3], rays[3]).coeffs,
     )
     heuristic = composite_effect_check(e)
-    assert heuristic.status == "inconclusive-accept"
+    assert heuristic.status == "accepted"
     certified = composite_effect_check(e, certified_separable=terms)
     assert certified.accepted
+
+
+def test_classical_quantum_nonproduct_effect_accepted():
+    # e = |0><0| x A + |1><1| x B on C2*Q3 with non-commuting A, B: not a
+    # product, valid because every C2*Q3 state is a mixture of products
+    # and 0 <= A, B <= I
+    rng = np.random.default_rng(12)
+    a, b = (hermitian_to_vector(0.9 * random_density(rng, 3)) for _ in range(2))
+    c2 = effect_cone_rays(Classical(2))
+    e = GptVector(system(Classical(2), Quantum(3)),
+                  np.kron(c2[0].coeffs, a.coeffs) + np.kron(c2[1].coeffs, b.coeffs))
+    res = composite_effect_check(e)
+    assert res.status == "accepted"
+    assert res.margin >= 0.0
+    assert composite_effect_check(GptVector(e.system, -e.coeffs)).rejected
 
 
 def test_bad_certificate_falls_back():
@@ -594,12 +608,12 @@ def test_rejected_verdict_with_product_ray_witness_pickles():
     rays = effect_cone_rays(B22)
     e = GptVector(system(B22, B22), 1.5 * tensor(rays[0], rays[0]).coeffs)
     res = composite_effect_check(e)
-    assert res.rejected and isinstance(res.witness, ProductEffectRay)
+    assert res.rejected and isinstance(res.witness, GptVector)
     assert not hasattr(res, "__dict__")
     back = pickle.loads(pickle.dumps(res))
     assert (back.status, back.margin, back.detail) == (res.status, res.margin, res.detail)
-    assert back.witness.as_vector().system == res.witness.as_vector().system
-    assert np.array_equal(back.witness.as_vector().coeffs, res.witness.as_vector().coeffs)
+    assert back.witness.system == res.witness.system
+    assert np.array_equal(back.witness.coeffs, res.witness.coeffs)
 
 
 def test_two_qubit_probes_are_valid_states():

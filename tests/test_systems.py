@@ -152,6 +152,25 @@ def test_atomic_state_check_rejections_report_condition():
     assert res.rejected and "outcome weight" in res.detail
 
 
+@pytest.mark.parametrize("atom, coeffs, kind, ray", [
+    (Classical(2), [-0.5, 1.0], "outcome weight", 0),
+    (Classical(3), [0.8, 0.8, 1.0], "exceed", 2),
+    (Classical(2), [-0.1, -1.0], "normalization", None),
+    (Boxworld(2, 2), [0.5, -0.25, 1.0], "outcome weight", 2),
+    (Boxworld(2, 3), [0.5, 0.25, 0.75, 0.5, 1.0], "exceed", 5),
+    (Boxworld(2, 2), [-0.1, -0.2, -1.0], "normalization", None),
+])
+def test_atomic_state_rejection_carries_the_attaining_effect(atom, coeffs, kind, ray):
+    # the outcome effect for a negative weight, the block's last-outcome
+    # effect for an excess, the unit effect for a negative normalization
+    v = GptVector(system(atom), coeffs)
+    res = atomic_state_check(v)
+    assert res.rejected and kind in res.detail
+    expected = unit_effect(v.system) if ray is None else effect_cone_rays(atom)[ray]
+    assert np.array_equal(res.witness.coeffs, expected.coeffs)
+    assert abs(pair(res.witness, v) - res.margin) <= 1e-12
+
+
 def test_atomic_effect_check_examples():
     b22 = system(Boxworld(2, 2))
     assert atomic_effect_check(GptVector(b22, [1, 0, 0])).accepted

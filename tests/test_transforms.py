@@ -179,6 +179,16 @@ def test_shifted_map_is_not_positive():
     )
 
 
+def test_scalar_map_positivity():
+    neg = LinearMap(system(), system(), [[-1.0]])
+    res = positivity_check(neg)
+    assert res.rejected and res.margin == -1.0
+    w = res.witness
+    assert pair(w.output_effect, apply(neg, w.input_state)) == -1.0
+    res = positivity_check(LinearMap(system(), system(), [[1.0]]))
+    assert res.accepted and res.margin == 1.0
+
+
 def test_box_map_positivity_both_ways():
     rng = np.random.default_rng(9)
     for _ in range(10):
