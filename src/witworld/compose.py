@@ -14,9 +14,9 @@ grid scan over one Bloch sphere (the other sphere has a closed-form
 minimum) followed by one stacked alternating closed-form descent from 7
 starts; this path is exact for the systems of interest.  Searches over
 more or higher-dimensional quantum factors use seeded random restarts,
-run as one stacked descent that takes a qubit factor's ground state in
-closed form and a larger factor's from a batched ``eigh``, and report
-only inconclusive acceptance.
+run as one stacked descent that takes a qubit or qutrit factor's ground
+state in closed form and a larger factor's from a batched ``eigh``, and
+report only inconclusive acceptance.
 
 Effect validity is the dual question: ``e`` and ``u - e`` must be
 separable.  On Q2*Q2, Q2*Q3 and Q3*Q2 separable equals PPT, so there it
@@ -308,6 +308,104 @@ def _projector_coeffs(psi: np.ndarray) -> np.ndarray:
     return proj.view(float).reshape(len(psi), 2 * d * d) @ _real_basis(d).T
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
+
+
+def _unit(v: tuple) -> tuple:
+    """The complex vectors with components ``v`` (one array each), normalized."""
+    s = 1.0 / np.sqrt(sum(_abs2(c) for c in v))
+    return tuple(c * s for c in v)
+
+
+def _lower_pair_ground(b: np.ndarray, w: tuple, mu: np.ndarray, p: np.ndarray,
+                       prev: np.ndarray) -> tuple:
+    """Ground vectors of qutrit operators whose top eigenvalue is the isolated one.
+
+    Column r of ``b`` holds the row-major entries of a traceless Hermitian
+    3x3 operator, ``w`` the components of its unit top eigenvectors and
+    ``mu[r]`` that eigenvalue.  The ground vector lies in the plane
+    orthogonal to w, spanned by u1 = w* x e_k (k = 0 unless |w_0|^2 > 1/2,
+    then k = 1) and u2 = w* x u1*.  On that plane the operator is the qubit
+    H = [u_i^dagger b u_j], whose traceless part [[alpha, beta], [beta*,
+    -alpha]] has alpha = H11 + mu / 2 (as tr b = 0) and the ground vector
+    (beta, -alpha - r) or (alpha - r, beta*), r = |(alpha, beta)|.  Where
+    r <= 1e-15 sqrt(3) p, that is |h_vec| <= 1e-15 |t_vec| for the qubit's
+    and the qutrit's coefficients, the plane counts as a degenerate ground
+    space.  The bound is relative, so that a small operator keeps a real
+    splitting.  There, as the qubit closed form keeps its previous
+    direction, the ground vector is the previous projector's state
+    projected onto the plane, or u1 if that is 0.  Returns the components
+    of the ground vectors.
+    """
+    d0, d1, d2, x, y, z = b[0].real, b[4].real, b[8].real, b[1], b[2], b[5]
+    a0, a1, a2 = (c.conj() for c in w)
+    first = _abs2(w[0]) <= 0.5
+    u1 = _unit((np.where(first, 0.0, -a2), np.where(first, a2, 0.0),
+                np.where(first, -a1, a0)))
+    c0, c1, c2 = (c.conj() for c in u1)
+    u2 = (a1 * c2 - a2 * c1, a2 * c0 - a0 * c2, a0 * c1 - a1 * c0)
+    bu0 = d0 * u1[0] + x * u1[1] + y * u1[2]
+    bu1 = x.conj() * u1[0] + d1 * u1[1] + z * u1[2]
+    bu2 = y.conj() * u1[0] + z.conj() * u1[1] + d2 * u1[2]
+    alpha = (c0 * bu0 + c1 * bu1 + c2 * bu2).real + mu / 2
+    beta = bu0.conj() * u2[0] + bu1.conj() * u2[1] + bu2.conj() * u2[2]
+    r = np.sqrt(alpha * alpha + _abs2(beta))
+    up = alpha >= 0
+    g0, g1 = np.where(up, beta, alpha - r), np.where(up, -alpha - r, beta.conj())
+    keep = r <= 1e-15 * np.sqrt(3.0) * p
+    if keep.any():
+        # of the projector prev = psi psi^dagger, the column with the
+        # largest diagonal entry is a nonzero multiple of psi
+        mats = (prev[keep] @ _real_basis(3)).view(complex).reshape(-1, 3, 3)
+        j = np.argmax(np.diagonal(mats, axis1=1, axis2=2).real, axis=1)
+        psi = mats[np.arange(len(j)), :, j].T
+        h0 = c0[keep] * psi[0] + c1[keep] * psi[1] + c2[keep] * psi[2]
+        h1 = (u2[0][keep].conj() * psi[0] + u2[1][keep].conj() * psi[1]
+              + u2[2][keep].conj() * psi[2])
+        h0[_abs2(h0) + _abs2(h1) == 0] = 1.0
+        g0[keep], g1[keep] = h0, h1
+    g0, g1 = _unit((g0, g1))
+    return tuple(g0 * f + g1 * h for f, h in zip(u1, u2))
+
+
+def _qutrit_ground_vectors(t: np.ndarray, prev: np.ndarray) -> tuple:
+    """Ground vectors of qutrit operators with coefficient rows ``t``.
+
+    The traceless part b = A - tr(A) / 3 has coefficients t_vec, so its
+    eigenvalues are 2 p cos(phi + 2 pi k / 3) with p = |t_vec| / sqrt(6) and
+    cos(3 phi) = det(b) / (2 p^3) (Smith 1961).  Where det(b) < 0 the
+    bottom one (k = 1) is the isolated one, and its eigenvector is the
+    largest column of the adjugate of b - mu, which is c v v^dagger for the
+    null vector v (Kopp 2008).  Where det(b) >= 0 the top (k = 0) is, and
+    :func:`_lower_pair_ground` solves the rest on its complement.  Every
+    row needs |t_vec| > 0.  Returns the components of the unit vectors.
+    """
+    b = np.ascontiguousarray((t[:, 1:] @ _real_basis(3)[1:]).view(complex).T)
+    d0, d1, d2, x, y, z = b[0].real, b[4].real, b[8].real, b[1], b[2], b[5]
+    xx, yy, zz = _abs2(x), _abs2(y), _abs2(z)
+    p = np.sqrt(np.einsum("ij,ij->i", t[:, 1:], t[:, 1:]) / 6.0)
+    det = d0 * d1 * d2 - d0 * zz - d1 * yy - d2 * xx + 2.0 * (x * z * y.conj()).real
+    q = np.clip(det / (2.0 * p ** 3), -1.0, 1.0)
+    top = q >= 0
+    mu = 2.0 * p * np.cos(np.arccos(q) / 3.0 + np.where(top, 0.0, 2.0 * np.pi / 3.0))
+    e0, e1, e2 = d0 - mu, d1 - mu, d2 - mu
+    a00, a11, a22 = e1 * e2 - zz, e0 * e2 - yy, e0 * e1 - xx
+    a01, a02, a12 = y * z.conj() - x * e2, x * z - y * e1, x.conj() * y - e0 * z
+    n00, n11, n22 = np.abs(a00), np.abs(a11), np.abs(a22)
+    col0 = (n00 >= n11) & (n00 >= n22)
+    col1 = ~col0 & (n11 >= n22)
+    v = _unit((np.where(col0, a00, np.where(col1, a01, a02)),
+               np.where(col0, a01.conj(), np.where(col1, a11, a12)),
+               np.where(col0, a02.conj(), np.where(col1, a12.conj(), a22))))
+    if top.any():
+        low = _lower_pair_ground(b[:, top], tuple(c[top] for c in v), mu[top], p[top],
+                                 prev[top])
+        for c, g in zip(v, low):
+            c[top] = g
+    return v
+
+
 def _ground_states(t: np.ndarray, prev: np.ndarray):
     """Lowest eigenvalue and ground-state projector of a stack of operators.
 
@@ -316,8 +414,12 @@ def _ground_states(t: np.ndarray, prev: np.ndarray):
     closed form: value (t0 - |t_vec|) / sqrt(2) and projector
     (1, -t_vec / |t_vec|) / sqrt(2), keeping the direction of ``prev``
     where |t_vec| <= 1e-15 (the value is then t0 / sqrt(2) up to that
-    size).  Larger factors take a batched ``eigh`` and ignore ``prev``.
-    Returns the values and the projector coefficients, one row each.
+    size).  A qutrit has one too (:func:`_qutrit_ground_vectors`); it keeps
+    ``prev`` where |t_vec| <= 1e-15, and within a degenerate ground space
+    keeps what it can of it.  Either value is the operator's expectation in
+    the returned projector.  Larger factors take a batched ``eigh`` and
+    ignore ``prev``.  Returns the values and the projector coefficients, one
+    row each.
     """
     if t.shape[1] == 4:
         dirs = _steer_directions(t[:, 1:], prev[:, 1:] * _SQRT2)
@@ -326,6 +428,13 @@ def _ground_states(t: np.ndarray, prev: np.ndarray):
         proj[:, 0] = 1.0
         proj[:, 1:] = dirs
         return vals, proj / _SQRT2
+    if t.shape[1] == 9:
+        live = np.einsum("ij,ij->i", t[:, 1:], t[:, 1:]) > 1e-30
+        proj = prev.copy()
+        if live.any():
+            psi = np.stack(_qutrit_ground_vectors(t[live], prev[live]), axis=1)
+            proj[live] = _projector_coeffs(psi)
+        return np.einsum("ij,ij->i", t, proj), proj
     d = math.isqrt(t.shape[1])
     mats = (t @ _real_basis(d)).view(complex).reshape(len(t), d, d)
     vals, vecs = np.linalg.eigh(mats)
@@ -352,8 +461,8 @@ def _min_quantum_general(red: np.ndarray, qdims: Sequence[int], cfg: SearchConfi
     Every restart starts from Haar-random pure states and sweeps the
     factors in order, replacing each by the ground state of the operator
     left after contracting ``red`` with the other factors: closed form for
-    a qubit, ``eigh`` for a larger factor (:func:`_ground_states`).  A
-    restart stops once the last factor's eigenvalue moves by less than
+    a qubit or qutrit, ``eigh`` for a larger factor (:func:`_ground_states`).
+    A restart stops once the last factor's eigenvalue moves by less than
     1e-13 over a sweep, or after 200 sweeps.  All restarts run as one
     stack, and the contraction for each factor goes one other factor at a
     time.  The winner is the first restart with the smallest final value.
@@ -716,7 +825,7 @@ def composite_effect_check(
             return MembershipVerdict(ACCEPTED, margin=0.0, detail=detail)
         detail = f"certificate rejected ({detail}); "
     dims = ppt_dims(e.system)
-    if dims is None and e.atoms:
+    if dims is None and not product_generators_complete(e.system):
         if not e.coeffs.any():
             return MembershipVerdict(ACCEPTED, margin=0.0, detail="zero effect")
         factors = _rank_one_effect_factors(e)

@@ -38,7 +38,6 @@ from .systems import (
     Quantum,
     SystemType,
     atomic_effect_check,
-    atomic_state_check,
     classical_point,
     hermitian_basis,
     hermitian_to_vector,
@@ -182,7 +181,7 @@ def preparation_map(states: Sequence[GptVector], tol: float = DEFAULT_TOL) -> Li
     for s in states:
         if s.system != cod:
             raise ValueError("all prepared states must share one system")
-        check = atomic_state_check(s, tol) if len(cod) == 1 else composite_state_check(s)
+        check = composite_state_check(s, SearchConfig(tol=tol))
         if not check.passed:
             raise ValueError(f"invalid prepared state: {check.describe()}")
         if abs(pair(unit_effect(cod), s) - 1.0) > tol:

@@ -47,6 +47,7 @@ from witworld.compose import (
     ppt_dims,
     scalar_one,
 )
+from witworld.transforms import map_from_matrix_action
 
 from conftest import (
     local_deterministic_box,
@@ -394,6 +395,38 @@ def test_product_effect_auto_certified():
     rays = effect_cone_rays(B22)
     res = composite_effect_check(tensor(rays[0], rays[0]))
     assert res.accepted
+
+
+def _generator_margin(e):
+    vals = [pair(e, s) for s in cone_generators(e.system)]
+    return min(min(vals), 1.0 - max(vals))
+
+
+def test_product_effects_get_their_true_margin_where_the_test_is_exact():
+    # on B2,2*B2,2 the vertex products and PR boxes generate the cone
+    rays = effect_cone_rays(B22)
+    u = unit_effect(system(B22)).coeffs
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        f, g = (GptVector(system(B22), a * u + b * rays[int(rng.integers(4))].coeffs)
+                for a, b in rng.dirichlet([1.0, 1.0, 1.0], size=2)[:, :2])
+        e = tensor(f, g)
+        res = composite_effect_check(e)
+        assert res.accepted
+        assert res.margin == pytest.approx(_generator_margin(e), abs=1e-12)
+        assert res.margin > 0.0
+    # on C2*Q3 every state is a mixture of products
+    c2q3 = system(Classical(2), Quantum(3))
+    res = composite_effect_check(GptVector(c2q3, 0.25 * unit_effect(c2q3).coeffs))
+    assert res.accepted
+    assert res.margin == pytest.approx(0.25, abs=1e-12)
+    f = GptVector(system(Classical(2)), np.array([0.3, 0.5]))  # 0.8 on point 0, 0.5 on 1
+    g = hermitian_to_vector(np.diag([0.9, 0.5, 0.6]).astype(complex))
+    res = composite_effect_check(tensor(f, g))
+    assert res.accepted
+    assert res.margin == pytest.approx(0.25, abs=1e-12)
+    res = composite_effect_check(GptVector(c2q3, np.zeros(c2q3.dim)))
+    assert res.accepted and res.margin == 0.0
 
 
 def test_unit_effect_accepted():
@@ -803,6 +836,38 @@ def test_stacked_descent_matches_per_restart_loop(qdims, restarts):
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
+@pytest.mark.parametrize("d_in, d_out", [(3, 2), (3, 3)])
+@pytest.mark.parametrize("restarts", [1, 7, 40])
+def test_stacked_descent_matches_on_degenerate_ground_spaces(d_in, d_out, restarts):
+    # rho -> K rho^T K^dagger with K a block of a Haar unitary, the
+    # positivity-check tensor: with one factor fixed, the other factor's
+    # operator has rank one, so a qutrit factor's ground space is a plane;
+    # "shift" subtracts shift * tr(rho) * I, which keeps it a plane
+    from witworld.compose import _min_quantum_general
+
+    gen = np.random.default_rng(100 * d_out + restarts)
+    cfg = SearchConfig(restarts=restarts)
+    for shift in (0.0, 0.3, 0.0):
+        u = np.linalg.qr(gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3)))[0]
+        k = u[:d_out, :d_in]
+        t = map_from_matrix_action(
+            lambda m: k @ m.T @ k.conj().T - shift * np.trace(m) * np.eye(d_out), d_in, d_out)
+        red = t.matrix
+        seed = int(gen.integers(2**31))
+        rng_ref, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref_val, _ = _reference_min_quantum_general(red, [d_out, d_in], cfg, rng_ref)
+        val, factors = _min_quantum_general(red, [d_out, d_in], cfg, rng_new)
+        assert val == pytest.approx(ref_val, abs=1e-12)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        # eigh's pick inside a degenerate ground space is arbitrary, so the
+        # winning factors are checked by what they give, not against it
+        assert factors[0] @ red @ factors[1] == pytest.approx(val, abs=1e-12)
+        for f, d in zip(factors, (d_out, d_in)):
+            p = np.einsum("k,kij->ij", f, hermitian_basis(d))
+            assert np.trace(p).real == pytest.approx(1.0, abs=1e-14)
+            assert np.allclose(p @ p, p, rtol=0, atol=1e-14)
+
+
 def _eigh_ground_states(t):
     vals, vecs = np.linalg.eigh(np.einsum("rk,kij->rij", t, hermitian_basis(2)))
     return vals[:, 0], np.array([_reference_projector_coeffs(v) for v in vecs[:, :, 0]])
@@ -838,6 +903,95 @@ def test_qubit_ground_states_keep_previous_direction_on_a_multiple_of_identity()
     assert val == 1.0 / np.sqrt(2.0)
     plus_z = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     assert np.allclose(factors[0], plus_z, rtol=0, atol=1e-16)
+    # a qutrit keeps the whole previous row, and a lone qutrit keeps |0><0|
+    t = np.zeros((50, 9))
+    t[:, 0] = gen.normal(size=50)
+    prev = np.array([_reference_projector_coeffs(_haar_vector(gen, 3)) for _ in range(50)])
+    vals, proj = _ground_states(t, prev)
+    assert np.array_equal(proj, prev)
+    assert np.allclose(vals, t[:, 0] / np.sqrt(3.0), rtol=1e-15, atol=0)
+    val, factors = _min_over_quantum(np.eye(1, 9).ravel(), [3], SearchConfig(), gen)
+    assert val == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-15)
+    zero = _reference_projector_coeffs(np.eye(3)[0])
+    assert np.allclose(factors[0], zero, rtol=0, atol=1e-16)
+
+
+def test_qutrit_ground_states_keep_previous_state_in_a_degenerate_ground_space():
+    from witworld.compose import _ground_states
+
+    # diag(0, 0, 1): the ground space is span(|0>, |1>); the previous state
+    # (|0> + |1> + |2>) / sqrt(3) projects onto (|0> + |1>) / sqrt(2) there
+    t = _operator_coeffs(np.diag([0.0, 0.0, 1.0]))[None]
+    prev = _reference_projector_coeffs(np.ones(3) / np.sqrt(3.0))[None]
+    vals, proj = _ground_states(t, prev)
+    assert vals[0] == pytest.approx(0.0, abs=1e-16)
+    kept = _reference_projector_coeffs(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
+    assert np.allclose(proj[0], kept, rtol=0, atol=1e-15)
+    # diag(1, 0, 0) from |0><0|: nothing of the previous state is left in
+    # the ground space span(|1>, |2>), which still gives a ground state
+    t = _operator_coeffs(np.diag([1.0, 0.0, 0.0]))[None]
+    prev = _reference_projector_coeffs(np.eye(3)[0])[None]
+    vals, proj = _ground_states(t, prev)
+    assert vals[0] == pytest.approx(0.0, abs=1e-16)
+    p = np.einsum("k,kij->ij", proj[0], hermitian_basis(3))
+    assert np.allclose(p @ p, p, rtol=0, atol=1e-15) and abs(p[0, 0]) <= 1e-16
+
+
+def _haar_vector(gen, d):
+    psi = gen.normal(size=d) + 1j * gen.normal(size=d)
+    return psi / np.linalg.norm(psi)
+
+
+def _operator_coeffs(m):
+    return np.real(np.einsum("kij,...ji->...k", hermitian_basis(m.shape[-1]), m))
+
+
+def _qutrit_operators(gen, kind, n):
+    """n Hermitian 3x3 operators of one kind, with unit-size spectra."""
+    u = np.linalg.qr(gen.normal(size=(n, 3, 3)) + 1j * gen.normal(size=(n, 3, 3)))[0]
+    if kind == "random":
+        a = gen.normal(size=(n, 3, 3)) + 1j * gen.normal(size=(n, 3, 3))
+        return (a + a.conj().transpose(0, 2, 1)) / 2
+    if kind == "rank-1":
+        return np.einsum("ri,rj->rij", u[:, :, 0], u[:, :, 0].conj())
+    if kind == "identity":
+        return np.tile(np.eye(3, dtype=complex), (n, 1, 1))
+    if kind == "diagonal":
+        # ground space a coordinate plane, top eigenvector a basis vector
+        return np.array([np.diag(gen.permutation([-0.5, -0.5, 1.0])) for _ in range(n)],
+                        dtype=complex)
+    eigs = {"degenerate-top": [-1.0, 0.5, 0.5], "degenerate-bottom": [-0.5, -0.5, 1.0]}.get(kind)
+    if eigs is None:
+        gap = float(kind.split()[-1])
+        eigs = [0.2, 0.2 + gap, 1.0] if kind.startswith("bottom") else [-1.0, 0.2, 0.2 + gap]
+    return np.einsum("rij,j,rkj->rik", u, eigs, u.conj())
+
+
+_QUTRIT_KINDS = (["random", "rank-1", "identity", "diagonal", "degenerate-top",
+                  "degenerate-bottom"]
+                 + [f"{side} gap {g}" for side in ("bottom", "top")
+                    for g in (1e-14, 1e-12, 1e-8, 1e-4, 1e-2)])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 500])
+@pytest.mark.parametrize("scale", [1e-10, 1e-3, 1.0, 1e4, 1e10])
+def test_qutrit_ground_states_match_eigh(rows, scale):
+    from witworld.compose import _ground_states
+
+    gen = np.random.default_rng(rows)
+    prev = np.tile(_reference_projector_coeffs(np.eye(3)[0]), (rows, 1))
+    for kind in _QUTRIT_KINDS:
+        mats = scale * _qutrit_operators(gen, kind, rows)
+        t = _operator_coeffs(mats)
+        ref = np.linalg.eigvalsh(mats)
+        size = np.abs(ref).max(axis=1)
+        vals, proj = _ground_states(t, prev)
+        assert np.all(np.abs(vals - ref[:, 0]) <= 1e-14 * size), kind
+        rayleigh = np.einsum("rk,rk->r", t, proj)
+        assert np.all(np.abs(rayleigh - ref[:, 0]) <= 1e-14 * size), kind
+        p = np.einsum("rk,kij->rij", proj, hermitian_basis(3))
+        assert np.allclose(np.trace(p, axis1=1, axis2=2), 1.0, rtol=0, atol=1e-14), kind
+        assert np.allclose(p @ p, p, rtol=0, atol=1e-14), kind
 
 
 @pytest.mark.parametrize("restarts", [1, 7, 40])

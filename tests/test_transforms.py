@@ -408,6 +408,16 @@ def test_preparation_map_examples():
         preparation_map([_vec(np.diag([2.0, 0.0]))])
 
 
+def test_preparation_map_applies_tol_to_composite_states():
+    # <11| s |11> = -1e-6 is the lowest value of s on product effects
+    s = hermitian_tensor_to_vector(np.diag([0.5, 0.25, 0.25 + 1e-6, -1e-6]), (2, 2))
+    assert composite_state_check(s).margin == pytest.approx(-1e-6, abs=1e-12)
+    prep = preparation_map([s, s], tol=1e-3)
+    assert np.allclose(apply(prep, classical_point(2, 0)).coeffs, s.coeffs, atol=1e-15)
+    with pytest.raises(ValueError, match="invalid prepared state"):
+        preparation_map([s, s])
+
+
 def test_copy_map_examples():
     cp = copy_map(2)
     for i in range(2):
