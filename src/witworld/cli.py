@@ -168,7 +168,11 @@ def _cmd_rsp(args) -> int:
             "bits_sent": run.bits_sent,
         }
 
-    if args.grid_states:
+    if args.grid_states is not None and args.grid_states < 1:
+        raise _UsageError(f"--grid must be >= 1, got {args.grid_states}")
+    if not (np.isfinite(args.theta) and np.isfinite(args.phi)):
+        raise _UsageError(f"--theta and --phi must be finite, got {args.theta}, {args.phi}")
+    if args.grid_states is not None:
         n = args.grid_states
         golden = np.pi * (3.0 - np.sqrt(5.0))
         runs = [

@@ -9,14 +9,14 @@ projectors for quantum atoms.  The same minimization engine also serves
 positivity and trace checks in :mod:`witworld.transforms`, which minimize
 over products of *state*-side generators instead.
 
-For a pair of qubit factors the projector optimization is handled by a
-grid scan over one Bloch sphere (the other sphere has a closed-form
-minimum) followed by one stacked alternating closed-form descent from 7
-starts; this path is exact for the systems of interest.  Searches over
-more or higher-dimensional quantum factors use seeded random restarts,
-run as one stacked descent that takes a qubit or qutrit factor's ground
-state in closed form and a larger factor's from a batched ``eigh``, and
-report only inconclusive acceptance.
+Two or more quantum factors go through one stacked alternating descent,
+which takes a qubit or qutrit factor's ground state in closed form and a
+larger factor's from a batched ``eigh``.  For a pair of qubit factors its
+7 starts come from a grid scan over one Bloch sphere (the other sphere
+has a closed-form minimum) and the six axes; this path is exact for the
+systems of interest.  Searches over more or higher-dimensional quantum
+factors start it from seeded random restarts and report only
+inconclusive acceptance.
 
 Effect validity is the dual question: ``e`` and ``u - e`` must be
 separable.  On Q2*Q2, Q2*Q3 and Q3*Q2 separable equals PPT, so there it
@@ -239,54 +239,6 @@ def _bloch_scan(C: np.ndarray, grid: np.ndarray) -> tuple[float, int]:
     return float(vals[g]) / 2.0, g
 
 
-def _steer_directions(qv: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    """Rows -qv / |qv|, keeping the row of ``prev`` where |qv| <= 1e-15."""
-    norms = np.sqrt(np.einsum("ij,ij->i", qv, qv))
-    ok = norms > 1e-15
-    return np.where(ok[:, None], qv / np.where(ok, -norms, 1.0)[:, None], prev)
-
-
-def _min_qubit_pair(C: np.ndarray, cfg: SearchConfig):
-    """Global minimum of p(n)^T C p(m) over two Bloch spheres.
-
-    A grid scan over n picks one start; the six axis directions are the
-    others.  From each start, alternating closed-form descent replaces m
-    and then n by the minimizer against the other, with m = +z at first.
-    A start stops once both factors move by less than 1e-6 in an
-    iteration, or after 300 iterations.  All seven starts run as one
-    stack; the winner is the first start with the smallest value.
-    """
-    grid = _sphere_grid(cfg.grid)
-    _, g = _bloch_scan(C, grid)
-    starts = [g, -6, -5, -4, -3, -2, -1]
-    nm = np.empty((len(starts), 2, 3))  # per start: directions n and m
-    nm[:, 0] = grid[1:, starts].T
-    nm[:, 1] = (0.0, 0.0, 1.0)
-    s = C / _SQRT2
-    # vector parts of q = C^T p(n) and h = C p(m), affine in n and m
-    q_off, q_lin = s[0, 1:], s[1:, 1:]
-    h_off, h_lin = s[1:, 0], s[1:, 1:].T.copy()
-    active = np.arange(len(starts))
-    for _ in range(300):
-        old = nm[active]
-        new = np.empty_like(old)
-        new[:, 1] = _steer_directions(old[:, 0].dot(q_lin) + q_off, old[:, 1])
-        new[:, 0] = _steer_directions(new[:, 1].dot(h_lin) + h_off, old[:, 0])
-        nm[active] = new
-        d = new - old
-        step = np.sqrt(np.einsum("kij,kij->ki", d, d).max(axis=1))
-        active = active[step >= 1e-6]
-        if not active.size:
-            break
-    p = np.empty((len(starts), 2, 4))
-    p[:, :, 0] = 1.0
-    p[:, :, 1:] = nm
-    p /= _SQRT2
-    vals = np.einsum("ij,jk,ik->i", p[:, 0], C, p[:, 1])
-    best = int(np.argmin(vals))
-    return float(vals[best]), [p[best, 0], p[best, 1]]
-
-
 @functools.lru_cache(maxsize=8)
 def _real_basis(d: int) -> np.ndarray:
     """``hermitian_basis(d)`` as a read-only real (d^2, 2 d^2) matrix.
@@ -422,12 +374,12 @@ def _ground_states(t: np.ndarray, prev: np.ndarray):
     row each.
     """
     if t.shape[1] == 4:
-        dirs = _steer_directions(t[:, 1:], prev[:, 1:] * _SQRT2)
-        vals = (t[:, 0] + np.einsum("ij,ij->i", dirs, t[:, 1:])) / _SQRT2
-        proj = np.empty_like(t)
+        tv = t[:, 1:]
+        norms = np.sqrt(np.einsum("ij,ij->i", tv, tv))
+        proj = prev * _SQRT2  # rows (1, direction), kept where |t_vec| <= 1e-15
         proj[:, 0] = 1.0
-        proj[:, 1:] = dirs
-        return vals, proj / _SQRT2
+        np.divide(tv, -norms[:, None], out=proj[:, 1:], where=(norms > 1e-15)[:, None])
+        return np.einsum("ij,ij->i", t, proj) / _SQRT2, proj / _SQRT2
     if t.shape[1] == 9:
         live = np.einsum("ij,ij->i", t[:, 1:], t[:, 1:]) > 1e-30
         proj = prev.copy()
@@ -454,39 +406,32 @@ def _contract(red: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
     return t
 
 
-def _min_quantum_general(red: np.ndarray, qdims: Sequence[int], cfg: SearchConfig,
-                         rng: np.random.Generator):
-    """Seeded random-restart descent over >2 or higher-dimensional factors.
+def _descent(red: np.ndarray, rows: list):
+    """Stacked alternating descent of ``red`` over products of projectors.
 
-    Every restart starts from Haar-random pure states and sweeps the
-    factors in order, replacing each by the ground state of the operator
-    left after contracting ``red`` with the other factors: closed form for
-    a qubit or qutrit, ``eigh`` for a larger factor (:func:`_ground_states`).
-    A restart stops once the last factor's eigenvalue moves by less than
-    1e-13 over a sweep, or after 200 sweeps.  All restarts run as one
-    stack, and the contraction for each factor goes one other factor at a
-    time.  The winner is the first restart with the smallest final value.
+    ``rows[i]`` holds one start projector per row for factor i, the axis i
+    of ``red``.  Every start sweeps the factors in order, replacing each by
+    the ground state of the operator left after contracting ``red`` with
+    the other factors: closed form for a qubit or qutrit, ``eigh`` for a
+    larger factor (:func:`_ground_states`).  A start stops once the last
+    factor's eigenvalue moves by less than 1e-13 over a sweep, or after 200
+    sweeps.  All starts run as one stack, and the contraction for each
+    factor goes one other factor at a time.  ``rows`` is updated in place.
+    Returns the smallest final value and the factors of the first start
+    attaining it.
     """
-    n = len(qdims)
+    n = len(rows)
     # red with axis i moved last, so contracting the others leaves factor i
     reds = [np.ascontiguousarray(np.moveaxis(red, i, -1)) for i in range(n)]
-    # row-major, this is the order of per-restart, per-factor (real, imaginary)
-    # draws, so the values and the generator state match a restart-by-restart loop
-    draws = rng.normal(size=(cfg.restarts, 2 * sum(qdims)))
-    rows, col = [], 0
-    for d in qdims:
-        psi = draws[:, col:col + d] + 1j * draws[:, col + d:col + 2 * d]
-        col += 2 * d
-        rows.append(_projector_coeffs(psi / np.linalg.norm(psi, axis=1, keepdims=True)))
-    last = np.full(cfg.restarts, np.inf)
-    active = np.arange(cfg.restarts)
-    cur = list(rows)  # the rows of the active restarts
+    active = np.arange(len(rows[0]))
+    cur = list(rows)  # the rows of the active starts
+    last = np.inf  # their last factor's previous values
     for _ in range(200):
         for i in range(n):
             t = _contract(reds[i], cur[:i] + cur[i + 1:])
             vals, cur[i] = _ground_states(t, cur[i])
-        moving = np.abs(last[active] - vals) >= 1e-13
-        last[active] = vals
+        moving = np.abs(last - vals) >= 1e-13
+        last = vals[moving]
         for row, c in zip(rows, cur):
             row[active] = c
         active = active[moving]
@@ -496,6 +441,39 @@ def _min_quantum_general(red: np.ndarray, qdims: Sequence[int], cfg: SearchConfi
     full = _contract(red, rows)[:, 0]
     best = int(np.argmin(full))
     return float(full[best]), [row[best].copy() for row in rows]
+
+
+def _min_qubit_pair(C: np.ndarray, cfg: SearchConfig):
+    """Global minimum of p(n)^T C p(m) over two Bloch spheres.
+
+    A grid scan over n picks one start; the six axis directions are the
+    others.  All seven run as starts of :func:`_descent` on ``C.T``, so its
+    first step replaces m, from m = +z, by the minimizer against n.
+    """
+    grid = _sphere_grid(cfg.grid)
+    _, g = _bloch_scan(C, grid)
+    n_rows = grid[:, [g, -6, -5, -4, -3, -2, -1]].T / _SQRT2
+    m_rows = np.tile(grid[:, -6] / _SQRT2, (len(n_rows), 1))
+    val, (pm, pn) = _descent(C.T, [m_rows, n_rows])
+    return val, [pn, pm]
+
+
+def _min_quantum_general(red: np.ndarray, qdims: Sequence[int], cfg: SearchConfig,
+                         rng: np.random.Generator):
+    """Seeded random-restart descent over >2 or higher-dimensional factors.
+
+    Every restart is one start of :func:`_descent` from Haar-random pure
+    states drawn from ``rng``.
+    """
+    # row-major, this is the order of per-restart, per-factor (real, imaginary)
+    # draws, so the values and the generator state match a restart-by-restart loop
+    draws = rng.normal(size=(cfg.restarts, 2 * sum(qdims)))
+    rows, col = [], 0
+    for d in qdims:
+        psi = draws[:, col:col + d] + 1j * draws[:, col + d:col + 2 * d]
+        col += 2 * d
+        rows.append(_projector_coeffs(psi / np.linalg.norm(psi, axis=1, keepdims=True)))
+    return _descent(red, rows)
 
 
 def _min_over_quantum(red: np.ndarray, qdims: Sequence[int], cfg: SearchConfig,

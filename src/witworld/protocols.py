@@ -193,6 +193,8 @@ def rsp_run(psi) -> RspRun:
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != 2:
         raise ValueError("expected a qubit state (two amplitudes)")
+    if not np.isfinite(psi).all():
+        raise ValueError("amplitudes must be finite")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("state is not normalized")
     q2 = system(Quantum(2))

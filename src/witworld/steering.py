@@ -220,10 +220,11 @@ def ns_check_bipartite(asm: Assemblage, tol: float = 1e-9) -> MembershipVerdict:
     if dev > tol:
         failures.append(f"outcome totals depend on the setting (dev {dev:.3g})")
     rho = GptVector(next(iter(asm.elements.values())).system, sums[0])
-    norm_err = abs(pair(unit_effect(rho.system), rho) - 1.0)
+    trace = pair(unit_effect(rho.system), rho)
+    norm_err = abs(trace - 1.0)
     margin = min(margin, -norm_err)
     if norm_err > tol:
-        failures.append(f"reduced state has trace {1.0 + norm_err:.6g}")
+        failures.append(f"reduced state has trace {trace:.6g}")
     if failures:
         return MembershipVerdict(REJECTED, margin=margin, detail="; ".join(failures))
     return MembershipVerdict(ACCEPTED, margin=margin)
@@ -260,10 +261,11 @@ def ns_check_multipartite(asm: Assemblage, tol: float = 1e-9) -> MembershipVerdi
     total = arr.sum(axis=tuple(range(n)))
     rho = total[(0,) * n]
     el_sys = next(iter(asm.elements.values())).system
-    norm_err = abs(pair(unit_effect(el_sys), GptVector(el_sys, rho)) - 1.0)
+    trace = pair(unit_effect(el_sys), GptVector(el_sys, rho))
+    norm_err = abs(trace - 1.0)
     margin = min(margin, -norm_err)
     if norm_err > tol:
-        failures.append(f"reduced state has trace {1.0 + norm_err:.6g}")
+        failures.append(f"reduced state has trace {trace:.6g}")
     if failures:
         return MembershipVerdict(REJECTED, margin=margin, detail="; ".join(failures))
     return MembershipVerdict(ACCEPTED, margin=margin)

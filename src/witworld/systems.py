@@ -155,10 +155,6 @@ class GptVector:
     def atoms(self) -> tuple:
         return self.system.atoms
 
-    def as_matrix(self) -> np.ndarray:
-        """Hermitian matrix of a vector over a single quantum atom."""
-        return vector_to_hermitian(self)
-
     def __repr__(self) -> str:
         return f"GptVector({self.system}, {np.array2string(self.coeffs, precision=6)})"
 
@@ -168,10 +164,6 @@ def pair(e: GptVector, s: GptVector) -> float:
     if e.system != s.system:
         raise ValueError(f"system mismatch: {e.system} vs {s.system}")
     return float(np.dot(e.coeffs, s.coeffs))
-
-
-def vectors_close(a: GptVector, b: GptVector, tol: float = 1e-12) -> bool:
-    return a.system == b.system and bool(np.max(np.abs(a.coeffs - b.coeffs)) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +463,3 @@ def boxworld_to_classical(v: GptVector) -> GptVector:
     if not isinstance(atom, Boxworld) or atom.n != 1:
         raise ValueError(f"expected a single-measurement box system, got {v.system}")
     return GptVector(system(Classical(atom.k)), v.coeffs)
-
-
-def classical_to_boxworld(v: GptVector) -> GptVector:
-    """Inverse identification: Classical(v) as Boxworld(1, v)."""
-    atom = _require_single_atom(v)
-    if not isinstance(atom, Classical) or atom.v < 2:
-        raise ValueError(f"expected a classical atom with >= 2 outcomes, got {v.system}")
-    return GptVector(system(Boxworld(1, atom.v)), v.coeffs)

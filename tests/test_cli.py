@@ -254,6 +254,11 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, "check-state", "builtin:swap2", *flags)
         assert code == 64, flags
         assert out == "" and "Traceback" not in err
+    for flags in (["--grid", "0"], ["--grid", "-3"], ["--theta", "nan"], ["--phi", "inf"],
+                  ["--theta", "-inf", "--grid", "4"]):
+        code, out, err = run(capsys, "rsp", *flags)
+        assert code == 64, flags
+        assert out == "" and "Traceback" not in err
 
 
 def test_malformed_seed_env_var_is_usage_error(capsys, monkeypatch):

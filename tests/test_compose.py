@@ -364,6 +364,32 @@ def test_stacked_qubit_pair_matches_per_start_loop():
         assert np.linalg.norm(pm[1:]) == pytest.approx(np.sqrt(0.5))
 
 
+def _haar_qubit(rng):
+    psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_qubit_pair_minimum_reaches_a_planted_product(seed):
+    # a decomposable witness pushed negative on one product vector a x b
+    rng = np.random.default_rng(500 + seed)
+    w = vector_to_hermitian_tensor(random_decomposable_witness(rng))
+    a, b = _haar_qubit(rng), _haar_qubit(rng)
+    ab = np.kron(a, b)
+    w = w - (np.real(ab.conj() @ w @ ab) + rng.uniform(0.02, 0.2)) * np.outer(ab, ab.conj())
+    witness = hermitian_tensor_to_vector(w, (2, 2))
+    C = witness.coeffs.reshape(4, 4)
+    planted = (hermitian_to_vector(np.outer(a, a.conj())).coeffs @ C
+               @ hermitian_to_vector(np.outer(b, b.conj())).coeffs)
+    val, (pn, pm) = _min_qubit_pair(C, SearchConfig())
+    assert val <= planted + 1e-12
+    assert pair(witness, tensor(GptVector(system(Q2), pn), GptVector(system(Q2), pm))) \
+        == pytest.approx(val, abs=1e-12)
+    for p in (pn, pm):
+        assert p[0] == pytest.approx(np.sqrt(0.5))
+        assert np.linalg.norm(p[1:]) == pytest.approx(np.sqrt(0.5))
+
+
 @pytest.mark.parametrize("atoms", [(B22, B22), (Q2, Q2), (Q2, Quantum(3))])
 def test_engine_rejects_non_finite_coefficients(atoms):
     # finite generators, the qubit-pair search and the random restarts

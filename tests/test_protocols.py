@@ -107,6 +107,10 @@ def test_rsp_input_validation():
         rsp_run([1.0, 1.0])
     with pytest.raises(ValueError):
         rsp_run([1.0, 0.0, 0.0])
+    # |nan| - 1 > 1e-9 is False, so the norm check alone lets NaN through
+    for psi in ([np.nan, 0.0], [1.0, np.inf], [1.0, complex(0.0, np.nan)]):
+        with pytest.raises(ValueError, match="finite"):
+            rsp_run(psi)
 
 
 def test_encoding_unitary_and_orthogonal_state():

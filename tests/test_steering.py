@@ -272,6 +272,23 @@ def test_ns_bipartite_rejects_signalling():
     assert "totals depend" in res.detail
 
 
+def test_ns_bipartite_reports_the_actual_trace():
+    els = {(a, x): _vec(np.eye(2) / 8) for a in range(2) for x in range(2)}
+    res = ns_check_bipartite(_bipartite(els))
+    assert res.rejected
+    assert "reduced state has trace 0.5" in res.detail
+    assert res.margin == pytest.approx(-0.5)
+
+
+def test_ns_multipartite_reports_the_actual_trace():
+    els = {((a, b), (x, y)): _vec(np.eye(2) / 16)
+           for a, b, x, y in itertools.product(range(2), repeat=4)}
+    res = ns_check_multipartite(Assemblage(MULTIPARTITE, (2, 2), (2, 2), els))
+    assert res.rejected
+    assert "reduced state has trace 0.5" in res.detail
+    assert res.margin == pytest.approx(-0.5)
+
+
 def test_ns_multipartite_accepts_pr_and_lhs():
     assert ns_check_multipartite(paper_assemblage("pr-box")).accepted
     rng = np.random.default_rng(7)
