@@ -16,7 +16,12 @@ larger factor's from a batched ``eigh``.  For a pair of qubit factors its
 has a closed-form minimum) and the six axes; this path is exact for the
 systems of interest.  Searches over more or higher-dimensional quantum
 factors start it from seeded random restarts and report only
-inconclusive acceptance.
+inconclusive acceptance.  Before that search, :func:`spectral_bound`
+gives a certified lower bound: a partial transpose maps product
+projectors to product projectors, so the lowest eigenvalue of any partial
+transpose of the operator bounds its minimum over them.  When that bound
+is at least -tol the state (or, in :mod:`witworld.transforms`, the map)
+is accepted with the bound as its margin and no search runs.
 
 Effect validity is the dual question: ``e`` and ``u - e`` must be
 separable.  On Q2*Q2, Q2*Q3 and Q3*Q2 separable equals PPT, so there it
@@ -491,6 +496,15 @@ def _min_over_quantum(red: np.ndarray, qdims: Sequence[int], cfg: SearchConfig,
     return _min_quantum_general(red, qdims, cfg, rng)
 
 
+def search_is_exact(qdims: Sequence[int]) -> bool:
+    """Is the engine's minimum over these quantum factors exact?
+
+    It is for at most one quantum factor (an eigenvalue) and for two qubit
+    factors (scan plus descent); otherwise it is a random-restart search.
+    """
+    return len(qdims) <= 1 or tuple(qdims) == (2, 2)
+
+
 def minimize_product_form(coeffs: np.ndarray, specs: Sequence, cfg: SearchConfig) -> ProductMin:
     """Minimize ``<g_1 x ... x g_N, w>`` over per-factor generator sets.
 
@@ -511,7 +525,7 @@ def minimize_product_form(coeffs: np.ndarray, specs: Sequence, cfg: SearchConfig
     tensor_w = coeffs.reshape(dims)
     finite_axes = [i for i, s in enumerate(specs) if isinstance(s, FiniteGenerators)]
     qdims = [s.d for s in specs if isinstance(s, QuantumGenerators)]
-    conclusive = len(qdims) <= 1 or qdims == [2, 2]
+    conclusive = search_is_exact(qdims)
     rng = np.random.default_rng(cfg.seed)
 
     best_val, best_factors = np.inf, None
@@ -549,9 +563,12 @@ def _state_side_specs(atoms: Sequence) -> list:
     ]
 
 
-def _product(atoms: Sequence, factors: Sequence[np.ndarray]) -> GptVector:
-    """The tensor product of per-atom coefficient arrays, as one vector."""
-    return tensor_all([GptVector(system(a), f) for a, f in zip(atoms, factors)])
+def _product(sys: SystemType, factors: Sequence[np.ndarray]) -> GptVector:
+    """The tensor product of per-atom coefficient arrays, as one vector on ``sys``."""
+    coeffs = np.array([1.0])
+    for f in factors:
+        coeffs = np.kron(coeffs, f)
+    return GptVector(sys, coeffs)
 
 
 def _verdict(value: float, conclusive: bool, tol: float,
@@ -579,16 +596,24 @@ def composite_state_check(v: GptVector, cfg: SearchConfig | None = None) -> Memb
     """Max-tensor cone membership: nonnegative against all product effects.
 
     Polytopic factors are checked exhaustively over their dual rays; a
-    qubit pair is scanned and refined; anything larger falls back to a
+    qubit pair is scanned and refined.  Other all-quantum composites are
+    first given a :func:`spectral_bound`, which accepts with that bound as
+    the margin when it is at least -tol; anything else falls back to a
     seeded random-restart search whose acceptance is inconclusive.  A
     rejection carries the product effect attaining the margin.
     """
     cfg = cfg or SearchConfig()
     if len(v.atoms) == 1:
         return atomic_state_check(v, cfg.tol)
+    if all(isinstance(a, Quantum) for a in v.atoms):
+        dims = tuple(a.d for a in v.atoms)
+        if not search_is_exact(dims):
+            bound = spectral_bound(vector_to_hermitian_tensor(v)[None], dims)
+            if bound >= -cfg.tol:
+                return certified_verdict(bound)
     res = minimize_product_form(v.coeffs, _effect_side_specs(v.atoms), cfg)
     return _verdict(res.value, res.conclusive, cfg.tol, lambda: (
-        _product(v.atoms, res.factors), f"product effect evaluates to {res.value:.6g}"))
+        _product(v.system, res.factors), f"product effect evaluates to {res.value:.6g}"))
 
 
 def steer(v: GptVector, e: GptVector, on: int | Sequence[int] | None = None) -> GptVector:
@@ -712,10 +737,49 @@ def ppt_dims(sys: SystemType) -> tuple | None:
     return None
 
 
-def _partial_transpose(m: np.ndarray, dims: tuple) -> np.ndarray:
-    """Transpose the second tensor factor; leading axes are a stack."""
-    d1, d2 = dims
-    return m.reshape(m.shape[:-2] + (d1, d2, d1, d2)).swapaxes(-3, -1).reshape(m.shape)
+def _partial_transpose(m: np.ndarray, dims: tuple, on: Sequence[int] = (-1,)) -> np.ndarray:
+    """Transpose the tensor factors ``on`` of ``dims`` (default: the last).
+
+    Leading axes of ``m`` are a stack.
+    """
+    n = len(dims)
+    t = m.reshape(m.shape[:-2] + tuple(dims) * 2)
+    for i in on:
+        i %= n
+        t = t.swapaxes(i - 2 * n, i - n)
+    return t.reshape(m.shape)
+
+
+def spectral_bound(mats: np.ndarray, dims: tuple) -> float:
+    """Certified lower bound of tr(M P) over products P of unit-trace rank-1 projectors.
+
+    ``mats`` is a stack of Hermitian matrices M on the tensor product of
+    factors of dimensions ``dims``.  A partial transpose turns a product of
+    projectors into another such product, so for every set S of factors
+    the lowest eigenvalue of M^{Γ_S} bounds tr(M P) from below; S and its
+    complement give transposed matrices, so only sets without factor 0 are
+    taken.  The bound is the best of these per M and the lowest of those
+    over the stack, from one stacked ``eigvalsh``.  It is at least -tol
+    whenever each M is PSD or PPT across some cut, and it is never above
+    the minimum any search over products can reach.
+    """
+    n = len(dims)
+    subsets = [s for k in range(n) for s in itertools.combinations(range(1, n), k)]
+    stack = np.concatenate([_partial_transpose(mats, dims, s) for s in subsets])
+    lows = np.linalg.eigvalsh(stack)[:, 0].reshape(len(subsets), len(mats))
+    return float(lows.max(axis=0).min())
+
+
+def certified_verdict(bound: float) -> MembershipVerdict:
+    """The acceptance that a :func:`spectral_bound` of at least -tol proves.
+
+    The margin is the bound; the detail is one shared string, so a kept
+    verdict holds no text of its own.
+    """
+    return MembershipVerdict(ACCEPTED, margin=bound, detail=_CERTIFIED)
+
+
+_CERTIFIED = "spectral certificate: partial-transpose eigenvalues >= -tol"
 
 
 def ppt_min(mats: np.ndarray, dims: tuple) -> tuple[float, Callable[[], GptVector]]:
@@ -761,10 +825,10 @@ def _state_min(f: GptVector, cfg: SearchConfig | None, complement: bool = False)
     cfg = cfg or SearchConfig()
     specs = _state_side_specs(f.atoms)
     lo = minimize_product_form(f.coeffs, specs, cfg)
-    found = [(lo.value, lambda: _product(f.atoms, lo.factors))]
+    found = [(lo.value, lambda: _product(f.system, lo.factors))]
     if complement:
         hi = minimize_product_form(-f.coeffs, specs, cfg)
-        found.append((1.0 + hi.value, lambda: _product(f.atoms, hi.factors)))
+        found.append((1.0 + hi.value, lambda: _product(f.system, hi.factors)))
     for probe in probe_states(f.system):
         val = pair(f, probe)
         found.append((val, lambda p=probe: p))

@@ -19,13 +19,19 @@ import numpy as np
 
 from .compose import (
     SearchConfig,
+    certified_verdict,
     composite_effect_check,
     composite_state_check,
     minimize_product_form,
+    ppt_dims,
     probe_states,
     product_generators_complete,
+    search_is_exact,
+    spectral_bound,
     tensor_all,
+    vector_to_hermitian_tensor,
     _effect_side_specs,
+    _partial_transpose,
     _product,
     _state_min,
     _state_side_specs,
@@ -249,6 +255,39 @@ class PositivityViolation:
     value: float
 
 
+def _positivity_bound(t: LinearMap) -> float | None:
+    """A :func:`spectral_bound` on the positivity margin of ``t``, or None.
+
+    With codomain effects r and domain states s, <r, t(s)> = tr(X (R ⊗ S))
+    for X = Σ M_ij B_i ⊗ B_j over the codomain atoms and the domain.  On a
+    single quantum domain atom the states are pure, so the margin is the
+    minimum of X over products of projectors.  On a domain where
+    :func:`ppt_dims` holds, t is positive exactly when t*(r) and its
+    partial transpose are PSD for every product r, so the margin is the
+    lower of the minima of X and of X with the last domain atom transposed,
+    each over products of projectors with the domain as one factor.  Given
+    only for an all-quantum codomain and where the search is not exact.
+    """
+    cod, dom = t.codomain.atoms, t.domain.atoms
+    if not all(isinstance(a, Quantum) for a in cod):
+        return None
+    cod_dims = tuple(a.d for a in cod)
+    pair_dims = None
+    if len(dom) == 1 and isinstance(dom[0], Quantum):
+        dims = cod_dims + (dom[0].d,)
+        if search_is_exact(dims):
+            return None
+    else:
+        pair_dims = ppt_dims(t.domain)
+        if pair_dims is None:
+            return None
+        dims = cod_dims + (pair_dims[0] * pair_dims[1],)
+    x = vector_to_hermitian_tensor(GptVector(t.codomain * t.domain, t.matrix.reshape(-1)))
+    mats = (x[None] if pair_dims is None
+            else np.stack([x, _partial_transpose(x, cod_dims + pair_dims)]))
+    return spectral_bound(mats, dims)
+
+
 def positivity_check(t: LinearMap, cfg: SearchConfig | None = None) -> MembershipVerdict:
     """Does ``t`` map the domain cone into the codomain cone?
 
@@ -257,15 +296,21 @@ def positivity_check(t: LinearMap, cfg: SearchConfig | None = None) -> Membershi
     by the engine; registered non-product extreme states of composite
     domains are checked explicitly.  Conclusive whenever both generator
     descriptions are complete and the quantum search is in its exact
-    regime.  A rejection carries a :class:`PositivityViolation`.
+    regime.  Before a search that is not, an all-quantum codomain with a
+    quantum or Q2*Q2-, Q2*Q3-type domain is given :func:`_positivity_bound`,
+    which accepts when it is at least -tol.  A rejection carries a
+    :class:`PositivityViolation`.
     """
     cfg = cfg or SearchConfig()
+    bound = _positivity_bound(t)
+    if bound is not None and bound >= -cfg.tol:
+        return certified_verdict(bound)
     cod, dom = t.codomain.atoms, t.domain.atoms
     specs = _effect_side_specs(cod) + _state_side_specs(dom)
     res = minimize_product_form(t.matrix.reshape(-1), specs, cfg)
     n = len(cod)
     margin, violation = res.value, lambda: PositivityViolation(
-        _product(dom, res.factors[n:]), _product(cod, res.factors[:n]), res.value)
+        _product(t.domain, res.factors[n:]), _product(t.codomain, res.factors[:n]), res.value)
     conclusive = res.conclusive and product_generators_complete(t.domain)
     for probe in probe_states(t.domain):
         check = composite_state_check(apply(t, probe), cfg)
@@ -325,21 +370,33 @@ def trace_condition_check(t: LinearMap, mode: str,
                           cfg: SearchConfig | None = None) -> MembershipVerdict:
     """Check ``u(T(s)) = u(s)`` (preserving) or ``<=`` (non-increasing).
 
-    The preserving case is a linear identity, checked exactly.  The
-    non-increasing case asks that the deficit ``u - T^T u`` be nonnegative
-    on the domain cone.  On Q2*Q2, Q2*Q3 and Q3*Q2 domains that is exact:
-    the deficit and its partial transpose must be PSD.  Elsewhere the
-    deficit is minimized over the domain cone generators.
+    Both are conditions on normalized states s, decided by
+    :func:`_state_min`, and a rejection carries the state attaining the
+    margin.  The preserving case asks that ``r = T^T u - u`` vanish on
+    every state: its margin is -max |<r, s>|, the lowest of <r, s> and
+    <-r, s>, and r = 0 makes it 0 without a search.  An acceptance is
+    conclusive where the search is exact or every coefficient of r is
+    within tol.  The non-increasing
+    case asks that the deficit ``u - T^T u`` be nonnegative on the domain
+    cone.  On Q2*Q2, Q2*Q3 and Q3*Q2 domains both are exact through the
+    partial transpose; elsewhere the functional is minimized over the
+    domain cone generators.
     """
     cfg = cfg or SearchConfig()
     u_dom = unit_effect(t.domain).coeffs
     u_cod = unit_effect(t.codomain).coeffs
     if mode == "preserving":
         residual = t.matrix.T @ u_cod - u_dom
-        err = float(np.max(np.abs(residual))) if residual.size else 0.0
-        status = ACCEPTED if err <= cfg.tol else REJECTED
-        return MembershipVerdict(status, margin=-err,
-                                 detail=f"max |u(T(s)) - u(s)| deviation {err:.3g} on a basis")
+        if not residual.any():
+            return MembershipVerdict(ACCEPTED, margin=0.0, detail="u(T(s)) = u(s) identically")
+        lo, lo_exact, lo_state = _state_min(GptVector(t.domain, residual), cfg)
+        hi, hi_exact, hi_state = _state_min(GptVector(t.domain, -residual), cfg)
+        margin, state = (lo, lo_state) if lo <= hi else (hi, hi_state)
+        # within tol on a basis the identity holds, whatever a search found
+        exact = (lo_exact and hi_exact) or float(np.max(np.abs(residual))) <= cfg.tol
+        return _verdict(margin, exact, cfg.tol, lambda: (
+            state(), f"changes the trace by {-margin:.6g} on a state"),
+            f"max |u(T(s)) - u(s)| found {-margin:.3g}")
     if mode != "non-increasing":
         raise ValueError(f"unknown mode {mode!r}; use 'preserving' or 'non-increasing'")
     deficit = GptVector(t.domain, u_dom - t.matrix.T @ u_cod)

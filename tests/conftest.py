@@ -37,6 +37,24 @@ def partial_transpose(m, d1=2, d2=2):
     return t.transpose(0, 3, 2, 1).reshape(d1 * d2, d1 * d2)
 
 
+def choi_map_action(x):
+    """Choi's map on a qutrit (Choi 1975): positive, not decomposable."""
+    return np.diag([2 * x[0, 0] + x[2, 2], x[0, 0] + 2 * x[1, 1], x[1, 1] + 2 * x[2, 2]]) - x
+
+
+def choi_witness():
+    """Unit-trace Choi matrix of :func:`choi_map_action` on Q3*Q3.
+
+    Block positive, as the map is positive, but neither it (lowest
+    eigenvalue -1/6) nor its partial transpose is PSD.
+    """
+    units = np.eye(3)
+    w = sum(np.kron(np.outer(units[i], units[j]),
+                    choi_map_action(np.outer(units[i], units[j])))
+            for i in range(3) for j in range(3))
+    return w / np.trace(w).real
+
+
 def random_decomposable_witness(rng):
     """Unit-trace witness P + Q^pt with P, Q random PSD; block positive."""
     w = random_psd(rng, 4) + partial_transpose(random_psd(rng, 4))

@@ -21,6 +21,8 @@ from witworld.serialize import (
 )
 from witworld import builtin_state, transpose_map, hermitian_tensor_to_vector
 
+from conftest import choi_witness
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -146,6 +148,26 @@ def test_check_effect_bell_projector_rejected_with_replayable_state(capsys, tmp_
     code, out, _ = run(capsys, "check-state", str(state), "--json")
     assert code == 0
     assert json.loads(out)["status"] == "accepted"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_check_effect_qubit_qutrit_rejection_state_is_confirmed(capsys, tmp_path, seed):
+    # the violating state is vv† or (vv†)^Γ, so check-state certifies it
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=6) + 1j * rng.normal(size=6)
+    psi /= np.linalg.norm(psi)
+    path = tmp_path / "projector.json"
+    dump_json(gptvector_to_json(hermitian_tensor_to_vector(np.outer(psi, psi.conj()), (2, 3))),
+              str(path))
+    code, out, _ = run(capsys, "check-effect", str(path), "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["margin"] < -1e-3
+    state = tmp_path / "violating.json"
+    dump_json(payload["violating_state"], str(state))
+    code, out, _ = run(capsys, "check-state", str(state), "--json")
+    assert code == 0
+    assert json.loads(out)["detail"].startswith("spectral certificate")
 
 
 def test_check_effect_separable_qubit_pair_mixture_accepted(capsys, tmp_path):
@@ -332,8 +354,15 @@ def test_json_determinism_across_verbs(capsys, tmp_path):
     run(capsys, "assemblage", "pr-box", "--emit", str(two_party))
     three_party = tmp_path / "local3.json"
     three_party.write_text(json.dumps(_local_assemblage_doc(3, 3)))
+    qutrits = tmp_path / "qutrits.json"
+    amp = np.zeros(9)
+    amp[[0, 4, 8]] = 1.0
+    dump_json(gptvector_to_json(hermitian_tensor_to_vector(
+        (np.outer(amp, amp).reshape(3, 3, 3, 3).transpose(0, 3, 2, 1).reshape(9, 9)
+         + np.eye(9) / 9) / 4, (3, 3))), str(qutrits))
     for argv in (
         ["check-state", "builtin:singlet-pt", "--json"],
+        ["check-state", str(qutrits), "--json"],
         ["check-map", "builtin:transpose3", "--test", "positivity", "--json"],
         ["assemblage", "bwi-star-star", "--verify-ns", "--json"],
         ["lhs", str(two_party), "--json"],
@@ -376,12 +405,9 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, monkeypatch):
 
 
 def test_inconclusive_exit_code(capsys, tmp_path):
-    # a qutrit-pair state: the search cannot be exhaustive, exit 2
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    rho = a @ a.conj().T
-    rho /= np.trace(rho).real
-    v = hermitian_tensor_to_vector(rho, (3, 3))
+    # the Choi witness on Q3*Q3: neither it nor its partial transpose is
+    # PSD, so no spectral certificate, and the search cannot be exhaustive
+    v = hermitian_tensor_to_vector(choi_witness(), (3, 3))
     path = tmp_path / "qutrits.json"
     dump_json(gptvector_to_json(v), str(path))
     code, out, _ = run(capsys, "check-state", str(path), "--restarts", "20")

@@ -50,6 +50,7 @@ from witworld.compose import (
 from witworld.transforms import map_from_matrix_action
 
 from conftest import (
+    choi_witness,
     local_deterministic_box,
     pr_box_table,
     random_decomposable_witness,
@@ -169,8 +170,8 @@ def test_mixed_box_quantum_composite():
 
 
 def test_qutrit_pair_membership_is_inconclusive():
-    rng = np.random.default_rng(10)
-    v = hermitian_tensor_to_vector(random_density(rng, 9), (3, 3))
+    # block positive, but no spectral certificate: the search decides
+    v = hermitian_tensor_to_vector(choi_witness(), (3, 3))
     res = composite_state_check(v, SearchConfig(restarts=40))
     assert res.status == "inconclusive-accept"
     neg = hermitian_tensor_to_vector(-np.eye(9) / 9, (3, 3))

@@ -203,10 +203,11 @@ def test_controlled_map_positivity():
     assert res.accepted
 
 
-def test_transpose_on_qutrits_accepted_heuristically():
+def test_transpose_on_qutrits_accepted_by_certificate():
     res = positivity_check(transpose_map(3), SearchConfig(restarts=40))
-    assert res.status == "inconclusive-accept"
-    assert res.margin >= -1e-7
+    assert res.status == "accepted"
+    assert res.detail.startswith("spectral certificate")
+    assert res.margin >= -1e-12
 
 
 # --- quantum CP contrast -----------------------------------------------------------

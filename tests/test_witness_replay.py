@@ -3,8 +3,9 @@
 The state check's witness is an effect ``w`` with ``<w, v> = margin``; the
 effect check's is a state ``s`` on which ``e`` or ``u - e`` attains the
 margin; the trace check's is a state on which the deficit ``u - T^T u``
-attains it; positivity's is an input state and a codomain effect whose
-pairing through the map attains it.
+attains it, and for the preserving condition one on which u(T(s)) - u(s)
+has the largest size; positivity's is an input state and a codomain
+effect whose pairing through the map attains it.
 """
 
 import itertools
@@ -144,6 +145,15 @@ CASES = {
     "trace-Q2*Q3": ("trace", lambda: _with_deficit(_neg_quantum(2, 3))),
     "trace-C2*Q3": ("trace", lambda: _with_deficit(tensor(
         effect_cone_rays(Classical(2))[1], _neg_quantum(3)))),
+    # preserving trace: the witness is a state on which u(T(s)) - u(s) is largest
+    "preserving-scalar": ("preserving", lambda: LinearMap(system(), system(), [[0.5]])),
+    "preserving-C2": ("preserving", lambda: LinearMap(
+        system(Classical(2)), system(), [[1.0, 1.0]])),
+    "preserving-Q2": ("preserving", lambda: LinearMap(
+        system(Quantum(2)), system(Quantum(2)), 2 * np.eye(4))),
+    "preserving-B22*B22": ("preserving", lambda: _with_deficit(GptVector(
+        system(B22, B22), unit_effect(system(B22, B22)).coeffs - _chsh_effect().coeffs))),
+    "preserving-Q2*Q2": ("preserving", lambda: _with_deficit(_bell_effect())),
 }
 
 
@@ -162,6 +172,8 @@ def _replay(kind, obj, w):
     if kind == "effect":
         val = pair(obj, w)
         return min(val, 1.0 - val)
+    if kind == "preserving":
+        return -abs(pair(unit_effect(obj.codomain), apply(obj, w)) - pair(unit_effect(obj.domain), w))
     return pair(unit_effect(obj.domain), w) - pair(unit_effect(obj.codomain), apply(obj, w))
 
 
@@ -170,6 +182,7 @@ CHECKS = {
     "effect": lambda e: composite_effect_check(e, cfg=CFG),
     "positivity": lambda t: positivity_check(t, CFG),
     "trace": lambda t: trace_condition_check(t, "non-increasing", CFG),
+    "preserving": lambda t: trace_condition_check(t, "preserving", CFG),
 }
 
 
@@ -183,3 +196,11 @@ def test_rejection_witness_replays_margin(case):
     assert _replay(kind, obj, res.witness) == pytest.approx(res.margin, abs=1e-12)
     if kind == "positivity":
         assert res.witness.value == res.margin
+
+
+def test_preserving_margin_is_the_largest_trace_change_on_a_state():
+    # 2 id doubles the trace of every normalized state: a change of 1, not
+    # the coefficient-space deviation sqrt(2)
+    res = trace_condition_check(LinearMap(system(Quantum(2)), system(Quantum(2)),
+                                          2 * np.eye(4)), "preserving", CFG)
+    assert res.margin == pytest.approx(-1.0, abs=1e-12)
