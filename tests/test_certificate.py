@@ -104,6 +104,24 @@ def test_rank_deficient_decomposable_witness_stays_inconclusive(dims, seed):
     assert res.status == "inconclusive-accept", res.describe()
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_ppt_domain_map_needs_both_conditions(dims):
+    # T(s) = <Φ, s> σ with Φ an entangled projector: T*(r) = tr(rσ) Φ is
+    # PSD but not PPT, so T sends the state (vv†)^Γ below zero.  The bound
+    # on X alone would pass; the one on X^Γ must not.
+    n = dims[0] * dims[1]
+    amp = np.zeros(n)
+    amp[[0, n - 1]] = 1 / np.sqrt(2)
+    phi = hermitian_tensor_to_vector(np.outer(amp, amp), dims)
+    sigma = hermitian_to_vector(np.diag([0.7, 0.3]).astype(complex))
+    t = LinearMap(phi.system, sigma.system, np.outer(sigma.coeffs, phi.coeffs))
+    assert transforms._positivity_bound(t) < -0.1
+    res = positivity_check(t, CFG)
+    assert not res.accepted, res.describe()
+    if dims == (2, 2):
+        assert res.rejected  # a partially transposed Bell probe shows it
+
+
 # --- planted inputs stay rejected with the search's margin ------------------------
 
 
