@@ -422,7 +422,9 @@ def main(argv=None) -> int:
 
     The parser is built on the first call and reused: ``parse_args`` keeps
     no state between calls.  The verb's ``_cmd_*`` function is looked up
-    when the call runs, not bound when the parser is built.
+    when the call runs, not bound when the parser is built.  It runs with
+    floating-point overflow and invalid operations raising, so a number
+    that went to inf or nan exits as an internal error, never as a verdict.
     """
     global _parser
     if _parser is None:
@@ -433,7 +435,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     command = globals()["_cmd_" + args.verb.replace("-", "_")]
     try:
-        return command(args)
+        with np.errstate(over="raise", invalid="raise"):
+            return command(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,7 +11,12 @@ over products of *state*-side generators instead.
 
 Two or more quantum factors go through one stacked alternating descent,
 which takes a qubit or qutrit factor's ground state in closed form and a
-larger factor's from a batched ``eigh``.  For a pair of qubit factors its
+larger factor's from a batched ``eigh``.  A qutrit's comes from an
+adjugate column wherever its bottom eigenvalue lies at least sqrt(3) p /
+10 below the middle one (p sets the spread of the spectrum), and from a
+plane solve only on the rows where the bottom pair may be degenerate.  The search runs on the input
+scaled exactly to unit size, so it cannot overflow and its thresholds are
+relative.  For a pair of qubit factors its
 7 starts come from a grid scan over one Bloch sphere (the other sphere
 has a closed-form minimum) and the six axes; this path is exact for the
 systems of interest.  Searches over more or higher-dimensional quantum
@@ -52,6 +57,7 @@ from .systems import (
     atomic_state_check,
     effect_cone_rays,
     hermitian_basis,
+    not_hermitian,
     pair,
     state_vertices,
     system,
@@ -116,12 +122,19 @@ def scalar_one() -> GptVector:
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
+@functools.lru_cache(maxsize=32)
+def _quantum_system(dims: tuple) -> SystemType:
+    """The composite of quantum atoms of dimensions ``dims``, one object per dims."""
+    return SystemType(tuple(Quantum(d) for d in dims))
+
+
 def hermitian_tensor_to_vector(m: np.ndarray, dims: Sequence[int]) -> GptVector:
     """Expand a Hermitian matrix on a tensor-product Hilbert space.
 
     ``dims`` lists the local dimensions; the result lives on the composite
     of the matching quantum atoms, with coefficients against products of
-    the local operator bases.
+    the local operator bases.  The matrix must be Hermitian to 1e-8 by
+    :func:`not_hermitian`.
     """
     dims = tuple(dims)
     n = len(dims)
@@ -129,7 +142,7 @@ def hermitian_tensor_to_vector(m: np.ndarray, dims: Sequence[int]) -> GptVector:
     m = np.asarray(m, dtype=complex)
     if m.shape != (total, total):
         raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-    if np.max(np.abs(m - m.conj().T)) > 1e-8:
+    if not_hermitian(m, 1e-8):
         raise ValueError("matrix is not Hermitian within tolerance")
     if 3 * n > len(_LETTERS):
         raise ValueError("too many factors")
@@ -144,7 +157,7 @@ def hermitian_tensor_to_vector(m: np.ndarray, dims: Sequence[int]) -> GptVector:
     operands.append(m.reshape(dims + dims))
     script.append(qs + ps)
     coeffs = np.real(np.einsum(",".join(script) + "->" + ks, *operands))
-    return GptVector(SystemType(tuple(Quantum(d) for d in dims)), coeffs.ravel())
+    return GptVector(_quantum_system(dims), coeffs.ravel())
 
 
 def vector_to_hermitian_tensor(v: GptVector) -> np.ndarray:
@@ -277,8 +290,10 @@ def _unit(v: tuple) -> tuple:
 
 def _lower_pair_ground(b: np.ndarray, w: tuple, mu: np.ndarray, p: np.ndarray,
                        prev: np.ndarray) -> tuple:
-    """Ground vectors of qutrit operators whose top eigenvalue is the isolated one.
+    """Ground vectors of qutrit operators whose bottom pair may be degenerate.
 
+    :func:`_qutrit_ground_vectors` sends only its rows with sin(phi) <
+    1/20 here, where the top eigenvalue is isolated by more than 2.9 p.
     Column r of ``b`` holds the row-major entries of a traceless Hermitian
     3x3 operator, ``w`` the components of its unit top eigenvectors and
     ``mu[r]`` that eigenvalue.  The ground vector lies in the plane
@@ -326,17 +341,30 @@ def _lower_pair_ground(b: np.ndarray, w: tuple, mu: np.ndarray, p: np.ndarray,
     return tuple(g0 * f + g1 * h for f, h in zip(u1, u2))
 
 
+# cos(3 phi) at sin(phi) = 1/20: rows with q above it take the plane solve
+_PLANE_Q = math.cos(3.0 * math.asin(0.05))
+
+
 def _qutrit_ground_vectors(t: np.ndarray, prev: np.ndarray) -> tuple:
     """Ground vectors of qutrit operators with coefficient rows ``t``.
 
     The traceless part b = A - tr(A) / 3 has coefficients t_vec, so its
-    eigenvalues are 2 p cos(phi + 2 pi k / 3) with p = |t_vec| / sqrt(6) and
-    cos(3 phi) = det(b) / (2 p^3) (Smith 1961).  Where det(b) < 0 the
-    bottom one (k = 1) is the isolated one, and its eigenvector is the
-    largest column of the adjugate of b - mu, which is c v v^dagger for the
-    null vector v (Kopp 2008).  Where det(b) >= 0 the top (k = 0) is, and
-    :func:`_lower_pair_ground` solves the rest on its complement.  Every
-    row needs |t_vec| > 0.  Returns the components of the unit vectors.
+    eigenvalues are 2 p cos(phi + 2 pi k / 3) with p = |t_vec| / sqrt(6),
+    cos(3 phi) = q = det(b) / (2 p^3) and phi in [0, pi / 3] (Smith 1961):
+    top k = 0, bottom k = 1, middle k = 2.  The bottom one is 2 sqrt(3) p
+    sin(phi) below the middle one, and its eigenvector is the largest
+    column of the adjugate of b - mu, which is c v v^dagger for the null
+    vector v (Kopp 2008).  That column is only as good as mu: an error e in
+    q moves mu by at most p e / (3 sqrt(3) sin(phi)), and the column turns
+    toward the middle eigenvector by that over the gap, an angle of about
+    e / (18 sin(phi)^2).  The rows with sin(phi) >= 1/20 take it, where
+    the angle stays below 400 e / 18, about 2e-14 for an error of a few
+    ulps in q (1.8e-14 measured at sin(phi) = 1/20 against the planted
+    eigenvectors of 4000 random rows).  On the others the bottom pair may
+    be degenerate, while the top eigenvalue is isolated by 2 sqrt(3) p
+    sin(pi / 3 - phi) > 2.9 p, and :func:`_lower_pair_ground` solves the
+    rest on its complement.  Every row needs |t_vec| > 0.  Returns the
+    components of the unit vectors.
     """
     b = np.ascontiguousarray((t[:, 1:] @ _real_basis(3)[1:]).view(complex).T)
     d0, d1, d2, x, y, z = b[0].real, b[4].real, b[8].real, b[1], b[2], b[5]
@@ -344,8 +372,8 @@ def _qutrit_ground_vectors(t: np.ndarray, prev: np.ndarray) -> tuple:
     p = np.sqrt(np.einsum("ij,ij->i", t[:, 1:], t[:, 1:]) / 6.0)
     det = d0 * d1 * d2 - d0 * zz - d1 * yy - d2 * xx + 2.0 * (x * z * y.conj()).real
     q = np.clip(det / (2.0 * p ** 3), -1.0, 1.0)
-    top = q >= 0
-    mu = 2.0 * p * np.cos(np.arccos(q) / 3.0 + np.where(top, 0.0, 2.0 * np.pi / 3.0))
+    plane = q > _PLANE_Q
+    mu = 2.0 * p * np.cos(np.arccos(q) / 3.0 + np.where(plane, 0.0, 2.0 * np.pi / 3.0))
     e0, e1, e2 = d0 - mu, d1 - mu, d2 - mu
     a00, a11, a22 = e1 * e2 - zz, e0 * e2 - yy, e0 * e1 - xx
     a01, a02, a12 = y * z.conj() - x * e2, x * z - y * e1, x.conj() * y - e0 * z
@@ -355,11 +383,11 @@ def _qutrit_ground_vectors(t: np.ndarray, prev: np.ndarray) -> tuple:
     v = _unit((np.where(col0, a00, np.where(col1, a01, a02)),
                np.where(col0, a01.conj(), np.where(col1, a11, a12)),
                np.where(col0, a02.conj(), np.where(col1, a12.conj(), a22))))
-    if top.any():
-        low = _lower_pair_ground(b[:, top], tuple(c[top] for c in v), mu[top], p[top],
-                                 prev[top])
+    if plane.any():
+        low = _lower_pair_ground(b[:, plane], tuple(c[plane] for c in v), mu[plane],
+                                 p[plane], prev[plane])
         for c, g in zip(v, low):
-            c[top] = g
+            c[plane] = g
     return v
 
 
@@ -387,10 +415,11 @@ def _ground_states(t: np.ndarray, prev: np.ndarray):
         return np.einsum("ij,ij->i", t, proj) / _SQRT2, proj / _SQRT2
     if t.shape[1] == 9:
         live = np.einsum("ij,ij->i", t[:, 1:], t[:, 1:]) > 1e-30
+        rows = slice(None) if live.all() else live  # a slice selects without copies
         proj = prev.copy()
         if live.any():
-            psi = np.stack(_qutrit_ground_vectors(t[live], prev[live]), axis=1)
-            proj[live] = _projector_coeffs(psi)
+            psi = np.stack(_qutrit_ground_vectors(t[rows], prev[rows]), axis=1)
+            proj[rows] = _projector_coeffs(psi)
         return np.einsum("ij,ij->i", t, proj), proj
     d = math.isqrt(t.shape[1])
     mats = (t @ _real_basis(d)).view(complex).reshape(len(t), d, d)
@@ -514,6 +543,11 @@ def minimize_product_form(coeffs: np.ndarray, specs: Sequence, cfg: SearchConfig
     (eigenvalue computation) or exactly two qubit factors are (grid scan
     plus alternating descent); otherwise it is a seeded heuristic and
     ``conclusive`` is False.  Non-finite ``coeffs`` raise ``ValueError``.
+
+    The search runs at unit size: ``coeffs`` is scaled by the power of two
+    that brings its largest entry into [1/2, 1), exactly, and the minimum
+    is scaled back.  So no step overflows or underflows at any finite
+    size, and the descent's thresholds are relative to the input's size.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if not np.isfinite(coeffs).all():
@@ -522,7 +556,8 @@ def minimize_product_form(coeffs: np.ndarray, specs: Sequence, cfg: SearchConfig
         s.vectors[0].coeffs.size if isinstance(s, FiniteGenerators) else s.d * s.d
         for s in specs
     )
-    tensor_w = coeffs.reshape(dims)
+    exp = math.frexp(float(np.max(np.abs(coeffs))))[1]
+    tensor_w = np.ldexp(coeffs, -exp).reshape(dims)
     finite_axes = [i for i, s in enumerate(specs) if isinstance(s, FiniteGenerators)]
     qdims = [s.d for s in specs if isinstance(s, QuantumGenerators)]
     conclusive = search_is_exact(qdims)
@@ -544,7 +579,7 @@ def minimize_product_form(coeffs: np.ndarray, specs: Sequence, cfg: SearchConfig
                 if isinstance(s, QuantumGenerators):
                     factors[i] = next(it)
             best_val, best_factors = val, tuple(factors)
-    return ProductMin(best_val, best_factors, conclusive)
+    return ProductMin(math.ldexp(best_val, exp), best_factors, conclusive)
 
 
 def _effect_side_specs(atoms: Sequence) -> list:
@@ -613,7 +648,7 @@ def composite_state_check(v: GptVector, cfg: SearchConfig | None = None) -> Memb
                 return certified_verdict(bound)
     res = minimize_product_form(v.coeffs, _effect_side_specs(v.atoms), cfg)
     return _verdict(res.value, res.conclusive, cfg.tol, lambda: (
-        _product(v.system, res.factors), f"product effect evaluates to {res.value:.6g}"))
+        _product(v.system, res.factors), _NEGATIVE_EFFECT))
 
 
 def steer(v: GptVector, e: GptVector, on: int | Sequence[int] | None = None) -> GptVector:
@@ -781,6 +816,11 @@ def certified_verdict(bound: float) -> MembershipVerdict:
 
 _CERTIFIED = "spectral certificate: partial-transpose eigenvalues >= -tol"
 
+# Rejection details, one shared string each: the margin carries the number,
+# so a kept verdict holds no text of its own.
+_NEGATIVE_EFFECT = "a product effect evaluates to the margin"
+_OUTSIDE_ON_STATE = "evaluates outside [0, 1] on a state, by the margin"
+
 
 def ppt_min(mats: np.ndarray, dims: tuple) -> tuple[float, Callable[[], GptVector]]:
     """Exact minimum of tr(M W) over the normalized states W, M in a stack.
@@ -876,8 +916,7 @@ def composite_effect_check(
     value, conclusive, state = _state_min(e, cfg, complement=True)
 
     def reject():
-        w = state()
-        return w, detail + f"evaluates to {pair(e, w):.6g} on a state"
+        return state(), detail + _OUTSIDE_ON_STATE
 
     how = ("e and u - e are PPT" if dims is not None
            else "no violation on the cone generators" if conclusive

@@ -29,6 +29,7 @@ from .systems import (
     Quantum,
     SystemType,
     hermitian_stack_to_coeffs,
+    not_hermitian,
     system,
     vector_to_hermitian,
 )
@@ -262,9 +263,8 @@ def _hermitian_elements(pending: dict) -> dict:
                 f"{key_strs[0]} is {mats[0].shape[0]}x{mats[0].shape[0]}"
             )
     stack = np.stack(mats)
-    # the tolerance of hermitian_tensor_to_vector
-    skew = np.max(np.abs(stack - stack.conj().transpose(0, 2, 1)), axis=(1, 2))
-    bad = np.flatnonzero(skew > 1e-8)
+    # the test of hermitian_tensor_to_vector
+    bad = np.flatnonzero(not_hermitian(stack, 1e-8))
     if bad.size:
         raise MalformedInputError(
             f"element {key_strs[bad[0]]} matrix is not Hermitian within tolerance"

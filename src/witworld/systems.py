@@ -205,16 +205,33 @@ def hermitian_basis(d: int) -> np.ndarray:
     return out
 
 
+def not_hermitian(m: np.ndarray, eps: float):
+    """Is a square matrix, or each matrix of a stack, further than ``eps`` from Hermitian?
+
+    The largest entry of |m - m^dagger| is compared with eps times max(1,
+    largest entry of |m|), so the test is relative for large matrices and
+    absolute for small ones.  The entries' size is only taken when the
+    absolute test fails.
+    """
+    m = np.asarray(m)
+    skew = np.abs(m - np.swapaxes(m, -1, -2).conj()).max(axis=(-2, -1))
+    over = skew > eps
+    if over.any():
+        over &= skew > eps * np.abs(m).max(axis=(-2, -1))
+    return over
+
+
 def hermitian_to_vector(m: np.ndarray, eps_herm: float = EPS_HERM) -> GptVector:
     """Expand a Hermitian matrix into its coefficient vector.
 
     The map is linear and invertible, and Euclidean inner products of
-    images equal Hilbert-Schmidt inner products of the matrices.
+    images equal Hilbert-Schmidt inner products of the matrices.  The
+    matrix must be Hermitian to ``eps_herm`` by :func:`not_hermitian`.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > eps_herm:
+    if not_hermitian(m, eps_herm):
         raise ValueError("matrix is not Hermitian within tolerance")
     d = m.shape[0]
     coeffs = np.real(np.einsum("kij,ji->k", hermitian_basis(d), m))

@@ -318,8 +318,11 @@ def positivity_check(t: LinearMap, cfg: SearchConfig | None = None) -> Membershi
         if check.margin < margin:
             margin, violation = check.margin, (
                 lambda p=probe, c=check: PositivityViolation(p, c.witness, c.margin))
-    return _verdict(margin, conclusive, cfg.tol, lambda: (
-        violation(), f"maps a cone generator outside the codomain cone ({margin:.6g})"))
+    return _verdict(margin, conclusive, cfg.tol, lambda: (violation(), _OUTSIDE_CODOMAIN))
+
+
+# the detail of every positivity rejection; the margin carries the number
+_OUTSIDE_CODOMAIN = "maps a cone generator outside the codomain cone by the margin"
 
 
 def apply_to_matrix(t: LinearMap, m: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from witworld import (
     state_vertices,
     system,
 )
+from witworld.transforms import map_from_matrix_action
 
 
 def random_hermitian(rng, d):
@@ -53,6 +54,42 @@ def choi_witness():
                     choi_map_action(np.outer(units[i], units[j])))
             for i in range(3) for j in range(3))
     return w / np.trace(w).real
+
+
+def haar_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def haar_vector(rng, d):
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return psi / np.linalg.norm(psi)
+
+
+def planted_witness(rng, d1, d2):
+    """A decomposable witness pushed below zero on one product vector."""
+    n = d1 * d2
+    w = random_psd(rng, n) + partial_transpose(random_psd(rng, n), d1, d2)
+    w /= np.trace(w).real
+    ab = np.kron(haar_vector(rng, d1), haar_vector(rng, d2))
+    c = np.real(ab.conj() @ w @ ab) + rng.uniform(0.02, 0.2)
+    return w - c * np.outer(ab, ab.conj())
+
+
+def planted_map(rng, d_in, d_out):
+    """A compressed transpose minus enough of <φ|ρ|φ> |χ><χ| to turn one output negative."""
+    k = haar_unitary(rng, max(d_in, d_out))[:d_out, :d_in]
+
+    def base(m):
+        return k @ m.T @ k.conj().T
+
+    phi = haar_vector(rng, d_in)
+    p_phi = np.outer(phi, phi.conj())
+    chi = np.linalg.eigh(base(p_phi))[1][:, -1]
+    p_chi = np.outer(chi, chi.conj())
+    c = np.real(chi.conj() @ base(p_phi) @ chi) + rng.uniform(0.1, 0.3)
+    return map_from_matrix_action(lambda m: base(m) - c * np.trace(p_phi @ m) * p_chi,
+                                  d_in, d_out)
 
 
 def random_decomposable_witness(rng):

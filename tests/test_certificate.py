@@ -40,7 +40,10 @@ from witworld.transforms import map_from_matrix_action
 from conftest import (
     choi_map_action,
     choi_witness,
+    haar_unitary,
     partial_transpose,
+    planted_map,
+    planted_witness,
     random_decomposable_witness,
     random_density,
     random_positive_box_map,
@@ -48,16 +51,6 @@ from conftest import (
 )
 
 CFG = SearchConfig(restarts=40)
-
-
-def _haar_unitary(rng, d):
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _haar_vector(rng, d):
-    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return psi / np.linalg.norm(psi)
 
 
 def _rank_psd(rng, n, rank):
@@ -125,36 +118,10 @@ def test_ppt_domain_map_needs_both_conditions(dims):
 # --- planted inputs stay rejected with the search's margin ------------------------
 
 
-def _planted_witness(rng, d1, d2):
-    """A decomposable witness pushed below zero on one product vector."""
-    n = d1 * d2
-    w = random_psd(rng, n) + partial_transpose(random_psd(rng, n), d1, d2)
-    w /= np.trace(w).real
-    ab = np.kron(_haar_vector(rng, d1), _haar_vector(rng, d2))
-    c = np.real(ab.conj() @ w @ ab) + rng.uniform(0.02, 0.2)
-    return w - c * np.outer(ab, ab.conj())
-
-
-def _planted_map(rng, d_in, d_out):
-    """A compressed transpose minus enough of <φ|ρ|φ> |χ><χ| to turn one output negative."""
-    k = _haar_unitary(rng, max(d_in, d_out))[:d_out, :d_in]
-
-    def base(m):
-        return k @ m.T @ k.conj().T
-
-    phi = _haar_vector(rng, d_in)
-    p_phi = np.outer(phi, phi.conj())
-    chi = np.linalg.eigh(base(p_phi))[1][:, -1]
-    p_chi = np.outer(chi, chi.conj())
-    c = np.real(chi.conj() @ base(p_phi) @ chi) + rng.uniform(0.1, 0.3)
-    return map_from_matrix_action(lambda m: base(m) - c * np.trace(p_phi @ m) * p_chi,
-                                  d_in, d_out)
-
-
 @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
 @pytest.mark.parametrize("seed", range(3))
 def test_planted_witness_rejected_with_the_search_margin(dims, seed):
-    v = hermitian_tensor_to_vector(_planted_witness(np.random.default_rng([seed, 1]), *dims),
+    v = hermitian_tensor_to_vector(planted_witness(np.random.default_rng([seed, 1]), *dims),
                                    dims)
     res = composite_state_check(v, CFG)
     ref = minimize_product_form(v.coeffs, _effect_side_specs(v.atoms), CFG)
@@ -166,7 +133,7 @@ def test_planted_witness_rejected_with_the_search_margin(dims, seed):
 @pytest.mark.parametrize("dims", [(3, 3), (2, 3), (3, 2)])
 @pytest.mark.parametrize("seed", range(3))
 def test_planted_map_rejected_with_the_search_margin(dims, seed):
-    t = _planted_map(np.random.default_rng([seed, 2]), *dims)
+    t = planted_map(np.random.default_rng([seed, 2]), *dims)
     res = positivity_check(t, CFG)
     specs = _effect_side_specs(t.codomain.atoms) + _state_side_specs(t.domain.atoms)
     ref = minimize_product_form(t.matrix.reshape(-1), specs, CFG)
@@ -204,7 +171,7 @@ def test_certified_maps_and_their_margins():
     cases = [transpose_map(3), unot_map(3),
              map_from_matrix_action(lambda m: np.trace(m) * np.eye(2) - m[:2, :2], 3, 2)]
     # (Ad_U ⊗ Ad_V)(transpose2 ⊗ id_Q2) on Q2*Q2: only the PPT domain test sees it
-    uv = np.kron(_haar_unitary(rng, 2), _haar_unitary(rng, 2))
+    uv = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
     basis = [np.kron(b1, b2) for b1 in hermitian_basis(2) for b2 in hermitian_basis(2)]
     cols = [hermitian_tensor_to_vector(uv @ partial_transpose(b.T, 2, 2) @ uv.conj().T,
                                        (2, 2)).coeffs for b in basis]

@@ -19,9 +19,10 @@ from witworld.serialize import (
     linear_map_to_json,
     system_from_json,
 )
-from witworld import builtin_state, transpose_map, hermitian_tensor_to_vector
+from witworld import (GptVector, LinearMap, builtin_state, hermitian_tensor_to_vector,
+                      transpose_map)
 
-from conftest import choi_witness
+from conftest import choi_witness, planted_map, planted_witness
 
 
 def run(capsys, *argv):
@@ -455,6 +456,41 @@ def test_internal_error_exits_70_with_traceback(capsys, monkeypatch):
     assert code == cli.EXIT_SOFTWARE == 70
     assert out == ""
     assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+@pytest.mark.parametrize("bad_float", [lambda: np.float64(1e300) * np.float64(1e300),
+                                       lambda: np.sqrt(np.float64(-1.0))])
+def test_floating_point_overflow_exits_70(capsys, monkeypatch, bad_float):
+    # an inf or nan margin would read as a verdict (inf >= -tol accepts)
+    from witworld import cli
+    from witworld.verdict import ACCEPTED, MembershipVerdict
+
+    monkeypatch.setattr(cli, "composite_state_check",
+                        lambda v, cfg: MembershipVerdict(ACCEPTED, margin=float(bad_float())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the guard, not pytest's filter
+        code, out, err = run(capsys, "check-state", "builtin:swap2")
+    assert code == cli.EXIT_SOFTWARE == 70
+    assert out == ""
+    assert "Traceback" in err and "FloatingPointError" in err
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e155, 1e300])
+def test_scaled_planted_inputs_rejected_with_exit_1(capsys, tmp_path, scale):
+    rng = np.random.default_rng(13)
+    for dims in ((2, 2), (3, 3)):
+        v = hermitian_tensor_to_vector(planted_witness(rng, *dims), dims)
+        path = tmp_path / f"witness{dims[0]}{dims[1]}.json"
+        dump_json(gptvector_to_json(GptVector(v.system, scale * v.coeffs)), str(path))
+        code, out, err = run(capsys, "check-state", str(path), "--json")
+        assert code == 1, (dims, out, err)
+        assert json.loads(out)["margin"] < -1e-3 * scale
+    t = planted_map(rng, 3, 3)
+    path = tmp_path / "map.json"
+    dump_json(linear_map_to_json(LinearMap(t.domain, t.codomain, scale * t.matrix)), str(path))
+    code, out, err = run(capsys, "check-map", str(path), "--test", "positivity", "--json")
+    assert code == 1, (out, err)
+    assert json.loads(out)["margin"] < -1e-3 * scale
 
 
 # --- exit-code properties over generated files and flags ---------------------------

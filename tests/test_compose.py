@@ -10,6 +10,7 @@ from witworld import (
     Boxworld,
     Classical,
     GptVector,
+    LinearMap,
     Quantum,
     SearchConfig,
     box_pair_state,
@@ -23,6 +24,7 @@ from witworld import (
     hermitian_tensor_to_vector,
     hermitian_to_vector,
     pair,
+    positivity_check,
     pr_state,
     probe_states,
     reduced_state,
@@ -52,6 +54,8 @@ from witworld.transforms import map_from_matrix_action
 from conftest import (
     choi_witness,
     local_deterministic_box,
+    planted_map,
+    planted_witness,
     pr_box_table,
     random_decomposable_witness,
     random_density,
@@ -468,7 +472,9 @@ def test_scaled_product_effect_rejected():
     e = GptVector(system(B22, B22), 1.5 * tensor(rays[0], rays[0]).coeffs)
     res = composite_effect_check(e)
     assert res.rejected
-    assert "1.5" in res.detail
+    # the detail is a shared string; the margin and the witness carry the 1.5
+    assert res.margin == pytest.approx(-0.5, abs=1e-12)
+    assert pair(e, res.witness) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_separable_mixture_inconclusive_without_certificate_then_certified():
@@ -987,15 +993,24 @@ def _qutrit_operators(gen, kind, n):
         # ground space a coordinate plane, top eigenvector a basis vector
         return np.array([np.diag(gen.permutation([-0.5, -0.5, 1.0])) for _ in range(n)],
                         dtype=complex)
-    eigs = {"degenerate-top": [-1.0, 0.5, 0.5], "degenerate-bottom": [-0.5, -0.5, 1.0]}.get(kind)
-    if eigs is None:
+    eigs = {"degenerate-top": [-1.0, 0.5, 0.5], "degenerate-bottom": [-0.5, -0.5, 1.0],
+            # rank 2 with a zero eigenvalue: K rho^T K^dagger - c |chi><chi| of
+            # a planted map on a pure input, and its valid part on a mixed one
+            "rank-2 indefinite": [-0.6, 0.0, 1.0], "rank-2 positive": [0.0, 0.4, 1.0]}.get(kind)
+    if kind.startswith("threshold"):
+        # sin(phi) just above or below 1/20, where _qutrit_ground_vectors
+        # turns from the plane solve to the adjugate
+        phi = np.arcsin(0.05 * (1.0 + (1e-6 if kind.endswith("above") else -1e-6)))
+        eigs = 0.3 + 0.5 * np.cos(phi + 2.0 * np.pi * np.arange(3) / 3.0)
+    elif eigs is None:
         gap = float(kind.split()[-1])
         eigs = [0.2, 0.2 + gap, 1.0] if kind.startswith("bottom") else [-1.0, 0.2, 0.2 + gap]
     return np.einsum("rij,j,rkj->rik", u, eigs, u.conj())
 
 
 _QUTRIT_KINDS = (["random", "rank-1", "identity", "diagonal", "degenerate-top",
-                  "degenerate-bottom"]
+                  "degenerate-bottom", "rank-2 indefinite", "rank-2 positive",
+                  "threshold above", "threshold below"]
                  + [f"{side} gap {g}" for side in ("bottom", "top")
                     for g in (1e-14, 1e-12, 1e-8, 1e-4, 1e-2)])
 
@@ -1019,6 +1034,82 @@ def test_qutrit_ground_states_match_eigh(rows, scale):
         p = np.einsum("rk,kij->rij", proj, hermitian_basis(3))
         assert np.allclose(np.trace(p, axis1=1, axis2=2), 1.0, rtol=0, atol=1e-14), kind
         assert np.allclose(p @ p, p, rtol=0, atol=1e-14), kind
+
+
+def _plane_rows(monkeypatch):
+    """Count the qutrit rows of every ground-state call, and those solved on a plane."""
+    import witworld.compose as compose
+
+    rows, plane = [], []
+    kernel, lower = compose._qutrit_ground_vectors, compose._lower_pair_ground
+
+    def counted_kernel(t, prev):
+        rows.append(len(t))
+        return kernel(t, prev)
+
+    def counted_lower(b, w, mu, p, prev):
+        plane.append(len(mu))
+        return lower(b, w, mu, p, prev)
+
+    monkeypatch.setattr(compose, "_qutrit_ground_vectors", counted_kernel)
+    monkeypatch.setattr(compose, "_lower_pair_ground", counted_lower)
+    return rows, plane
+
+
+def test_qutrit_branch_turns_at_the_threshold(monkeypatch):
+    from witworld.compose import _ground_states
+
+    _, plane = _plane_rows(monkeypatch)
+    gen = np.random.default_rng(8)
+    prev = np.tile(_reference_projector_coeffs(np.eye(3)[0]), (50, 1))
+    for kind, solved_on_plane in (("threshold above", 0), ("threshold below", 50),
+                                  ("degenerate-top", 0), ("degenerate-bottom", 50)):
+        plane.clear()
+        _ground_states(_operator_coeffs(_qutrit_operators(gen, kind, 50)), prev)
+        assert sum(plane) == solved_on_plane, kind
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 3)])
+def test_planted_maps_rarely_reach_the_plane_solve(monkeypatch, dims):
+    # their operators are rank 2 with a zero eigenvalue, and the sign of
+    # det sent 94-96% of their rows to the plane solve
+    rows, plane = _plane_rows(monkeypatch)
+    for seed in range(3):
+        assert positivity_check(planted_map(np.random.default_rng([seed, 2]), *dims)).rejected
+    assert sum(rows) > 5000
+    assert sum(plane) <= 0.05 * sum(rows)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e155, 1e200, 1e300])
+def test_scaled_planted_inputs_keep_status_and_margin(scale):
+    rng = np.random.default_rng(12)
+    witnesses = [hermitian_tensor_to_vector(planted_witness(rng, *dims), dims)
+                 for dims in ((2, 2), (2, 3), (3, 3))]
+    maps = [planted_map(rng, *dims) for dims in ((3, 3), (2, 3))]
+    for v in witnesses:
+        ref = composite_state_check(v)
+        res = composite_state_check(GptVector(v.system, scale * v.coeffs))
+        assert ref.rejected and res.rejected, (v.system, res.describe())
+        assert res.margin / scale == pytest.approx(ref.margin, rel=1e-12, abs=0)
+    for t in maps:
+        ref = positivity_check(t)
+        res = positivity_check(LinearMap(t.domain, t.codomain, scale * t.matrix))
+        assert ref.rejected and res.rejected, (t, res.describe())
+        assert res.margin / scale == pytest.approx(ref.margin, rel=1e-12, abs=0)
+
+
+def test_hermitian_tensor_test_is_relative_to_the_entries():
+    rng = np.random.default_rng(6)
+    a = 3e4 * (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    m = a @ a.conj().T  # entries ~1e9: Hermitian up to rounding, ~1e-7 absolute
+    back = vector_to_hermitian_tensor(hermitian_tensor_to_vector(m, (2, 3)))
+    assert np.max(np.abs(back - m)) <= 1e-12 * np.max(np.abs(m))
+    bad = m.copy()
+    bad[0, 1] += 1e-7 * np.max(np.abs(m))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_tensor_to_vector(bad, (2, 3))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_tensor_to_vector(np.diag([0.0, 0, 0, 0]) + 1e-7 * np.eye(4, k=1), (2, 2))
 
 
 @pytest.mark.parametrize("restarts", [1, 7, 40])

@@ -116,6 +116,25 @@ def test_non_hermitian_rejected():
         vector_to_hermitian(GptVector(system(Classical(4)), np.zeros(4)))
 
 
+def test_hermiticity_test_is_relative_to_the_entries():
+    # a a^dagger with entries ~1e6 is Hermitian up to rounding, ~1e-9 absolute
+    rng = np.random.default_rng(4)
+    a = 1e3 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    m = a @ a.conj().T
+    assert np.max(np.abs(m - m.conj().T)) > 0.0
+    back = vector_to_hermitian(hermitian_to_vector(m))
+    assert np.max(np.abs(back - m)) <= 1e-12 * np.max(np.abs(m))
+    # a skew part of 1e-9 of the entries is not rounding
+    bad = m.copy()
+    bad[0, 1] += 1e-9 * np.max(np.abs(m))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_to_vector(bad)
+    # below entries of size 1 the tolerance stays absolute
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_to_vector(np.array([[0.0, 1e-9], [0.0, 0.0]], dtype=complex))
+    hermitian_to_vector(np.array([[0.0, 1e-11], [0.0, 0.0]], dtype=complex))
+
+
 def test_unit_effects():
     assert np.allclose(unit_effect(system(Classical(3))).coeffs, [0, 0, 1])
     assert np.allclose(unit_effect(system(Boxworld(2, 2))).coeffs, [0, 0, 1])
