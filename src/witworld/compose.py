@@ -26,7 +26,9 @@ gives a certified lower bound: a partial transpose maps product
 projectors to product projectors, so the lowest eigenvalue of any partial
 transpose of the operator bounds its minimum over them.  When that bound
 is at least -tol the state (or, in :mod:`witworld.transforms`, the map)
-is accepted with the bound as its margin and no search runs.
+is accepted with the bound as its margin and no search runs.  State and
+positivity verdicts take tol at the input's unit size (:func:`unit_tol`),
+so scaling an input scales its threshold with its margin.
 
 Effect validity is the dual question: ``e`` and ``u - e`` must be
 separable.  On Q2*Q2, Q2*Q3 and Q3*Q2 separable equals PPT, so there it
@@ -534,6 +536,27 @@ def search_is_exact(qdims: Sequence[int]) -> bool:
     return len(qdims) <= 1 or tuple(qdims) == (2, 2)
 
 
+def unit_exponent(values) -> int:
+    """The power of two, as an exponent ``e``, with the largest ``|values|`` in [2^(e-1), 2^e).
+
+    Scaling by ``2^-e`` brings an input to unit size exactly: its largest
+    entry lies in [1/2, 1).  It is 0 for inputs of that size and for zeros.
+    """
+    return math.frexp(float(np.max(np.abs(values))))[1]
+
+
+def unit_tol(tol: float, values) -> float:
+    """``tol`` at the unit size of ``values``: ``tol * 2^e`` for :func:`unit_exponent` ``e``.
+
+    Inputs whose largest entry lies in [1/2, 1) keep ``tol`` exactly, and
+    a verdict that compares a homogeneous margin with it does not change
+    when the input is scaled.  Sizes below 2^-20 count as 2^-20: a vector
+    of rounding noise where an exact zero was meant (entries near 1e-16)
+    is judged with about ``tol * 1e-6``, not at its own size.
+    """
+    return math.ldexp(tol, max(unit_exponent(values), -20))
+
+
 def minimize_product_form(coeffs: np.ndarray, specs: Sequence, cfg: SearchConfig) -> ProductMin:
     """Minimize ``<g_1 x ... x g_N, w>`` over per-factor generator sets.
 
@@ -556,7 +579,7 @@ def minimize_product_form(coeffs: np.ndarray, specs: Sequence, cfg: SearchConfig
         s.vectors[0].coeffs.size if isinstance(s, FiniteGenerators) else s.d * s.d
         for s in specs
     )
-    exp = math.frexp(float(np.max(np.abs(coeffs))))[1]
+    exp = unit_exponent(coeffs)
     tensor_w = np.ldexp(coeffs, -exp).reshape(dims)
     finite_axes = [i for i, s in enumerate(specs) if isinstance(s, FiniteGenerators)]
     qdims = [s.d for s in specs if isinstance(s, QuantumGenerators)]
@@ -635,19 +658,21 @@ def composite_state_check(v: GptVector, cfg: SearchConfig | None = None) -> Memb
     first given a :func:`spectral_bound`, which accepts with that bound as
     the margin when it is at least -tol; anything else falls back to a
     seeded random-restart search whose acceptance is inconclusive.  A
-    rejection carries the product effect attaining the margin.
+    rejection carries the product effect attaining the margin.  The
+    tolerance is ``cfg.tol`` at the unit size of ``v`` (:func:`unit_tol`).
     """
     cfg = cfg or SearchConfig()
+    tol = unit_tol(cfg.tol, v.coeffs)
     if len(v.atoms) == 1:
-        return atomic_state_check(v, cfg.tol)
+        return atomic_state_check(v, tol)
     if all(isinstance(a, Quantum) for a in v.atoms):
         dims = tuple(a.d for a in v.atoms)
         if not search_is_exact(dims):
             bound = spectral_bound(vector_to_hermitian_tensor(v)[None], dims)
-            if bound >= -cfg.tol:
+            if bound >= -tol:
                 return certified_verdict(bound)
     res = minimize_product_form(v.coeffs, _effect_side_specs(v.atoms), cfg)
-    return _verdict(res.value, res.conclusive, cfg.tol, lambda: (
+    return _verdict(res.value, res.conclusive, tol, lambda: (
         _product(v.system, res.factors), _NEGATIVE_EFFECT))
 
 

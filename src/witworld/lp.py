@@ -25,6 +25,36 @@ class LpResult:
     residual: float
 
 
+def _leaving_row(rows, ratios, basis) -> int:
+    """Bland's ratio test: the lowest ratio, ties within _PIVOT_TOL to the lowest basis index.
+
+    A scan over the rows in order, keeping the best ratio so far and
+    taking a row that beats it by more than _PIVOT_TOL or ties it with a
+    lower basis index, is the rule.  Where no ratio lies between half and
+    three times _PIVOT_TOL above the lowest, the ratios within half of it
+    tie with each other and beat every other row, so the scan ends on the
+    lowest basis index among them; that is taken with array operations
+    (most often the lowest ratio is the only one within 3 _PIVOT_TOL).
+    Otherwise chains of near-ties make the outcome depend on the order,
+    and the scan itself runs.
+    """
+    above = ratios - ratios.min()
+    near = above <= 3 * _PIVOT_TOL
+    if np.count_nonzero(near) == 1:
+        return int(rows[near.argmax()])
+    if not (near & (above > _PIVOT_TOL / 2)).any():
+        tied = rows[above <= _PIVOT_TOL / 2]
+        return int(tied[basis[tied].argmin()])
+    leave, best_ratio = -1, np.inf
+    for i, ratio in zip(rows, ratios):
+        if ratio < best_ratio - _PIVOT_TOL or (
+            abs(ratio - best_ratio) <= _PIVOT_TOL
+            and (leave < 0 or basis[i] < basis[leave])
+        ):
+            best_ratio, leave = ratio, i
+    return int(leave)
+
+
 def solve_feasibility(A, b, tol: float = 1e-9, max_iter: int | None = None) -> LpResult:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -46,36 +76,29 @@ def solve_feasibility(A, b, tol: float = 1e-9, max_iter: int | None = None) -> L
     tab[:m, -1] = b1
     tab[m, :n] = -A1.sum(axis=0)
     tab[m, -1] = -b1.sum()
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
 
     iterations = 0
-    while iterations < max_iter:
+    while m and iterations < max_iter:  # with no rows there is nothing to pivot
         # Bland: entering variable is the lowest index with negative reduced cost.
-        negative = np.flatnonzero(tab[m, :n + m] < -_PIVOT_TOL)
-        if negative.size == 0:
+        negative = tab[m, :n + m] < -_PIVOT_TOL
+        enter = int(negative.argmax())
+        if not negative[enter]:
             break
-        enter = int(negative[0])
         col = tab[:m, enter]
-        rows = np.flatnonzero(col > _PIVOT_TOL)
-        ratios = tab[rows, -1] / col[rows]
-        leave, best_ratio = -1, np.inf
-        for i, ratio in zip(rows, ratios):
-            if ratio < best_ratio - _PIVOT_TOL or (
-                abs(ratio - best_ratio) <= _PIVOT_TOL
-                and (leave < 0 or basis[i] < basis[leave])
-            ):
-                best_ratio, leave = ratio, i
-        if leave < 0:
+        rows = (col > _PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
             # Phase-1 objective is bounded below by 0, so this cannot happen
             # with artificial variables present; treat defensively.
             break
+        leave = _leaving_row(rows, tab[rows, -1] / col[rows], basis)
         piv = tab[leave, enter]
         tab[leave, :] /= piv
         # One rank-1 update over the rows with a nonzero entering entry;
         # rows with a zero entry are left alone, as a row-by-row update would.
         factors = tab[:, enter].copy()
         factors[leave] = 0.0
-        hit = np.flatnonzero(factors)
+        hit = factors.nonzero()[0]
         tab[hit] -= factors[hit, None] * tab[leave]
         basis[leave] = enter
         iterations += 1

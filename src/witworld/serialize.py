@@ -177,19 +177,33 @@ def _element_key_to_str(scenario: str, key) -> str:
 
 
 def _element_key_from_str(scenario: str, s: str):
-    try:
-        if scenario == BOB_WITH_INPUT:
-            m = re.fullmatch(r"a=(\d+)\|x=(\d+);y=(\d+)", s)
-            return int(m.group(1)), int(m.group(2)), int(m.group(3))
-        if scenario == MULTIPARTITE:
-            m = re.fullmatch(r"a=([\d,]+)\|x=([\d,]+)", s)
-            a = tuple(int(t) for t in m.group(1).split(","))
-            x = tuple(int(t) for t in m.group(2).split(","))
-            return a, x
-        m = re.fullmatch(r"a=(\d+)\|x=(\d+)", s)
-        return int(m.group(1)), int(m.group(2))
-    except AttributeError:
-        raise MalformedInputError(f"bad element key {s!r} for scenario {scenario}") from None
+    key = _parse_element_key(scenario, s)
+    if key is None:
+        raise MalformedInputError(f"bad element key {s!r} for scenario {scenario}")
+    return key
+
+
+def _parse_element_key(scenario: str, s: str):
+    """The key that ``s`` spells, or None: ``a=<n>|x=<n>``, ``a=<n>,..|x=<n>,..``
+    (multipartite) or ``a=<n>|x=<n>;y=<n>`` (bob-with-input), with decimal digits."""
+    if not isinstance(s, str) or not s.startswith("a="):
+        return None
+    a, sep, x = s[2:].partition("|x=")
+    if not sep:
+        return None
+    if scenario == MULTIPARTITE:
+        a, x = a.split(","), x.split(",")
+        if not all(map(str.isdecimal, a + x)):
+            return None
+        return tuple(map(int, a)), tuple(map(int, x))
+    if scenario == BOB_WITH_INPUT:
+        x, sep, y = x.partition(";y=")
+        if not (sep and a.isdecimal() and x.isdecimal() and y.isdecimal()):
+            return None
+        return int(a), int(x), int(y)
+    if not (a.isdecimal() and x.isdecimal()):
+        return None
+    return int(a), int(x)
 
 
 def assemblage_to_json(asm: Assemblage) -> dict:
@@ -209,6 +223,13 @@ def assemblage_to_json(asm: Assemblage) -> dict:
 
 
 def assemblage_from_json(obj) -> Assemblage:
+    """An :class:`Assemblage` from its JSON form.
+
+    Files whose elements are all matrix-form ``{"re", "im"}`` objects with
+    distinct keys are read in one pass: every part into one array, with one
+    finiteness test.  Any other file, or one that fails that pass, is read
+    element by element, so an error names the first bad element.
+    """
     if not isinstance(obj, dict) or "scenario" not in obj or "elements" not in obj:
         raise MalformedInputError("assemblage must carry 'scenario' and 'elements'")
     if not isinstance(obj["elements"], dict):
@@ -225,13 +246,47 @@ def assemblage_from_json(obj) -> Assemblage:
     d = obj.get("d")
     if "d" in obj and (not isinstance(d, int) or isinstance(d, bool) or d < 1):
         raise MalformedInputError(f"assemblage 'd' must be a positive integer, got {d!r}")
+    elements = _matrix_elements(scenario, obj["elements"])
+    if elements is None:
+        elements = _elements_one_by_one(scenario, obj["elements"])
+    try:
+        asm = Assemblage(scenario, outcomes, settings, elements, bob_inputs=bob_inputs)
+    except ValueError as exc:
+        raise MalformedInputError(str(exc)) from exc
+    if d is not None and d != asm.d:
+        raise MalformedInputError(f"assemblage declares d={d} but its elements have d={asm.d}")
+    return asm
+
+
+def _matrix_elements(scenario: str, items: dict):
+    """The elements of an all-matrix-form file read as one stack, or None if
+    any key or matrix would fail the element-by-element read."""
+    keys = [_parse_element_key(scenario, s) for s in items]
+    vals = list(items.values())
+    if None in keys or len(set(keys)) < len(keys) or not all(
+            isinstance(v, dict) and "re" in v and "im" in v for v in vals):
+        return None
+    try:
+        parts = np.array([(v["re"], v["im"]) for v in vals], dtype=float)
+    except (TypeError, ValueError):
+        return None
+    if parts.ndim != 4 or parts.shape[2] != parts.shape[3] or not np.isfinite(parts).all():
+        return None
+    return _hermitian_elements(list(items), keys, parts[:, 0] + 1j * parts[:, 1])
+
+
+def _elements_one_by_one(scenario: str, items: dict) -> dict:
+    """The elements read in file order, each checked on its own."""
     # matrix-form elements wait in `pending`, keyed in place in `elements`,
     # so the dict keeps the file's order once they are converted as one stack
     elements, pending = {}, {}
-    for key_str, val in obj["elements"].items():
+    for key_str, val in items.items():
         key = _element_key_from_str(scenario, key_str)
         if isinstance(val, dict) and "re" in val:
-            mat = _matrix_from_json(val)
+            try:
+                mat = _matrix_from_json(val)
+            except MalformedInputError as exc:
+                raise MalformedInputError(f"element {key_str}: {exc}") from None
             if mat.shape[0] != mat.shape[1]:
                 raise MalformedInputError(f"element {key_str} matrix is not square")
             elements[key] = None
@@ -242,27 +297,20 @@ def assemblage_from_json(obj) -> Assemblage:
         else:
             raise MalformedInputError(f"element {key_str} needs 'matrix' re/im or a vector")
     if pending:
-        elements.update(_hermitian_elements(pending))
-    try:
-        asm = Assemblage(scenario, outcomes, settings, elements, bob_inputs=bob_inputs)
-    except ValueError as exc:
-        raise MalformedInputError(str(exc)) from exc
-    if d is not None and d != asm.d:
-        raise MalformedInputError(f"assemblage declares d={d} but its elements have d={asm.d}")
-    return asm
+        key_strs = [key_str for key_str, _ in pending.values()]
+        mats = [mat for _, mat in pending.values()]
+        for key_str, mat in zip(key_strs, mats):
+            if mat.shape != mats[0].shape:
+                raise MalformedInputError(
+                    f"element {key_str} matrix is {mat.shape[0]}x{mat.shape[0]}, but element "
+                    f"{key_strs[0]} is {mats[0].shape[0]}x{mats[0].shape[0]}"
+                )
+        elements.update(_hermitian_elements(key_strs, list(pending), np.stack(mats)))
+    return elements
 
 
-def _hermitian_elements(pending: dict) -> dict:
-    """Single-qudit vectors of the matrix-form elements ``{key: (key_str, matrix)}``."""
-    key_strs = [key_str for key_str, _ in pending.values()]
-    mats = [mat for _, mat in pending.values()]
-    for key_str, mat in zip(key_strs, mats):
-        if mat.shape != mats[0].shape:
-            raise MalformedInputError(
-                f"element {key_str} matrix is {mat.shape[0]}x{mat.shape[0]}, but element "
-                f"{key_strs[0]} is {mats[0].shape[0]}x{mats[0].shape[0]}"
-            )
-    stack = np.stack(mats)
+def _hermitian_elements(key_strs: list, keys: list, stack: np.ndarray) -> dict:
+    """Single-qudit vectors ``{key: vector}`` of a stack of matrix-form elements."""
     # the test of hermitian_tensor_to_vector
     bad = np.flatnonzero(not_hermitian(stack, 1e-8))
     if bad.size:
@@ -270,8 +318,7 @@ def _hermitian_elements(pending: dict) -> dict:
             f"element {key_strs[bad[0]]} matrix is not Hermitian within tolerance"
         )
     sys = system(Quantum(stack.shape[1]))
-    return {key: GptVector(sys, row)
-            for key, row in zip(pending, hermitian_stack_to_coeffs(stack))}
+    return {key: GptVector(sys, row) for key, row in zip(keys, hermitian_stack_to_coeffs(stack))}
 
 
 def steering_inequality_to_json(cert: SteeringInequality, scenario: str) -> dict:

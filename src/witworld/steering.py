@@ -12,6 +12,7 @@ states, entangled quantum states, and the controlled transpose.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +25,7 @@ from .compose import (
     pr_state,
     steer,
     tensor_all,
+    unit_exponent,
 )
 from .lp import solve_feasibility
 from .systems import (
@@ -36,6 +38,7 @@ from .systems import (
     classical_outcome_effect,
     coeffs_to_hermitian_stack,
     effect_cone_rays,
+    hermitian_stack_to_coeffs,
     hermitian_to_vector,
     pair,
     system,
@@ -475,9 +478,9 @@ class LhsModel:
         for p, s in enumerate(settings):
             table = np.array([lam[p] for lam in self.strategies], dtype=int)
             hit &= table.reshape(-1, s).T[x_arr[:, p]] == a_arr[:, p, None]
-        rebuilt = np.zeros_like(target)
-        for i, state in enumerate(self.local_states):
-            rebuilt[hit[:, i]] += state.coeffs
+        # a sum over axis 1 adds the hit states in strategy order, as a loop would
+        states = np.array([s.coeffs for s in self.local_states]).reshape(-1, target.shape[1])
+        rebuilt = np.where(hit[:, :, None], states, 0.0).sum(axis=1)
         return float(np.max(np.abs(rebuilt - target)))
 
 
@@ -505,26 +508,38 @@ class StrategyCapError(ValueError):
 def _common_eigenbasis(stack, tol, scale):
     """A unitary diagonalizing every matrix of ``stack``, and the rotated stack.
 
-    Returns ``(None, None)`` when two matrices fail to commute within
-    tolerance (checked row by row, stopping at the first failing row) or
-    no trial combination separates the joint eigenspaces.
+    ``scale`` is the stack's unit size, a power of two: commutators are
+    compared with ``max(tol, 1e-10) * scale**2`` and the rotated
+    off-diagonal entries with ``max(tol, 1e-9) * scale``.  Returns
+    ``(None, None)`` when two matrices fail to commute or no trial
+    combination separates the joint eigenspaces.
+
+    Every product comes from one ``tensordot``, whose entry ``[i, :, j, :]``
+    is ``A_i A_j``; the matrices are Hermitian, so ``A_j A_i`` is its
+    adjoint.  Rows of the product are taken in blocks of bounded size.
     """
-    ctol = max(tol, 1e-10) * scale
-    for i in range(len(stack) - 1):
-        a, rest = stack[i], stack[i + 1:]
-        if np.max(np.abs(a @ rest - rest @ a)) > ctol:
+    n, d = stack.shape[:2]
+    ctol = max(tol, 1e-10) * scale * scale
+    rows = max(1, _PRODUCT_ENTRIES // (n * d * d))
+    for lo in range(0, n, rows):
+        prod = np.tensordot(stack[lo:lo + rows], stack, axes=([2], [1]))
+        if np.max(np.abs(prod - prod.transpose(0, 3, 2, 1).conj())) > ctol:
             return None, None
     for seed in (190452, 881237, 55901):
-        w = np.random.default_rng(seed).normal(size=len(stack))
-        h = sum(wi * m for wi, m in zip(w, stack))
+        w = np.random.default_rng(seed).normal(size=n)
+        h = (w[:, None, None] * stack).sum(axis=0)
         _, u = np.linalg.eigh(h)
         rotated = u.conj().T @ stack @ u
         off = np.abs(rotated)
-        diag = np.arange(off.shape[1])
+        diag = np.arange(d)
         off[:, diag, diag] = 0.0
         if float(np.max(off)) <= max(tol, 1e-9) * scale:
             return u, rotated
     return None, None
+
+
+# entries of one block of commutator products (16 bytes each)
+_PRODUCT_ENTRIES = 1 << 16
 
 
 def _party_responses(outcomes, settings, cap):
@@ -557,10 +572,10 @@ def _response_matrix(keys, outcomes, tables):
     return dmat
 
 
-def _strategy(index, tables):
-    """The per-party response functions of strategy column ``index``."""
-    picks = np.unravel_index(index, [t.shape[1] for t in tables])
-    return tuple(tuple(t[:, j].tolist()) for t, j in zip(tables, picks))
+def _strategies(indices, tables) -> list:
+    """The per-party response functions of each strategy column in ``indices``."""
+    picks = np.unravel_index(np.asarray(indices, dtype=int), [t.shape[1] for t in tables])
+    return list(zip(*(map(tuple, t[:, j].T.tolist()) for t, j in zip(tables, picks))))
 
 
 def lhs_check(asm: Assemblage, solver_cfg: LhsConfig | None = None):
@@ -573,12 +588,16 @@ def lhs_check(asm: Assemblage, solver_cfg: LhsConfig | None = None):
     yields a :class:`SteeringInequality` certificate.  Non-commuting
     assemblages are reported as unsupported.
 
-    Both are checked before a verdict is given: a certificate ``y`` must
-    score at most ``tol * max(1, |y|)`` on every deterministic strategy
-    and more than that on the eigenvalue table, and a model must rebuild
-    every element within ``tol * max(1, |elements|)``.  A certificate that
-    fails is reported as unsupported, a model that fails as
-    inconclusive-accept.
+    The check runs at unit size: with ``unit`` the power of two that
+    brings the largest element entry into [1/2, 1), the LP gets the
+    eigenvalue table divided by ``unit`` exactly, and every tolerance
+    scales with it, so a scaled assemblage gets the same verdict.  Both
+    outcomes are checked before a verdict is given: a certificate ``y``
+    must score at most ``tol * max(1, |y|)`` on every deterministic
+    strategy and more than that times ``unit`` on the eigenvalue table,
+    and a model must rebuild every element within ``tol * unit``.  A
+    certificate that fails is reported as unsupported, a model that
+    fails as inconclusive-accept.
     """
     cfg = solver_cfg or LhsConfig()
     if asm.scenario not in (BIPARTITE, MULTIPARTITE):
@@ -586,8 +605,9 @@ def lhs_check(asm: Assemblage, solver_cfg: LhsConfig | None = None):
     outcomes, settings, els = asm.as_parties()
     keys = sorted(els)
     stack = coeffs_to_hermitian_stack(np.array([els[k].coeffs for k in keys]), asm.d)
-    scale = max(1.0, float(np.max(np.abs(stack))))
-    u, rotated = _common_eigenbasis(stack, cfg.tol, scale)
+    exp = unit_exponent(stack)
+    unit = math.ldexp(1.0, exp)
+    u, rotated = _common_eigenbasis(stack, cfg.tol, unit)
     if u is None:
         return (
             MembershipVerdict(UNSUPPORTED, detail="elements do not commute within tolerance"),
@@ -597,16 +617,17 @@ def lhs_check(asm: Assemblage, solver_cfg: LhsConfig | None = None):
     responses = _party_responses(outcomes, settings, cfg.strategy_cap)
     dmat = _response_matrix(keys, outcomes, responses)
     tables = np.real(np.diagonal(rotated, axis1=1, axis2=2))
+    unit_tables = np.ldexp(tables, -exp)
 
     weights = np.zeros((dmat.shape[1], d))
     for k in range(d):
-        res = solve_feasibility(dmat, tables[:, k], tol=cfg.tol)
+        res = solve_feasibility(dmat, unit_tables[:, k], tol=cfg.tol)
         if not res.feasible:
             y = res.certificate
             value = float(y @ tables[:, k])
             worst = float(np.max(y @ dmat))
             ytol = cfg.tol * max(1.0, float(np.max(np.abs(y))))
-            if worst > ytol or not value > ytol:
+            if worst > ytol or not value > ytol * unit:
                 return (
                     MembershipVerdict(
                         UNSUPPORTED,
@@ -627,16 +648,20 @@ def lhs_check(asm: Assemblage, solver_cfg: LhsConfig | None = None):
                 None,
             )
         weights[:, k] = res.x
+    weights = np.ldexp(weights, exp)
     totals = weights.sum(axis=1)
-    local_states, wts, lams = [], [], []
-    for i in np.flatnonzero(totals > 1e-13):
-        mat = u @ np.diag(weights[i]) @ u.conj().T
-        local_states.append(hermitian_to_vector((mat + mat.conj().T) / 2))
-        wts.append(float(totals[i]))
-        lams.append(_strategy(i, responses))
-    model = LhsModel(tuple(lams), tuple(wts), tuple(local_states))
+    used = np.flatnonzero(totals > 1e-13 * unit)
+    # u diag(w) u^dagger for every used strategy, as one stacked product
+    mats = (u * weights[used, None, :]) @ u.conj().T
+    rows = hermitian_stack_to_coeffs((mats + mats.conj().transpose(0, 2, 1)) / 2)
+    sys = system(Quantum(d))
+    model = LhsModel(
+        tuple(_strategies(used, responses)),
+        tuple(totals[used].tolist()),
+        tuple(GptVector(sys, row) for row in rows),
+    )
     err = model.max_error(asm)
-    if err > cfg.tol * scale:
+    if err > cfg.tol * unit:
         return (
             MembershipVerdict(
                 INCONCLUSIVE_ACCEPT, margin=-err,

@@ -29,6 +29,7 @@ from .compose import (
     search_is_exact,
     spectral_bound,
     tensor_all,
+    unit_tol,
     vector_to_hermitian_tensor,
     _effect_side_specs,
     _partial_transpose,
@@ -299,11 +300,13 @@ def positivity_check(t: LinearMap, cfg: SearchConfig | None = None) -> Membershi
     regime.  Before a search that is not, an all-quantum codomain with a
     quantum or Q2*Q2-, Q2*Q3-type domain is given :func:`_positivity_bound`,
     which accepts when it is at least -tol.  A rejection carries a
-    :class:`PositivityViolation`.
+    :class:`PositivityViolation`.  The tolerance is ``cfg.tol`` at the
+    unit size of the map's matrix (:func:`witworld.compose.unit_tol`).
     """
     cfg = cfg or SearchConfig()
+    tol = unit_tol(cfg.tol, t.matrix)
     bound = _positivity_bound(t)
-    if bound is not None and bound >= -cfg.tol:
+    if bound is not None and bound >= -tol:
         return certified_verdict(bound)
     cod, dom = t.codomain.atoms, t.domain.atoms
     specs = _effect_side_specs(cod) + _state_side_specs(dom)
@@ -318,7 +321,7 @@ def positivity_check(t: LinearMap, cfg: SearchConfig | None = None) -> Membershi
         if check.margin < margin:
             margin, violation = check.margin, (
                 lambda p=probe, c=check: PositivityViolation(p, c.witness, c.margin))
-    return _verdict(margin, conclusive, cfg.tol, lambda: (violation(), _OUTSIDE_CODOMAIN))
+    return _verdict(margin, conclusive, tol, lambda: (violation(), _OUTSIDE_CODOMAIN))
 
 
 # the detail of every positivity rejection; the margin carries the number

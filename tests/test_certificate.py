@@ -217,3 +217,59 @@ def test_certificate_stays_off_the_exact_paths(monkeypatch):
     composite_state_check(hermitian_tensor_to_vector(random_density(rng, 9), (3, 3)), CFG)
     positivity_check(transpose_map(3), CFG)
     assert calls == [(3, 3), (3, 3)]
+
+
+# --- verdicts do not depend on the input's scale -----------------------------------
+
+
+def _scale_cases():
+    """(label, check, input, scaled copy) for states and maps, valid and not."""
+    rng = np.random.default_rng(12)
+    states = [hermitian_tensor_to_vector(planted_witness(rng, *dims), dims)
+              for dims in ((2, 2), (2, 3), (3, 3))]
+    states += [hermitian_tensor_to_vector(_certified_witness(rng, dims), dims)
+               for dims in ((2, 3), (3, 3))]
+    states += [random_decomposable_witness(rng), hermitian_tensor_to_vector(choi_witness(), (3, 3)),
+               pr_state(),
+               hermitian_to_vector(np.diag([0.7, -0.3]).astype(complex))]
+    maps = [planted_map(rng, *dims) for dims in ((3, 3), (2, 3), (3, 2), (2, 2))]
+    maps += [transpose_map(2), transpose_map(3), random_positive_box_map(rng)]
+    cases = [("state", composite_state_check, v,
+              lambda s, v=v: GptVector(v.system, s * v.coeffs)) for v in states]
+    cases += [("map", positivity_check, t,
+               lambda s, t=t: LinearMap(t.domain, t.codomain, s * t.matrix)) for t in maps]
+    return cases
+
+
+@pytest.mark.parametrize("factor", [1e-12, 1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e12])
+def test_scaled_states_and_maps_keep_their_status(factor):
+    statuses = set()
+    for label, check, x, scaled in _scale_cases():
+        ref = check(x, CFG)
+        res = check(scaled(factor), CFG)
+        assert res.status == ref.status, (label, x, factor, ref.describe(), res.describe())
+        statuses.add(ref.status)
+    assert statuses == {"accepted", "rejected", "inconclusive-accept"}
+
+
+def test_planted_qubit_pair_witness_is_rejected_at_any_small_scale():
+    # margin -0.187 at unit scale: with an absolute tol it was accepted below 1e-9
+    v = hermitian_tensor_to_vector(planted_witness(np.random.default_rng(12), 2, 2), (2, 2))
+    ref = composite_state_check(v)
+    for factor in (1e-8, 1e-9, 1e-10, 1e-12, 1e-14):
+        res = composite_state_check(GptVector(v.system, factor * v.coeffs))
+        assert res.rejected
+        assert res.margin / factor == pytest.approx(ref.margin, rel=1e-9)
+
+
+def test_unit_size_inputs_keep_the_threshold():
+    # largest coefficient in [1/2, 1): tol itself; below, tol at the power of two;
+    # rounding noise where an exact zero was meant is judged at 2^-20
+    assert compose.unit_tol(1e-9, np.array([0.5, -0.1])) == 1e-9
+    assert compose.unit_tol(1e-9, np.array([0.2, 0.99])) == 1e-9
+    assert compose.unit_tol(1e-9, np.array([1.0])) == 2e-9
+    assert compose.unit_tol(1e-9, np.array([3e-3])) == 1e-9 * 2.0 ** -8
+    assert compose.unit_tol(1e-9, np.array([5.5e-17, 0.0])) == 1e-9 * 2.0 ** -20
+    assert compose.unit_tol(1e-9, np.zeros(4)) == 1e-9
+    noise = GptVector(system(Boxworld(2, 2), Boxworld(2, 2)), [-5.55e-17] * 2 + [0.0] * 7)
+    assert composite_state_check(noise).accepted

@@ -1,9 +1,12 @@
 """Phase-1 simplex: feasibility, certificates, agreement with scipy."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from witworld.lp import _PIVOT_TOL, solve_feasibility
+from witworld import lp
+from witworld.lp import _PIVOT_TOL, _leaving_row, solve_feasibility
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -84,6 +87,13 @@ def test_degenerate_cycling_guard():
     res = solve_feasibility(A, b)
     assert res.feasible
     assert np.max(np.abs(A @ res.x - b)) < 1e-9
+
+
+def test_empty_problems_are_feasible():
+    for A in (np.zeros((0, 0)), np.zeros((0, 3))):
+        res = solve_feasibility(A, np.zeros(0))
+        assert res.feasible and res.iterations == 0
+        assert np.array_equal(res.x, np.zeros(A.shape[1]))
 
 
 def test_shape_mismatch():
@@ -192,6 +202,30 @@ def _parity_instances():
     for t in range(20):
         yield dmat, dmat @ rng.dirichlet(np.ones(16)) * (1.0 if t % 2 else 0.5)
         yield dmat, rng.dirichlet(np.ones(8)) * 2
+    # three-party LHS: 64 keys (a, x) over the 64 strategies, with mixtures,
+    # rational mixtures (many exact ties) and arbitrary tables
+    dmat3 = _three_party_dmat()
+    for t in range(6):
+        yield dmat3, dmat3 @ rng.dirichlet(np.ones(64)) * 0.5
+        yield dmat3, dmat3 @ (rng.integers(0, 3, size=64) / 64.0)
+        yield dmat3, rng.dirichlet(np.ones(64)) * 8
+    # ratios that differ by less than the pivot tolerance, some in chains
+    # (each within the tolerance of the next, the ends further apart)
+    for t in range(30):
+        m, n = int(rng.integers(3, 9)), int(rng.integers(3, 12))
+        A = (rng.uniform(size=(m, n)) < 0.6).astype(float)
+        A[:, 0] = 1.0
+        steps = rng.choice([0.0, 0.3, 0.6, 0.9, 1.2, 2.5], size=m) * _PIVOT_TOL
+        yield A, rng.uniform(0.1, 1.0) + (np.cumsum(steps) if t % 2 else steps)
+
+
+def _three_party_dmat():
+    strategies = np.indices((2,) * 6).reshape(6, -1)  # row 2p + x: party p's outcome at x
+    rows = []
+    for a in itertools.product(range(2), repeat=3):
+        for x in itertools.product(range(2), repeat=3):
+            rows.append(np.all([strategies[2 * p + x[p]] == a[p] for p in range(3)], axis=0))
+    return np.array(rows, dtype=float)
 
 
 def test_vectorized_pivots_match_row_loop_bit_for_bit():
@@ -208,3 +242,47 @@ def test_vectorized_pivots_match_row_loop_bit_for_bit():
                 assert np.array_equal(res.certificate, y)
             checked[feasible] += 1
     assert min(checked.values()) > 50
+
+
+def _scan_leaving_row(rows, ratios, basis):
+    """Bland's ratio test as a scan over the rows: the reference."""
+    leave, best_ratio = -1, np.inf
+    for i, ratio in zip(rows, ratios):
+        if ratio < best_ratio - _PIVOT_TOL or (
+            abs(ratio - best_ratio) <= _PIVOT_TOL
+            and (leave < 0 or basis[i] < basis[leave])
+        ):
+            best_ratio, leave = ratio, i
+    return leave
+
+
+def test_ratio_test_matches_the_scan_on_near_ties():
+    rng = np.random.default_rng(7)
+    scanned = 0
+    for trial in range(3000):
+        m = int(rng.integers(1, 12))
+        rows = np.sort(rng.choice(40, size=m, replace=False))
+        basis = rng.permutation(100)[:40]
+        base = rng.choice([0.0, 1e-13, 0.37, 5.0, 3e5])
+        steps = rng.choice([0.0, 0.2, 0.5, 0.7, 1.0, 1.5, 3.5, 1e3], size=m) * _PIVOT_TOL
+        ratios = base + (np.cumsum(steps) if trial % 3 == 0 else rng.permutation(steps))
+        assert _leaving_row(rows, ratios, basis) == _scan_leaving_row(rows, ratios, basis)
+        above = ratios - ratios.min()
+        scanned += bool(np.any((above > _PIVOT_TOL / 2) & (above <= 3 * _PIVOT_TOL)))
+    assert 500 < scanned < 2500  # both the array path and the scan are exercised
+
+
+def test_parity_instances_reach_both_ratio_paths(monkeypatch):
+    calls = {"array": 0, "scan": 0}
+    original = lp._leaving_row
+
+    def spy(rows, ratios, basis):
+        above = ratios - ratios.min()
+        near = np.any((above > _PIVOT_TOL / 2) & (above <= 3 * _PIVOT_TOL))
+        calls["scan" if near else "array"] += 1
+        return original(rows, ratios, basis)
+
+    monkeypatch.setattr(lp, "_leaving_row", spy)
+    for A, b in _parity_instances():
+        solve_feasibility(A, b)
+    assert calls["scan"] > 10 and calls["array"] > 1000

@@ -1,5 +1,11 @@
 """JSON round trips and malformed-input rejection."""
 
+import contextlib
+import copy
+import io
+import json
+import math
+import re
 import warnings
 
 import numpy as np
@@ -18,6 +24,8 @@ from witworld import (
     system,
     transpose_map,
 )
+from witworld import serialize
+from witworld.cli import main
 from witworld.serialize import (
     MalformedInputError,
     assemblage_from_json,
@@ -216,3 +224,141 @@ def test_file_helpers(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(MalformedInputError):
         load_json_file(str(bad))
+
+
+# --- one-pass assemblage load ------------------------------------------------------
+
+
+def _regex_key(scenario, s):
+    """The element-key grammar as regular expressions: the reference."""
+    if scenario == "bob-with-input":
+        m = re.fullmatch(r"a=(\d+)\|x=(\d+);y=(\d+)", s)
+        return m and (int(m.group(1)), int(m.group(2)), int(m.group(3)))
+    if scenario == "multipartite":
+        m = re.fullmatch(r"a=(\d+(?:,\d+)*)\|x=(\d+(?:,\d+)*)", s)
+        return m and (tuple(int(t) for t in m.group(1).split(",")),
+                      tuple(int(t) for t in m.group(2).split(",")))
+    m = re.fullmatch(r"a=(\d+)\|x=(\d+)", s)
+    return m and (int(m.group(1)), int(m.group(2)))
+
+
+@pytest.mark.parametrize("scenario", ["bipartite", "multipartite", "bob-with-input",
+                                      "instrumental"])
+def test_element_keys_parse_as_the_regular_grammar(scenario):
+    texts = ["a=0|x=1", "a=10|x=02", "a=1,0|x=0,1", "a=1,0,1|x=1,1,0", "a=0|x=1;y=2",
+             "a=1|x=0;y=", "a=|x=0", "a=0|x=", "a=0|x=1|x=2", "a=0,|x=1", "a=,0|x=1",
+             "a=0|y=1", "b=0|x=1", " a=0|x=1", "a=0|x=1 ", "a=+1|x=0", "a=-1|x=0",
+             "a=\u0661|x=\u0662", "a=\u00b2|x=0", "a=0|x=1;y=2;y=3", "a=0;y=1|x=2", ""]
+    for text in texts:
+        expected = _regex_key(scenario, text) or None
+        assert serialize._parse_element_key(scenario, text) == expected, text
+        if expected is None:
+            with pytest.raises(MalformedInputError, match="bad element key"):
+                serialize._element_key_from_str(scenario, text)
+
+
+def _psd_doc(rng, n=8, d=2):
+    return _column_doc([_random_psd_json(rng, d) for _ in range(n)], d=d)
+
+
+def test_valid_matrix_file_is_read_in_one_pass(monkeypatch):
+    rng = np.random.default_rng(5)
+    doc = _psd_doc(rng, 64)
+    expected = serialize._elements_one_by_one("bipartite", doc["elements"])
+    calls = []
+    monkeypatch.setattr(serialize, "_matrix_from_json",
+                        lambda obj: calls.append(obj) or pytest.fail("per-element read"))
+    asm = assemblage_from_json(doc)
+    assert calls == []
+    assert list(asm.elements) == list(expected)
+    for key, el in asm.elements.items():
+        assert el.system == expected[key].system
+        assert np.array_equal(el.coeffs, expected[key].coeffs)
+
+
+def _malformed(doc, message):
+    with pytest.raises(MalformedInputError) as exc:
+        assemblage_from_json(doc)
+    assert message in str(exc.value)
+    return str(exc.value)
+
+
+def test_loader_errors_name_the_first_bad_element():
+    rng = np.random.default_rng(6)
+    base = _psd_doc(rng)
+    for bad in (math.nan, math.inf, -math.inf):
+        doc = copy.deepcopy(base)
+        doc["elements"]["a=5|x=0"]["im"][0][1] = bad
+        doc["elements"]["a=7|x=0"]["re"][1][1] = bad
+        _malformed(doc, "element a=5|x=0: matrix 're' and 'im' entries must be finite")
+    doc = copy.deepcopy(base)
+    doc["elements"]["a=3|x=0"]["re"] = [[0.5, 0.0], [0.0]]  # ragged
+    _malformed(doc, "element a=3|x=0: matrix 're' must be numbers")
+    doc = copy.deepcopy(base)
+    doc["elements"]["a=4|x=0"]["re"][0][0] = "half"  # not a number
+    _malformed(doc, "element a=4|x=0: matrix 're' must be numbers")
+    doc = copy.deepcopy(base)
+    doc["elements"]["a=2|x=0"]["im"] = [[0.0, 0.0]]  # 're' and 'im' of different shapes
+    _malformed(doc, "element a=2|x=0: matrix 're' and 'im' must be equal-shape 2d arrays")
+    doc = copy.deepcopy(base)
+    doc["elements"]["a=6|x=0"] = [[0.5, 0.0], [0.0, 0.5]]
+    _malformed(doc, "element a=6|x=0 needs 'matrix' re/im or a vector")
+    for d in (3, 1):
+        doc = copy.deepcopy(base)
+        doc["d"] = d
+        _malformed(doc, f"assemblage declares d={d} but its elements have d=2")
+
+
+def test_files_outside_the_one_pass_read_as_before():
+    rng = np.random.default_rng(7)
+    base = _psd_doc(rng)
+    # a missing 'im' is a real matrix
+    doc = copy.deepcopy(base)
+    doc["elements"]["a=3|x=0"]["im"] = [[0.0, 0.0], [0.0, 0.0]]
+    real = assemblage_from_json(doc)
+    del doc["elements"]["a=3|x=0"]["im"]
+    missing = assemblage_from_json(doc)
+    for key, el in real.elements.items():
+        assert np.array_equal(missing.elements[key].coeffs, el.coeffs)
+    # coefficient-form elements mixed in keep the file's order and values
+    doc = copy.deepcopy(base)
+    coeffs = hermitian_to_vector(np.eye(2) / 2).coeffs.tolist()
+    doc["elements"]["a=1|x=0"] = {"system": ["Q2"], "coeffs": coeffs}
+    mixed = assemblage_from_json(doc)
+    assert list(mixed.elements) == [(a, 0) for a in range(8)]
+    assert np.array_equal(mixed.elements[(1, 0)].coeffs, coeffs)
+    one_pass = assemblage_from_json(base)
+    for key in mixed.elements:
+        if key != (1, 0):
+            assert np.array_equal(mixed.elements[key].coeffs, one_pass.elements[key].coeffs)
+    # two spellings of one key: the later element wins, in the first one's place
+    doc = copy.deepcopy(base)
+    doc["elements"]["a=01|x=0"] = doc["elements"].pop("a=1|x=0")
+    doc["elements"]["a=1|x=0"] = doc["elements"]["a=0|x=0"]
+    twice = assemblage_from_json(doc)
+    assert list(twice.elements) == [(0, 0)] + [(a, 0) for a in range(2, 8)] + [(1, 0)]
+    assert np.array_equal(twice.elements[(1, 0)].coeffs, one_pass.elements[(0, 0)].coeffs)
+
+
+@pytest.mark.parametrize("kind", ["non-finite", "ragged", "non-numeric", "list", "bad-d"])
+def test_malformed_assemblage_files_exit_65_naming_the_element(tmp_path, kind):
+    doc = _psd_doc(np.random.default_rng(8))
+    key = "a=6|x=0"
+    if kind == "non-finite":
+        doc["elements"][key]["re"][1][0] = math.inf
+    elif kind == "ragged":
+        doc["elements"][key]["re"][1] = [0.5]
+    elif kind == "non-numeric":
+        doc["elements"][key]["im"][0][0] = "zero"
+    elif kind == "list":
+        doc["elements"][key] = doc["elements"][key]["re"]
+    else:
+        doc["d"], key = 3, "declares d=3"
+    path = tmp_path / "assemblage.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["lhs", str(path), "--json"])
+    assert code == 65
+    assert out.getvalue() == ""
+    assert key in err.getvalue() and "Traceback" not in err.getvalue()

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from witworld import (
     vector_to_hermitian,
     wire_instrumental,
 )
-from witworld import lp, steering
+from witworld import lp, steering, systems
 from witworld.systems import atomic_state_check
 from witworld.steering import (
     BIPARTITE,
@@ -44,7 +45,7 @@ from witworld.steering import (
     _positivity_margin,
     _party_responses,
     _response_matrix,
-    _strategy,
+    _strategies,
 )
 from witworld.transforms import PAULI_X, PAULI_Y, PAULI_Z
 from witworld.protocols import singlet_vector
@@ -603,6 +604,19 @@ def test_model_that_misses_the_elements_is_not_accepted(monkeypatch):
     assert model is None
 
 
+def test_model_that_misses_small_elements_is_not_accepted(monkeypatch):
+    # the model check is relative to the elements' size: at 1e-10 an absolute
+    # tol would accept a model 1% off
+    def sloppy(A, b, tol=1e-9):
+        res = lp.solve_feasibility(A, b, tol=tol)
+        return dataclasses.replace(res, x=res.x * 1.01) if res.feasible else res
+
+    monkeypatch.setattr(steering, "solve_feasibility", sloppy)
+    verdict, model = lhs_check(_scaled(_local_bipartite(), 1e-10))
+    assert verdict.status == "inconclusive-accept"
+    assert model is None
+
+
 # --- parity with the loop-built LHS pieces -------------------------------------------
 
 
@@ -634,13 +648,15 @@ def test_response_matrix_matches_nested_loops(outcomes, settings):
     responses = _party_responses(outcomes, settings, 10 ** 6)
     strategies, dmat = _nested_loop_dmat(keys, outcomes, settings)
     assert np.array_equal(_response_matrix(keys, outcomes, responses), dmat)
-    assert [_strategy(j, responses) for j in range(len(strategies))] == strategies
+    assert _strategies(range(len(strategies)), responses) == strategies
 
 
-def _pairwise_eigenbasis(mats, tol):
-    """Pair-by-pair commutation check and per-matrix rotation: the reference."""
-    scale = max(1.0, max(float(np.max(np.abs(m))) for m in mats))
-    ctol = max(tol, 1e-10) * scale
+def _pairwise_eigenbasis(mats, tol, scale):
+    """Pair-by-pair commutation check and per-matrix rotation: the reference.
+
+    ``scale`` is the unit size: commutators are compared with tol * scale**2.
+    """
+    ctol = max(tol, 1e-10) * scale * scale
     for a, b in itertools.combinations(mats, 2):
         if np.max(np.abs(a @ b - b @ a)) > ctol:
             return None, None
@@ -685,7 +701,7 @@ def test_common_eigenbasis_matches_pairwise_loop():
         stack = np.array(mats)
         scale = max(1.0, float(np.max(np.abs(stack))))
         u, rotated = _common_eigenbasis(stack, 1e-9, scale)
-        u_ref, tables_ref = _pairwise_eigenbasis(mats, 1e-9)
+        u_ref, tables_ref = _pairwise_eigenbasis(mats, 1e-9, scale)
         assert (u is None) == (u_ref is None)
         if u is not None:
             assert np.array_equal(u, u_ref)
@@ -705,3 +721,181 @@ def test_unequal_cardinality_assemblage_is_lhs():
         _, _, els = asm.as_parties()
         assert err == max(float(np.max(np.abs(model.element(a, x).coeffs - el.coeffs)))
                           for (a, x), el in els.items())
+
+
+def _three_party_local_assemblage(rng, d=2):
+    """64 elements: per eigenvector of a random basis, a mixture of the 64
+    deterministic three-party strategies."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    lam = rng.dirichlet(np.ones(d))
+    strategies = list(itertools.product(itertools.product(range(2), repeat=2), repeat=3))
+    weights = rng.dirichlet(np.ones(len(strategies)), size=d)
+    els = {}
+    for a in itertools.product(range(2), repeat=3):
+        for x in itertools.product(range(2), repeat=3):
+            p = [sum(w for w, lam_fs in zip(weights[k], strategies)
+                     if all(f[xi] == ai for f, ai, xi in zip(lam_fs, a, x))) for k in range(d)]
+            els[(a, x)] = _vec(q @ np.diag(lam * np.array(p)) @ q.conj().T)
+    return Assemblage(MULTIPARTITE, (2, 2, 2), (2, 2, 2), els)
+
+
+def _unit(stack):
+    return 2.0 ** math.frexp(float(np.max(np.abs(stack))))[1]
+
+
+def _sorted_stack(asm):
+    _, _, els = asm.as_parties()
+    return np.array([vector_to_hermitian(els[k]) for k in sorted(els)])
+
+
+@pytest.mark.parametrize("block", [None, 16, 200])
+@pytest.mark.parametrize("where", [0, 31, 63])
+def test_common_eigenbasis_finds_a_non_commuting_pair_anywhere(monkeypatch, where, block):
+    if block is not None:  # products taken 1 or 12 rows at a time
+        monkeypatch.setattr(steering, "_PRODUCT_ENTRIES", block)
+    rng = np.random.default_rng(33 + where)
+    stack = _sorted_stack(_three_party_local_assemblage(rng))
+    scale = _unit(stack)
+    u, rotated = _common_eigenbasis(stack, 1e-9, scale)
+    u_ref, tables_ref = _pairwise_eigenbasis(list(stack), 1e-9, scale)
+    assert np.array_equal(u, u_ref)
+    assert np.array_equal(np.real(np.diagonal(rotated, axis1=1, axis2=2)), tables_ref)
+    stack[where] = np.full((2, 2), 0.125)  # commutes with no element of the random basis
+    assert _common_eigenbasis(stack, 1e-9, scale) == (None, None)
+    assert _pairwise_eigenbasis(list(stack), 1e-9, scale) == (None, None)
+
+
+@pytest.mark.parametrize("block", [None, 16, 600])
+def test_every_block_of_products_is_checked(monkeypatch, block):
+    # only elements 40 and 50 fail to commute; the others are multiples of I
+    if block is not None:  # products taken 1 or 2 rows at a time
+        monkeypatch.setattr(steering, "_PRODUCT_ENTRIES", block)
+    eighs = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m, eigh=np.linalg.eigh: (
+        eighs.append(m), eigh(m))[1])
+    stack = np.array([np.eye(2) * (k + 1) / 128 for k in range(64)], dtype=complex)
+    stack[40] = np.diag([0.5, 0.0])
+    stack[50] = np.full((2, 2), 0.25)
+    assert _common_eigenbasis(stack, 1e-9, 1.0) == (None, None)
+    assert eighs == []  # decided by the commutators, before any rotation
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0 ** -10, 2.0 ** 12])
+def test_commutation_threshold_is_ctol_at_unit_size(monkeypatch, factor):
+    eighs = []
+    original = np.linalg.eigh
+
+    def spy(m):
+        eighs.append(m)
+        return original(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    for side, eps in (("below", 1.0 - 1e-3), ("above", 1.0 + 1e-3)):
+        # [A, B] has off-diagonal entries of size 0.5 e = eps * 1e-9, the unit-size ctol
+        e = 2e-9 * eps
+        a = np.diag([0.5, 0.0]).astype(complex)
+        b = np.array([[0.25, e], [e, 0.25]], dtype=complex)
+        stack = np.array([a, b, a / 2]) * factor
+        scale = _unit(stack)
+        assert scale == factor
+        eighs.clear()
+        u, _ = _common_eigenbasis(stack, 1e-9, scale)
+        u_ref, _ = _pairwise_eigenbasis(list(stack), 1e-9, scale)
+        assert u is None and u_ref is None  # the off-diagonal test still fails
+        # below ctol the commutation test passes and the three trial rotations run
+        assert len(eighs) == (6 if side == "below" else 0)
+
+
+def test_stacked_local_states_match_per_strategy_conversion(monkeypatch):
+    seen, xs = {}, []
+
+    def basis_spy(stack, tol, scale):
+        seen["stack"] = stack
+        seen["u"], rotated = _common_eigenbasis(stack, tol, scale)
+        return seen["u"], rotated
+
+    def lp_spy(A, b, tol=1e-9):
+        res = lp.solve_feasibility(A, b, tol=tol)
+        xs.append(res.x)
+        return res
+
+    monkeypatch.setattr(steering, "_common_eigenbasis", basis_spy)
+    monkeypatch.setattr(steering, "solve_feasibility", lp_spy)
+    rng = np.random.default_rng(34)
+    asms = [_local_bipartite(), _unequal_local_assemblage(rng),
+            _three_party_local_assemblage(rng), _three_party_local_assemblage(rng, 3)]
+    asms += [_scaled(asm, 1e-7) for asm in asms[:2]]
+    for asm in asms:
+        xs.clear()
+        verdict, model = lhs_check(asm)
+        assert verdict.accepted
+        unit = _unit(seen["stack"])
+        weights = np.stack(xs, axis=1) * unit
+        totals = weights.sum(axis=1)
+        used = np.flatnonzero(totals > 1e-13 * unit)
+        u = seen["u"]
+        expected = []
+        for i in used:
+            mat = u @ np.diag(weights[i]) @ u.conj().T
+            expected.append(hermitian_to_vector((mat + mat.conj().T) / 2))
+        assert len(model.local_states) == len(expected)
+        for got, want in zip(model.local_states, expected):
+            assert got.system == want.system
+            assert np.array_equal(got.coeffs, want.coeffs)
+        assert model.weights == tuple(float(totals[i]) for i in used)
+
+
+def test_lhs_check_makes_no_per_element_conversions(monkeypatch):
+    asm = _three_party_local_assemblage(np.random.default_rng(35))
+    counts = {"hermitian_to_vector": 0, "eigh": 0}
+    original_eigh = np.linalg.eigh
+
+    def no_conversion(*args, **kwargs):
+        counts["hermitian_to_vector"] += 1
+        raise AssertionError("per-element conversion")
+
+    def eigh(m):
+        counts["eigh"] += 1
+        return original_eigh(m)
+
+    monkeypatch.setattr(systems, "hermitian_to_vector", no_conversion)
+    monkeypatch.setattr(steering, "hermitian_to_vector", no_conversion)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    verdict, model = lhs_check(asm)
+    assert verdict.accepted and len(asm.elements) == 64
+    assert counts["hermitian_to_vector"] == 0
+    assert 1 <= counts["eigh"] <= 3
+
+
+def _scaled(asm, factor):
+    els = {k: GptVector(v.system, v.coeffs * factor) for k, v in asm.elements.items()}
+    return Assemblage(asm.scenario, asm.outcomes, asm.settings, els)
+
+
+def _singlet_gleason():
+    amp = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
+    w = hermitian_tensor_to_vector(np.outer(amp, amp), (2, 2))
+    povms = [[
+        [_vec(np.diag([1.0, 0.0])), _vec(np.diag([0.0, 1.0]))],
+        [_vec(np.full((2, 2), 0.5)), _vec(np.array([[0.5, -0.5], [-0.5, 0.5]]))],
+    ]]
+    return paper_assemblage("gleason", witness=w, measurements=povms)
+
+
+@pytest.mark.parametrize("factor", [1e-3, 1e-6, 1e-10, 1e-12, 1e-14, 2.0 ** -40])
+def test_lhs_verdicts_do_not_depend_on_scale(factor):
+    pr = paper_assemblage("pr-box")
+    verdict = lhs_check(pr)[0]
+    scaled = lhs_check(_scaled(pr, factor))[0]
+    assert verdict.rejected and scaled.rejected
+    assert scaled.margin == pytest.approx(verdict.margin * factor, rel=1e-9)
+    assert lhs_check(_singlet_gleason())[0].status == "unsupported"
+    assert lhs_check(_scaled(_singlet_gleason(), factor))[0].status == "unsupported"
+    rng = np.random.default_rng(36)
+    for asm in (_local_bipartite(), _unequal_local_assemblage(rng),
+                _three_party_local_assemblage(rng)):
+        verdict, model = lhs_check(asm)
+        scaled, scaled_model = lhs_check(_scaled(asm, factor))
+        assert verdict.accepted and scaled.accepted
+        assert len(scaled_model.strategies) == len(model.strategies)
+        assert scaled_model.max_error(_scaled(asm, factor)) <= 1e-9 * factor
