@@ -548,13 +548,12 @@ def unit_exponent(values) -> int:
 def unit_tol(tol: float, values) -> float:
     """``tol`` at the unit size of ``values``: ``tol * 2^e`` for :func:`unit_exponent` ``e``.
 
-    Inputs whose largest entry lies in [1/2, 1) keep ``tol`` exactly, and
-    a verdict that compares a homogeneous margin with it does not change
-    when the input is scaled.  Sizes below 2^-20 count as 2^-20: a vector
-    of rounding noise where an exact zero was meant (entries near 1e-16)
-    is judged with about ``tol * 1e-6``, not at its own size.
+    Inputs whose largest entry lies in [1/2, 1) keep ``tol`` exactly;
+    those in [1, 2), normalized states among them, get ``2 tol``.  A
+    verdict that compares a homogeneous margin with it does not change
+    when the input is scaled by a power of two, at any size.
     """
-    return math.ldexp(tol, max(unit_exponent(values), -20))
+    return math.ldexp(tol, unit_exponent(values))
 
 
 def minimize_product_form(coeffs: np.ndarray, specs: Sequence, cfg: SearchConfig) -> ProductMin:

@@ -33,16 +33,12 @@ def _leaving_row(rows, ratios, basis) -> int:
     lower basis index, is the rule.  Where no ratio lies between half and
     three times _PIVOT_TOL above the lowest, the ratios within half of it
     tie with each other and beat every other row, so the scan ends on the
-    lowest basis index among them; that is taken with array operations
-    (most often the lowest ratio is the only one within 3 _PIVOT_TOL).
+    lowest basis index among them; that is taken with array operations.
     Otherwise chains of near-ties make the outcome depend on the order,
     and the scan itself runs.
     """
     above = ratios - ratios.min()
-    near = above <= 3 * _PIVOT_TOL
-    if np.count_nonzero(near) == 1:
-        return int(rows[near.argmax()])
-    if not (near & (above > _PIVOT_TOL / 2)).any():
+    if not ((above > _PIVOT_TOL / 2) & (above <= 3 * _PIVOT_TOL)).any():
         tied = rows[above <= _PIVOT_TOL / 2]
         return int(tied[basis[tied].argmin()])
     leave, best_ratio = -1, np.inf

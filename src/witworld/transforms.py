@@ -85,9 +85,21 @@ class LinearMap:
 
 
 def apply(t: LinearMap, v: GptVector) -> GptVector:
+    """``t(v)``, with rounding noise where an exact zero may be meant set to 0.
+
+    An entry of the product no larger than its rounding-error bound,
+    ``n eps (|T| |v|)_i`` for ``n`` terms, carries no digit of the true
+    value, so it is made exactly 0.  Membership checks judge a vector at
+    its own size; without this, a generator that a positive map sends to
+    zero would come out as a few entries near -1e-17 and be rejected.
+    """
     if v.system != t.domain:
         raise ValueError(f"map expects {t.domain}, got {v.system}")
-    return GptVector(t.codomain, t.matrix @ v.coeffs)
+    out = t.matrix @ v.coeffs
+    bound = np.abs(t.matrix) @ np.abs(v.coeffs)
+    noise = np.abs(out) <= v.coeffs.size * np.finfo(float).eps * bound
+    out[noise & np.isfinite(bound)] = 0.0
+    return GptVector(t.codomain, out)
 
 
 def compose_seq(t2: LinearMap, t1: LinearMap) -> LinearMap:

@@ -33,8 +33,11 @@ from witworld import (
     tensor,
     transpose_map,
     unot_map,
+    vector_to_hermitian_tensor,
 )
-from witworld.compose import _effect_side_specs, _state_side_specs, minimize_product_form
+from witworld.compose import (
+    _effect_side_specs, _state_side_specs, cone_generators, minimize_product_form,
+)
 from witworld.transforms import map_from_matrix_action
 
 from conftest import (
@@ -252,24 +255,63 @@ def test_scaled_states_and_maps_keep_their_status(factor):
     assert statuses == {"accepted", "rejected", "inconclusive-accept"}
 
 
-def test_planted_qubit_pair_witness_is_rejected_at_any_small_scale():
+def _planted_qubit_pair():
+    return hermitian_tensor_to_vector(planted_witness(np.random.default_rng(12), 2, 2), (2, 2))
+
+
+@pytest.mark.parametrize("factor", [1e-8, 1e-9, 1e-10, 1e-12, 1e-14, 1e-15, 1e-20, 1e-100, 1e-300])
+def test_planted_qubit_pair_witness_is_rejected_far_below_unit_scale(factor):
     # margin -0.187 at unit scale: with an absolute tol it was accepted below 1e-9
-    v = hermitian_tensor_to_vector(planted_witness(np.random.default_rng(12), 2, 2), (2, 2))
+    v = _planted_qubit_pair()
     ref = composite_state_check(v)
-    for factor in (1e-8, 1e-9, 1e-10, 1e-12, 1e-14):
-        res = composite_state_check(GptVector(v.system, factor * v.coeffs))
-        assert res.rejected
-        assert res.margin / factor == pytest.approx(ref.margin, rel=1e-9)
+    res = composite_state_check(GptVector(v.system, factor * v.coeffs))
+    assert res.rejected
+    assert res.margin / factor == pytest.approx(ref.margin, rel=1e-9)
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e-9, 1e-15, 1e-100])
+def test_small_relative_margin_is_rejected_at_every_scale(factor):
+    # the planted witness plus a multiple of the identity: a margin of
+    # -5e-8 at unit size, far below tol there, is below tol at any size
+    v = _planted_qubit_pair()
+    shift = -composite_state_check(v).margin - 5e-8
+    w = hermitian_tensor_to_vector(vector_to_hermitian_tensor(v) + shift * np.eye(4), (2, 2))
+    ref = composite_state_check(w)
+    assert ref.rejected and ref.margin == pytest.approx(-5e-8, rel=1e-4)
+    res = composite_state_check(GptVector(w.system, factor * w.coeffs))
+    assert res.rejected
+    assert res.margin / factor == pytest.approx(ref.margin, rel=1e-6)
 
 
 def test_unit_size_inputs_keep_the_threshold():
-    # largest coefficient in [1/2, 1): tol itself; below, tol at the power of two;
-    # rounding noise where an exact zero was meant is judged at 2^-20
+    # largest coefficient in [1/2, 1): tol itself; in [1, 2): 2 tol; below,
+    # tol at the power of two, however small
     assert compose.unit_tol(1e-9, np.array([0.5, -0.1])) == 1e-9
     assert compose.unit_tol(1e-9, np.array([0.2, 0.99])) == 1e-9
     assert compose.unit_tol(1e-9, np.array([1.0])) == 2e-9
     assert compose.unit_tol(1e-9, np.array([3e-3])) == 1e-9 * 2.0 ** -8
-    assert compose.unit_tol(1e-9, np.array([5.5e-17, 0.0])) == 1e-9 * 2.0 ** -20
+    assert compose.unit_tol(1e-9, np.array([5.5e-17, 0.0])) == 1e-9 * 2.0 ** -54
     assert compose.unit_tol(1e-9, np.zeros(4)) == 1e-9
+    # a vector is judged at its own size, rounding noise included
     noise = GptVector(system(Boxworld(2, 2), Boxworld(2, 2)), [-5.55e-17] * 2 + [0.0] * 7)
-    assert composite_state_check(noise).accepted
+    assert composite_state_check(noise).rejected
+
+
+def test_apply_sets_rounding_noise_to_zero():
+    # positive box maps tensored with the identity send some box generators
+    # to zero; the raw product leaves entries near -5.55e-17 there
+    rng = np.random.default_rng(88)
+    pair_sys = system(Boxworld(2, 2), Boxworld(2, 2))
+    ident = transforms.identity_map(system(Boxworld(2, 2)))
+    cleaned = 0
+    for _ in range(100):
+        extended = transforms.compose_par(random_positive_box_map(rng), ident)
+        for g in cone_generators(pair_sys):
+            raw = extended.matrix @ g.coeffs
+            out = transforms.apply(extended, g).coeffs
+            kept = out != 0.0
+            assert np.array_equal(out[kept], raw[kept])
+            assert np.all(np.abs(raw[~kept]) < 1e-15)
+            cleaned += int(np.any(raw[~kept] != 0.0))
+            assert composite_state_check(GptVector(pair_sys, out)).accepted
+    assert cleaned >= 1
