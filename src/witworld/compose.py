@@ -14,13 +14,12 @@ which takes a qubit or qutrit factor's ground state in closed form and a
 larger factor's from a batched ``eigh``.  A qutrit's comes from an
 adjugate column wherever its bottom eigenvalue lies at least sqrt(3) p /
 10 below the middle one (p sets the spread of the spectrum), and from a
-plane solve only on the rows where the bottom pair may be degenerate.  The search runs on the input
-scaled exactly to unit size, so it cannot overflow and its thresholds are
-relative.  For a pair of qubit factors its
-7 starts come from a grid scan over one Bloch sphere (the other sphere
-has a closed-form minimum) and the six axes; this path is exact for the
-systems of interest.  Searches over more or higher-dimensional quantum
-factors start it from seeded random restarts and report only
+plane solve only on the rows where the bottom pair may be degenerate.
+The search runs on the input scaled exactly to unit size, so it cannot
+overflow and its thresholds are relative.  A qubit pair starts it once,
+from the best direction of a scan over one Bloch sphere (the other has a
+closed-form minimum), exact for the systems of interest.  More or larger
+quantum factors start it from seeded random restarts and report only
 inconclusive acceptance.  Before that search, :func:`spectral_bound`
 gives a certified lower bound: a partial transpose maps product
 projectors to product projectors, so the lowest eigenvalue of any partial
@@ -82,10 +81,9 @@ def _default_seed() -> int:
 class SearchConfig:
     """Knobs for the heuristic parts of cone-membership searches.
 
-    ``grid`` is the number of polar divisions of the Bloch-sphere scan
-    (azimuthal divisions are twice that).  ``restarts`` controls the
-    random-restart refinement used for quantum factors beyond a qubit
-    pair.  All searches are deterministic given (grid, restarts, seed).
+    ``grid`` sets the polar divisions of the Bloch scan seeding the qubit-pair
+    descent (twice as many azimuthal), ``restarts`` the random starts beyond
+    a qubit pair.  All searches are deterministic given (grid, restarts, seed).
     """
 
     grid: int = 180
@@ -207,56 +205,63 @@ class ProductMin:
     conclusive: bool
 
 
+# The six axis directions +z, -z, +x, -x, +y, -y as scan columns (1, n).
+_SCAN_AXES = np.array([(1, 0, 0, 1), (1, 0, 0, -1), (1, 1, 0, 0), (1, -1, 0, 0),
+                       (1, 0, 1, 0), (1, 0, -1, 0)], dtype=float).T
+_SCAN_AXES.flags.writeable = False
+
+
 @functools.lru_cache(maxsize=8)
-def _sphere_grid(n_theta: int) -> np.ndarray:
-    """The Bloch-scan grid as one read-only (4, G) array.
-
-    Row 0 is all ones and rows 1-3 are unit Bloch directions, so column g
-    is sqrt(2) times the coefficient vector of the projector with direction
-    ``grid[1:, g]``.  The last six columns are the axis directions +z, -z,
-    +x, -x, +y, -y.
-    """
-    thetas = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
-    phis = np.arange(2 * n_theta) * (np.pi / n_theta)
-    st, ct = np.sin(thetas), np.cos(thetas)
-    cp, sp = np.cos(phis), np.sin(phis)
-    grid = np.empty((4, n_theta * 2 * n_theta + 6))
-    grid[0] = 1.0
-    grid[1, :-6] = np.outer(st, cp).ravel()
-    grid[2, :-6] = np.outer(st, sp).ravel()
-    grid[3, :-6] = np.repeat(ct, 2 * n_theta)
-    grid[1:, -6:] = np.array([(0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0),
-                              (0, 1, 0), (0, -1, 0)]).T
-    grid.flags.writeable = False
-    return grid
+def _sphere_angles(n_theta: int) -> tuple:
+    """Read-only sin and cos of the scan's polar angles (k + 1/2) pi / n_theta,
+    then cos and sin of its azimuths k pi / n_theta, k < 2 n_theta."""
+    t = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
+    f = np.arange(2 * n_theta) * (np.pi / n_theta)
+    out = (np.sin(t), np.cos(t), np.cos(f), np.sin(f))
+    for v in out:
+        v.flags.writeable = False
+    return out
 
 
-# Columns per block of the scan's product.  A 4 x 4 by 4 x G product over
-# the whole grid is large enough for OpenBLAS to split it across threads,
-# and on a loaded 2-CPU host that split took 0.15 ms or 7 ms per scan
-# depending on the state of the worker thread; blocks below its threshold
-# run on the calling thread at about 0.2 ms in total.
+# Directions per block of the scan's products: OpenBLAS threads a larger one, which on a
+# loaded 2-CPU host took 0.15 or 7 ms per scan; smaller ones stay on the calling thread.
 _SCAN_BLOCK = 8192
 
 
-def _bloch_scan(C: np.ndarray, grid: np.ndarray) -> tuple[float, int]:
-    """Scan min over m of p(n)^T C p(m) for every grid direction n.
+def _bloch_scan(C: np.ndarray, n_theta: int) -> tuple:
+    """Scan min over m of p(n)^T C p(m), (q0 - |q_vec|) / sqrt(2) for q = C^T p(n).
 
-    With q = C^T p(n), the minimum over the second sphere is the minimum
-    eigenvalue (q0 - |q_vec|) / sqrt(2) of the qubit operator with
-    coefficients q.  Returns (minimum value, argmin); ties resolve to the
-    first index.
+    The directions n = (sin t cos f, sin t sin f, cos t) at the angles of
+    :func:`_sphere_angles`, row-major in (t, f), come before ``_SCAN_AXES``.
+    For rows c_k of C, sqrt(2) q = b + sin t r with b = c_0 + cos t c_3 and
+    r = cos f c_1 + sin f c_2, so sqrt(2) q0 and 2 |q_vec|^2 = |b_vec|^2 +
+    2 sin t b_vec.r_vec + sin^2 t |r_vec|^2 are products of per-t rows and
+    per-f columns, a block of t rows at a time.  Returns (min, index, column
+    (1, n)), first on ties.
     """
-    vals = np.empty(grid.shape[1])  # sqrt(2) (q0 - |q_vec|) per direction
-    for a in range(0, grid.shape[1], _SCAN_BLOCK):
-        q = C.T @ grid[:, a:a + _SCAN_BLOCK]  # sqrt(2) q, one column per direction
-        np.square(q[1:], out=q[1:])
-        np.add(q[1], q[2], out=q[1])
-        np.add(q[1], q[3], out=q[1])
-        np.sqrt(q[1], out=q[1])
-        np.subtract(q[0], q[1], out=vals[a:a + _SCAN_BLOCK])
-    g = int(np.argmin(vals))
-    return float(vals[g]) / 2.0, g
+    st, ct, cp, sp = _sphere_angles(n_theta)
+    n_phi = 2 * n_theta
+    b, r = C[0] + ct[:, None] * C[3], np.stack((cp, sp), axis=1) @ C[1:3]
+    rows0, cols0 = np.stack((b[:, 0], st), axis=1), np.stack((np.ones(n_phi), r[:, 0]))
+    rows1 = np.column_stack(((b[:, 1:] ** 2).sum(1), 2.0 * st[:, None] * b[:, 1:], st * st))
+    cols1 = np.vstack((np.ones(n_phi), r[:, 1:].T, (r[:, 1:] ** 2).sum(1)))
+    step = max(1, _SCAN_BLOCK // n_phi)
+    buf, best, g = np.empty((2, step, n_phi)), np.inf, 0
+    for a in range(0, n_theta, step):
+        v, w = buf[:, :n_theta - a]
+        np.matmul(rows0[a:a + step], cols0, out=v)
+        np.matmul(rows1[a:a + step], cols1, out=w)
+        v -= np.sqrt(np.maximum(w, 0.0, out=w), out=w)  # sqrt(2) (q0 - |q_vec|)
+        j = int(np.argmin(v))
+        if v.flat[j] < best:
+            best, g = float(v.flat[j]), a * n_phi + j
+    q = C.T @ _SCAN_AXES
+    axes = q[0] - np.sqrt(np.einsum("ij,ij->j", q[1:], q[1:]))
+    j = int(np.argmin(axes))
+    if axes[j] < best:
+        return float(axes[j]) / 2.0, n_theta * n_phi + j, _SCAN_AXES[:, j].copy()
+    i, j = divmod(g, n_phi)
+    return best / 2.0, g, np.array([1.0, st[i] * cp[j], st[i] * sp[j], ct[i]])
 
 
 @functools.lru_cache(maxsize=8)
@@ -482,15 +487,10 @@ def _descent(red: np.ndarray, rows: list):
 def _min_qubit_pair(C: np.ndarray, cfg: SearchConfig):
     """Global minimum of p(n)^T C p(m) over two Bloch spheres.
 
-    A grid scan over n picks one start; the six axis directions are the
-    others.  All seven run as starts of :func:`_descent` on ``C.T``, so its
-    first step replaces m, from m = +z, by the minimizer against n.
+    One :func:`_descent` on ``C.T`` from the scan's best n (m = +z is replaced first).
     """
-    grid = _sphere_grid(cfg.grid)
-    _, g = _bloch_scan(C, grid)
-    n_rows = grid[:, [g, -6, -5, -4, -3, -2, -1]].T / _SQRT2
-    m_rows = np.tile(grid[:, -6] / _SQRT2, (len(n_rows), 1))
-    val, (pm, pn) = _descent(C.T, [m_rows, n_rows])
+    _, _, col = _bloch_scan(C, cfg.grid)
+    val, (pm, pn) = _descent(C.T, [_SCAN_AXES[:, :1].T / _SQRT2, col[None] / _SQRT2])
     return val, [pn, pm]
 
 
@@ -531,7 +531,7 @@ def search_is_exact(qdims: Sequence[int]) -> bool:
     """Is the engine's minimum over these quantum factors exact?
 
     It is for at most one quantum factor (an eigenvalue) and for two qubit
-    factors (scan plus descent); otherwise it is a random-restart search.
+    factors (a scan-seeded descent); otherwise it is a random-restart search.
     """
     return len(qdims) <= 1 or tuple(qdims) == (2, 2)
 
@@ -562,8 +562,8 @@ def minimize_product_form(coeffs: np.ndarray, specs: Sequence, cfg: SearchConfig
     ``specs[i]`` is either :class:`FiniteGenerators` (polytopic factor) or
     :class:`QuantumGenerators` (rank-1 projectors of a quantum factor).
     The result is exact whenever at most one quantum factor is present
-    (eigenvalue computation) or exactly two qubit factors are (grid scan
-    plus alternating descent); otherwise it is a seeded heuristic and
+    (eigenvalue computation) or exactly two qubit factors are (a
+    scan-seeded descent); otherwise it is a seeded heuristic and
     ``conclusive`` is False.  Non-finite ``coeffs`` raise ``ValueError``.
 
     The search runs at unit size: ``coeffs`` is scaled by the power of two

@@ -451,20 +451,26 @@ class LhsModel:
 
     ``strategies[i]`` is a tuple of per-party response functions (each a
     tuple mapping setting to outcome); ``local_states[i]`` is the matching
-    subnormalized state, whose trace is the strategy weight.
+    subnormalized state, whose trace is the strategy weight.  ``system``
+    holds the states and ``parties`` counts the parties, so a model with
+    no strategies still has its (zero) elements.
     """
 
     strategies: tuple
     weights: tuple
     local_states: tuple
+    system: SystemType
+    parties: int
 
     def element(self, a_vec, x_vec) -> GptVector:
+        if len(a_vec) != self.parties or len(x_vec) != self.parties:
+            raise ValueError(f"element key {tuple(a_vec)}, {tuple(x_vec)} does not have "
+                             f"one outcome and one setting for each of {self.parties} parties")
         out = None
         for lam, state in zip(self.strategies, self.local_states):
             if all(f[x] == a for f, a, x in zip(lam, a_vec, x_vec)):
                 out = state.coeffs if out is None else out + state.coeffs
-        sys = self.local_states[0].system
-        return GptVector(sys, out if out is not None else np.zeros(sys.dim))
+        return GptVector(self.system, out if out is not None else np.zeros(self.system.dim))
 
     def max_error(self, asm: Assemblage) -> float:
         """Largest coefficient deviation of the rebuilt elements from ``asm``."""
@@ -659,6 +665,8 @@ def lhs_check(asm: Assemblage, solver_cfg: LhsConfig | None = None):
         tuple(_strategies(used, responses)),
         tuple(totals[used].tolist()),
         tuple(GptVector(sys, row) for row in rows),
+        sys,
+        len(settings),
     )
     err = model.max_error(asm)
     if err > cfg.tol * unit:

@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from witworld.compose import (
     _bloch_scan,
     _effect_side_specs,
     _min_qubit_pair,
-    _sphere_grid,
+    _sphere_angles,
     _state_side_specs,
     minimize_product_form,
     ppt_dims,
@@ -261,6 +262,22 @@ def test_mixed_box_and_qubit_pair_engine():
 # --- Bloch scan and stacked qubit-pair descent ------------------------------------
 
 
+def _reference_grid(n_theta):
+    """The scan's directions as one (4, G) array of columns (1, n), as the scan orders them."""
+    thetas = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
+    phis = np.arange(2 * n_theta) * (np.pi / n_theta)
+    st, ct = np.sin(thetas), np.cos(thetas)
+    cp, sp = np.cos(phis), np.sin(phis)
+    grid = np.empty((4, n_theta * 2 * n_theta + 6))
+    grid[0] = 1.0
+    grid[1, :-6] = np.outer(st, cp).ravel()
+    grid[2, :-6] = np.outer(st, sp).ravel()
+    grid[3, :-6] = np.repeat(ct, 2 * n_theta)
+    grid[1:, -6:] = np.array([(0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0),
+                              (0, 1, 0), (0, -1, 0)]).T
+    return grid
+
+
 def _reference_scan(C, grid):
     """The scan over (G, 4) rows of projector coefficients, one row per direction."""
     points = grid.T / np.sqrt(2.0)
@@ -272,42 +289,64 @@ def _reference_scan(C, grid):
 
 def test_scan_matches_reference_formula():
     rng = np.random.default_rng(1)
-    grid = _sphere_grid(24)
+    grid = _reference_grid(24)
     for _ in range(10):
         C = rng.normal(size=(4, 4))
-        val, idx = _bloch_scan(C, grid)
+        val, idx, _ = _bloch_scan(C, 24)
         ref_val, ref_idx = _reference_scan(C, grid)
         assert val == pytest.approx(ref_val, abs=1e-12)
         assert idx == ref_idx
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e2])
+def test_scan_direction_is_the_reference_column(scale):
+    # the direction is rebuilt from the angles with the reference grid's
+    # own products, so it matches that column bit for bit
+    rng = np.random.default_rng(3)
+    grid = _reference_grid(180)
+    for _ in range(20):
+        C = scale * rng.normal(size=(4, 4))
+        val, idx, col = _bloch_scan(C, 180)
+        ref_val, ref_idx = _reference_scan(C, grid)
+        assert idx == ref_idx
+        assert np.array_equal(col, grid[:, ref_idx])
+        assert val == pytest.approx(ref_val, rel=1e-15, abs=1e-15 * scale)
 
 
 def test_scan_value_is_minimum_eigenvalue_of_steered_operator():
     # at each grid point the scan value equals the exact minimum of the
     # remaining rank-1 factor, computed here with raw matrix eigenvalues
     rng = np.random.default_rng(2)
-    grid = _sphere_grid(16)
     C = rng.normal(size=(4, 4))
-    val, idx = _bloch_scan(C, grid)
-    q = C.T @ grid[:, idx] / np.sqrt(2.0)
+    val, idx, col = _bloch_scan(C, 16)
+    assert np.array_equal(col, _reference_grid(16)[:, idx])
+    q = C.T @ col / np.sqrt(2.0)
     operator = np.einsum("k,kij->ij", q, hermitian_basis(2))
     assert val == pytest.approx(np.linalg.eigvalsh(operator).min(), abs=1e-12)
 
 
 def test_ties_resolve_to_first_index():
-    grid = np.zeros((4, 4))
-    grid[0] = 1.0  # all columns identical: every value ties
-    _, idx = _bloch_scan(np.eye(4), grid)
-    assert idx == 0
+    # C with zero rows 1-3 steers every direction, the axes too, to the same
+    # operator: every value ties exactly, and the first grid direction wins
+    for C in (np.zeros((4, 4)), np.diag([1.0, 0.0, 0.0, 0.0])):
+        val, idx, col = _bloch_scan(C, 10)
+        assert (val, idx) == (C[0, 0] / 2.0, 0)
+        assert np.array_equal(col, _reference_grid(10)[:, 0])
 
 
 def test_grid_shape_and_poles():
-    grid = _sphere_grid(10)
+    grid = _reference_grid(10)
     assert grid.shape == (4, 10 * 20 + 6)
-    assert not grid.flags.writeable
     assert np.all(grid[0] == 1.0)
     assert np.max(np.abs(np.linalg.norm(grid[1:], axis=0) - 1.0)) < 1e-12
     axes = [(0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
     assert np.array_equal(grid[1:, -6:].T, axes)
+    st, ct, cp, sp = _sphere_angles(10)
+    assert [v.shape for v in (st, ct, cp, sp)] == [(10,), (10,), (20,), (20,)]
+    assert not any(v.flags.writeable for v in (st, ct, cp, sp))
+    assert np.array_equal(grid[1, :-6], np.outer(st, cp).ravel())
+    assert np.array_equal(grid[2, :-6], np.outer(st, sp).ravel())
+    assert np.array_equal(grid[3, :-6], np.repeat(ct, 20))
 
 
 def _qubit_coeffs(n):
@@ -334,7 +373,7 @@ def _alternate_qubit_pair(C, n0, step_tol=1e-6):
 
 def _reference_min_qubit_pair(C, cfg):
     """One descent per start: the scan's argmin, then the six axis directions."""
-    grid = _sphere_grid(cfg.grid)
+    grid = _reference_grid(cfg.grid)
     _, g = _reference_scan(C, grid)
     best = np.inf
     for i in [g] + list(range(grid.shape[1] - 6, grid.shape[1])):
@@ -367,6 +406,22 @@ def test_stacked_qubit_pair_matches_per_start_loop():
         assert pn @ C @ pm == pytest.approx(val, abs=1e-12)
         assert np.linalg.norm(pn[1:]) == pytest.approx(np.sqrt(0.5))
         assert np.linalg.norm(pm[1:]) == pytest.approx(np.sqrt(0.5))
+
+
+def test_qubit_pair_search_keeps_no_grid():
+    # the scan works a block of directions at a time and keeps only its
+    # angle vectors, so a warmed-up search at the default grid of 64806
+    # directions allocates far less than one value per direction (518 KB)
+    C = np.random.default_rng(7).normal(size=(4, 4))
+    cfg = SearchConfig()
+    _min_qubit_pair(C, cfg)
+    tracemalloc.start()
+    try:
+        _min_qubit_pair(C, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 1024
 
 
 def _haar_qubit(rng):

@@ -723,6 +723,28 @@ def test_unequal_cardinality_assemblage_is_lhs():
                           for (a, x), el in els.items())
 
 
+def test_all_zero_assemblage_model_has_zero_elements():
+    # every LP weight is 0, so the model keeps no strategy, yet its
+    # elements still live on the assemblage's system
+    asm = _bipartite({(a, x): _vec(np.zeros((2, 2))) for a in range(2) for x in range(2)})
+    verdict, model = lhs_check(asm)
+    assert verdict.accepted
+    assert model.strategies == ()
+    el = model.element((0,), (0,))
+    assert el.system == asm.element(0, 0).system
+    assert not el.coeffs.any()
+    assert model.max_error(asm) == 0.0
+
+
+def test_model_element_rejects_a_key_of_the_wrong_length():
+    verdict, model = lhs_check(_bipartite(_uniform_elements()))
+    assert verdict.accepted
+    assert np.allclose(model.element((0,), (1,)).coeffs, _vec(np.eye(2) / 4).coeffs, atol=1e-12)
+    for a_vec, x_vec in (((0, 0), (0, 0)), ((0,), (0, 1)), ((0, 1), (0,)), ((), ())):
+        with pytest.raises(ValueError, match="parties"):
+            model.element(a_vec, x_vec)
+
+
 def _three_party_local_assemblage(rng, d=2):
     """64 elements: per eigenvector of a random basis, a mixture of the 64
     deterministic three-party strategies."""
