@@ -17,7 +17,6 @@ from .compose import (
     pr_state,
     probe_states,
     reduced_state,
-    register_probe_states,
     steer,
     tensor,
     tensor_all,
@@ -47,9 +46,6 @@ from .steering import (
     assemblage_from_realization,
     lhs_check,
     ns_check,
-    ns_check_bipartite,
-    ns_check_bob_with_input,
-    ns_check_multipartite,
     paper_assemblage,
     wire_instrumental,
 )

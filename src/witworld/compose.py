@@ -33,7 +33,7 @@ Effect validity is the dual question: ``e`` and ``u - e`` must be
 separable.  On Q2*Q2, Q2*Q3 and Q3*Q2 separable equals PPT, so there it
 is decided exactly by the eigenvalues of ``e``, ``u - e`` and their
 partial transposes; elsewhere it is searched for over product states
-and registered probe states, exactly where those generate the cone.
+and known probe states, exactly where those generate the cone.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,8 +56,10 @@ from .systems import (
     SystemType,
     atomic_effect_check,
     atomic_state_check,
+    coeffs_to_hermitian,
     effect_cone_rays,
     hermitian_basis,
+    hermitian_to_coeffs,
     not_hermitian,
     pair,
     state_vertices,
@@ -119,9 +121,6 @@ def scalar_one() -> GptVector:
     return GptVector(SystemType(), np.array([1.0]))
 
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
 @functools.lru_cache(maxsize=32)
 def _quantum_system(dims: tuple) -> SystemType:
     """The composite of quantum atoms of dimensions ``dims``, one object per dims."""
@@ -137,46 +136,20 @@ def hermitian_tensor_to_vector(m: np.ndarray, dims: Sequence[int]) -> GptVector:
     :func:`not_hermitian`.
     """
     dims = tuple(dims)
-    n = len(dims)
     total = int(np.prod(dims))
     m = np.asarray(m, dtype=complex)
     if m.shape != (total, total):
         raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
     if not_hermitian(m, 1e-8):
         raise ValueError("matrix is not Hermitian within tolerance")
-    if 3 * n > len(_LETTERS):
-        raise ValueError("too many factors")
-    ks = _LETTERS[:n]
-    ps = _LETTERS[n:2 * n]
-    qs = _LETTERS[2 * n:3 * n]
-    operands = []
-    script = []
-    for i in range(n):
-        operands.append(hermitian_basis(dims[i]))
-        script.append(ks[i] + ps[i] + qs[i])
-    operands.append(m.reshape(dims + dims))
-    script.append(qs + ps)
-    coeffs = np.real(np.einsum(",".join(script) + "->" + ks, *operands))
-    return GptVector(_quantum_system(dims), coeffs.ravel())
+    return GptVector(_quantum_system(dims), hermitian_to_coeffs(m, dims))
 
 
 def vector_to_hermitian_tensor(v: GptVector) -> np.ndarray:
     """Inverse of :func:`hermitian_tensor_to_vector`."""
     if not all(isinstance(a, Quantum) for a in v.atoms):
         raise ValueError(f"expected quantum atoms only, got {v.system}")
-    dims = tuple(a.d for a in v.atoms)
-    n = len(dims)
-    ks = _LETTERS[:n]
-    ps = _LETTERS[n:2 * n]
-    qs = _LETTERS[2 * n:3 * n]
-    operands = [v.coeffs.reshape(tuple(d * d for d in dims))]
-    script = [ks]
-    for i in range(n):
-        operands.append(hermitian_basis(dims[i]))
-        script.append(ks[i] + ps[i] + qs[i])
-    total = int(np.prod(dims))
-    out = np.einsum(",".join(script) + "->" + ps + qs, *operands)
-    return out.reshape(total, total)
+    return coeffs_to_hermitian(v.coeffs, tuple(a.d for a in v.atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +848,7 @@ def _state_min(f: GptVector, cfg: SearchConfig | None, complement: bool = False)
     The states are the normalized members of the state cone of ``f``'s
     system.  Where :func:`ppt_dims` holds the minimum is exact
     (:func:`ppt_min`).  Elsewhere it is the engine's minimum over products
-    of atomic vertices and projectors, lowered by the registered probe
+    of atomic vertices and projectors, lowered by the known probe
     states, and conclusive when the engine is and
     :func:`product_generators_complete` holds.  Returns (value,
     conclusive, state) where ``state()`` builds a state attaining the value.
@@ -949,31 +922,13 @@ def composite_effect_check(
 
 
 # ---------------------------------------------------------------------------
-# Registry of non-product extreme states of composite cones
+# Non-product extreme states of composite cones
 # ---------------------------------------------------------------------------
-
-_PROBE_REGISTRY: dict = {}
-_PROBE_COMPLETE: set = set()
-
-
-def register_probe_states(atoms: tuple, states: Iterable[GptVector], complete: bool = False):
-    """Register known non-product extreme states of a composite cone.
-
-    With ``complete=True``, the registered states together with all
-    products of vertices are asserted to generate the full cone, which
-    upgrades generator-based checks on that system to exact ones.
-    """
-    _PROBE_REGISTRY[atoms] = tuple(states)
-    if complete:
-        _PROBE_COMPLETE.add(atoms)
 
 
 def probe_states(sys: SystemType) -> tuple:
-    return _PROBE_REGISTRY.get(sys.atoms, ())
-
-
-def probes_complete(sys: SystemType) -> bool:
-    return sys.atoms in _PROBE_COMPLETE
+    """The known non-product extreme states of a composite cone (see :data:`_PROBES`)."""
+    return _PROBES.get(sys.atoms, ((), False))[0]
 
 
 def product_generators_complete(sys: SystemType) -> bool:
@@ -982,16 +937,16 @@ def product_generators_complete(sys: SystemType) -> bool:
     Classical atoms have simplicial cones, so they only grade the composite
     into independent slots: with at most one non-classical atom every
     extreme ray is a product.  Otherwise completeness holds only for
-    systems whose probe registry is marked complete.
+    systems whose probes are marked complete.
     """
     non_classical = sum(1 for a in sys.atoms if not isinstance(a, Classical))
-    return non_classical <= 1 or probes_complete(sys)
+    return non_classical <= 1 or _PROBES.get(sys.atoms, ((), False))[1]
 
 
 def cone_generators(sys: SystemType) -> list:
-    """Products of atomic vertices plus the registered probe states.
+    """Products of atomic vertices plus the probe states.
 
-    For systems whose probe registry is marked complete this is a full
+    For systems whose probes are marked complete this is a full
     generator set of the composite cone.  Quantum atoms are not supported
     (their vertex set is a continuum).
     """
@@ -1038,11 +993,6 @@ def _pr_family() -> list:
 
 _PR_STATES = tuple(_pr_family())
 
-# The 16 products of local vertices plus these 8 box states are exactly the
-# extreme points of the bipartite B2,2 state space, so generator-based
-# checks on that system are exact.
-register_probe_states((Boxworld(2, 2), Boxworld(2, 2)), _PR_STATES, complete=True)
-
 
 def pr_state() -> GptVector:
     """The bipartite box state whose correlations are p = 1/2 when the
@@ -1071,4 +1021,12 @@ def _two_qubit_probes() -> list:
     return out
 
 
-register_probe_states((Quantum(2), Quantum(2)), _two_qubit_probes())
+# Known non-product extreme states of composite cones, by atoms, and whether
+# they complete the products of vertices to a generator set of the cone.
+# The 16 products of local vertices plus the 8 PR-family box states are
+# exactly the extreme points of the bipartite B2,2 state space, so
+# generator-based checks on that system are exact.
+_PROBES = {
+    (Boxworld(2, 2), Boxworld(2, 2)): (_PR_STATES, True),
+    (Quantum(2), Quantum(2)): (tuple(_two_qubit_probes()), False),
+}

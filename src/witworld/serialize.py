@@ -28,7 +28,7 @@ from .systems import (
     GptVector,
     Quantum,
     SystemType,
-    hermitian_stack_to_coeffs,
+    hermitian_to_coeffs,
     not_hermitian,
     system,
     vector_to_hermitian,
@@ -225,10 +225,10 @@ def assemblage_to_json(asm: Assemblage) -> dict:
 def assemblage_from_json(obj) -> Assemblage:
     """An :class:`Assemblage` from its JSON form.
 
-    Files whose elements are all matrix-form ``{"re", "im"}`` objects with
-    distinct keys are read in one pass: every part into one array, with one
-    finiteness test.  Any other file, or one that fails that pass, is read
-    element by element, so an error names the first bad element.
+    Keys and element forms are read in file order.  All matrix-form
+    ``{"re", "im"}`` parts then go into one array, with one finiteness
+    test; only when that fails are they read one by one, so the error
+    names the first bad element.
     """
     if not isinstance(obj, dict) or "scenario" not in obj or "elements" not in obj:
         raise MalformedInputError("assemblage must carry 'scenario' and 'elements'")
@@ -246,9 +246,7 @@ def assemblage_from_json(obj) -> Assemblage:
     d = obj.get("d")
     if "d" in obj and (not isinstance(d, int) or isinstance(d, bool) or d < 1):
         raise MalformedInputError(f"assemblage 'd' must be a positive integer, got {d!r}")
-    elements = _matrix_elements(scenario, obj["elements"])
-    if elements is None:
-        elements = _elements_one_by_one(scenario, obj["elements"])
+    elements = _read_elements(scenario, obj["elements"])
     try:
         asm = Assemblage(scenario, outcomes, settings, elements, bob_inputs=bob_inputs)
     except ValueError as exc:
@@ -258,67 +256,63 @@ def assemblage_from_json(obj) -> Assemblage:
     return asm
 
 
-def _matrix_elements(scenario: str, items: dict):
-    """The elements of an all-matrix-form file read as one stack, or None if
-    any key or matrix would fail the element-by-element read."""
-    keys = [_parse_element_key(scenario, s) for s in items]
-    vals = list(items.values())
-    if None in keys or len(set(keys)) < len(keys) or not all(
-            isinstance(v, dict) and "re" in v and "im" in v for v in vals):
-        return None
-    try:
-        parts = np.array([(v["re"], v["im"]) for v in vals], dtype=float)
-    except (TypeError, ValueError):
-        return None
-    if parts.ndim != 4 or parts.shape[2] != parts.shape[3] or not np.isfinite(parts).all():
-        return None
-    return _hermitian_elements(list(items), keys, parts[:, 0] + 1j * parts[:, 1])
+def _read_elements(scenario: str, items: dict) -> dict:
+    """The elements ``{key: vector}`` in file order.
 
-
-def _elements_one_by_one(scenario: str, items: dict) -> dict:
-    """The elements read in file order, each checked on its own."""
-    # matrix-form elements wait in `pending`, keyed in place in `elements`,
-    # so the dict keeps the file's order once they are converted as one stack
-    elements, pending = {}, {}
+    A key spelled twice keeps its first place and takes its later element.
+    """
+    # a matrix-form element waits as its row in `matrices`
+    elements, key_strs, matrices = {}, [], []
     for key_str, val in items.items():
         key = _element_key_from_str(scenario, key_str)
         if isinstance(val, dict) and "re" in val:
-            try:
-                mat = _matrix_from_json(val)
-            except MalformedInputError as exc:
-                raise MalformedInputError(f"element {key_str}: {exc}") from None
-            if mat.shape[0] != mat.shape[1]:
-                raise MalformedInputError(f"element {key_str} matrix is not square")
-            elements[key] = None
-            pending[key] = key_str, mat
+            elements[key] = len(matrices)
+            key_strs.append(key_str)
+            matrices.append(val)
         elif isinstance(val, dict) and "coeffs" in val:
             elements[key] = gptvector_from_json(val)
-            pending.pop(key, None)
         else:
             raise MalformedInputError(f"element {key_str} needs 'matrix' re/im or a vector")
-    if pending:
-        key_strs = [key_str for key_str, _ in pending.values()]
-        mats = [mat for _, mat in pending.values()]
-        for key_str, mat in zip(key_strs, mats):
-            if mat.shape != mats[0].shape:
-                raise MalformedInputError(
-                    f"element {key_str} matrix is {mat.shape[0]}x{mat.shape[0]}, but element "
-                    f"{key_strs[0]} is {mats[0].shape[0]}x{mats[0].shape[0]}"
-                )
-        elements.update(_hermitian_elements(key_strs, list(pending), np.stack(mats)))
-    return elements
-
-
-def _hermitian_elements(key_strs: list, keys: list, stack: np.ndarray) -> dict:
-    """Single-qudit vectors ``{key: vector}`` of a stack of matrix-form elements."""
-    # the test of hermitian_tensor_to_vector
-    bad = np.flatnonzero(not_hermitian(stack, 1e-8))
+    if not matrices:
+        return elements
+    stack = _matrix_stack(key_strs, matrices)
+    bad = np.flatnonzero(not_hermitian(stack, 1e-8))  # the test of hermitian_tensor_to_vector
     if bad.size:
         raise MalformedInputError(
             f"element {key_strs[bad[0]]} matrix is not Hermitian within tolerance"
         )
     sys = system(Quantum(stack.shape[1]))
-    return {key: GptVector(sys, row) for key, row in zip(keys, hermitian_stack_to_coeffs(stack))}
+    vectors = [GptVector(sys, row) for row in hermitian_to_coeffs(stack, (stack.shape[1],))]
+    return {key: vectors[v] if isinstance(v, int) else v for key, v in elements.items()}
+
+
+def _matrix_stack(key_strs: list, matrices: list) -> np.ndarray:
+    """The matrix-form elements as one complex ``(n, d, d)`` array."""
+    try:
+        # a missing 'im' reads as 're' here and is zeroed below
+        parts = np.array([(m["re"], m.get("im", m["re"])) for m in matrices], dtype=float)
+    except (TypeError, ValueError):
+        parts = None
+    if parts is not None and parts.ndim == 4 and parts.shape[2] == parts.shape[3]:
+        parts[[i for i, m in enumerate(matrices) if "im" not in m], 1] = 0.0
+        if np.isfinite(parts).all():
+            return parts[:, 0] + 1j * parts[:, 1]
+    # name the first bad element
+    mats = []
+    for key_str, obj in zip(key_strs, matrices):
+        try:
+            mat = _matrix_from_json(obj)
+        except MalformedInputError as exc:
+            raise MalformedInputError(f"element {key_str}: {exc}") from None
+        if mat.shape[0] != mat.shape[1]:
+            raise MalformedInputError(f"element {key_str} matrix is not square")
+        if mats and mat.shape != mats[0].shape:
+            raise MalformedInputError(
+                f"element {key_str} matrix is {mat.shape[0]}x{mat.shape[0]}, but element "
+                f"{key_strs[0]} is {mats[0].shape[0]}x{mats[0].shape[0]}"
+            )
+        mats.append(mat)
+    return np.stack(mats)
 
 
 def steering_inequality_to_json(cert: SteeringInequality, scenario: str) -> dict:

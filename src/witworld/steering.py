@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -36,17 +36,17 @@ from .systems import (
     SystemType,
     atomic_state_check,
     classical_outcome_effect,
-    coeffs_to_hermitian_stack,
+    coeffs_to_hermitian,
     effect_cone_rays,
-    hermitian_stack_to_coeffs,
+    hermitian_to_coeffs,
     hermitian_to_vector,
-    pair,
     system,
     unit_effect,
     vector_to_hermitian,
 )
 from .transforms import (
     LinearMap,
+    _pauli_measurement,
     apply,
     compose_seq,
     controlled_map,
@@ -82,6 +82,9 @@ class Assemblage:
     * bipartite / instrumental: ``(a, x)``
     * multipartite: ``(a_tuple, x_tuple)``
     * bob-with-input: ``(a, x, y)``
+
+    ``coeffs`` holds every element's coefficients in one read-only array
+    indexed ``(*outcomes, *settings[, y], d**2)``.
     """
 
     scenario: str
@@ -89,6 +92,7 @@ class Assemblage:
     settings: tuple
     elements: dict
     bob_inputs: int | None = None
+    coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.scenario not in _SCENARIOS:
@@ -126,11 +130,21 @@ class Assemblage:
             sys = sys or el.system
             if el.system != sys:
                 raise ValueError("elements live on different systems")
-        failing = np.flatnonzero(_lowest_eigenvalues(self.elements) < -ELEMENT_PSD_TOL)
+        keys = list(self.elements)
+        # the grid position of each key, in dict order
+        flat = np.ravel_multi_index(np.array(
+            [k[0] + k[1] if self.scenario == MULTIPARTITE else k for k in keys]).T, counts)
+        coeffs = np.empty((flat.size, sys.dim))
+        coeffs[flat] = [el.coeffs for el in self.elements.values()]
+        failing = np.flatnonzero(_lowest_eigenvalues(coeffs, sys.atoms[0].d)[flat]
+                                 < -ELEMENT_PSD_TOL)
         if failing.size:
-            key = list(self.elements)[failing[0]]
+            key = keys[failing[0]]
             check = atomic_state_check(self.elements[key], ELEMENT_PSD_TOL)
             raise ValueError(f"element {key} is not positive: {check.describe()}")
+        coeffs = coeffs.reshape(counts + (-1,))
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
 
     def _expected_keys(self):
         if self.scenario == MULTIPARTITE:
@@ -163,6 +177,13 @@ class Assemblage:
     def matrix(self, *key) -> np.ndarray:
         return vector_to_hermitian(self.elements[key if len(key) > 1 else key[0]])
 
+    def key_at(self, index) -> tuple:
+        """The element key at a grid index of :attr:`coeffs`."""
+        index = tuple(int(i) for i in index)
+        if self.scenario == MULTIPARTITE:
+            return index[:len(self.outcomes)], index[len(self.outcomes):]
+        return index
+
     def as_parties(self):
         """Normalize to per-party tuples: keys (a_tuple, x_tuple)."""
         if self.scenario == MULTIPARTITE:
@@ -173,152 +194,79 @@ class Assemblage:
         raise ValueError(f"cannot flatten a {self.scenario} assemblage to parties")
 
 
-def _lowest_eigenvalues(elements: dict) -> np.ndarray:
-    """Lowest eigenvalue of each element's matrix, in dict order.
+def _lowest_eigenvalues(coeffs: np.ndarray, d: int) -> np.ndarray:
+    """Lowest eigenvalue of each element of a coefficient array ``(..., d**2)``.
 
-    One batched ``eigh`` (not ``eigvalsh``) over the stacked matrices: each
-    value has the bits of the margin :func:`atomic_state_check` reports.
+    One batched ``eigh`` (not ``eigvalsh``): each value has the bits of the
+    margin :func:`atomic_state_check` reports.
     """
-    els = list(elements.values())
-    mats = coeffs_to_hermitian_stack(np.array([el.coeffs for el in els]), els[0].atoms[0].d)
-    return np.linalg.eigh(mats)[0][:, 0]
-
-
-def _stack(asm: Assemblage):
-    """Element coefficients as an array of shape (*outcomes, *settings, dim)."""
-    outcomes, settings, els = asm.as_parties()
-    dim = next(iter(els.values())).coeffs.size
-    arr = np.empty(tuple(outcomes) + tuple(settings) + (dim,))
-    for (a, x), el in els.items():
-        arr[a + x] = el.coeffs
-    return arr
+    return np.linalg.eigh(coeffs_to_hermitian(coeffs, (d,)))[0][..., 0]
 
 
 # ---------------------------------------------------------------------------
-# No-signalling checks
+# No-signalling check
 # ---------------------------------------------------------------------------
-
-
-def _positivity_margin(asm: Assemblage):
-    """The lowest element eigenvalue and the first key (in dict order) with it."""
-    lowest = _lowest_eigenvalues(asm.elements)
-    i = int(np.argmin(lowest))
-    return float(lowest[i]), list(asm.elements)[i]
-
-
-def ns_check_bipartite(asm: Assemblage, tol: float = 1e-9) -> MembershipVerdict:
-    """Positivity, setting-independent totals, and unit normalization."""
-    if asm.scenario != BIPARTITE:
-        raise ValueError(f"expected a bipartite assemblage, got {asm.scenario}")
-    failures = []
-    margin, key = _positivity_margin(asm)
-    if margin < -tol:
-        failures.append(f"element {key} not positive ({margin:.3g})")
-    sums = np.stack([
-        np.sum([asm.element(a, x).coeffs for a in range(asm.outcomes[0])], axis=0)
-        for x in range(asm.settings[0])
-    ])
-    dev = float(np.max(np.abs(sums - sums[0]))) if sums.shape[0] > 1 else 0.0
-    margin = min(margin, -dev)
-    if dev > tol:
-        failures.append(f"outcome totals depend on the setting (dev {dev:.3g})")
-    rho = GptVector(next(iter(asm.elements.values())).system, sums[0])
-    trace = pair(unit_effect(rho.system), rho)
-    norm_err = abs(trace - 1.0)
-    margin = min(margin, -norm_err)
-    if norm_err > tol:
-        failures.append(f"reduced state has trace {trace:.6g}")
-    if failures:
-        return MembershipVerdict(REJECTED, margin=margin, detail="; ".join(failures))
-    return MembershipVerdict(ACCEPTED, margin=margin)
-
-
-def ns_check_multipartite(asm: Assemblage, tol: float = 1e-9) -> MembershipVerdict:
-    """Positivity, global normalization, and well-defined marginals.
-
-    For every subset of parties, the partial sum over the other parties'
-    outcomes must not depend on their settings.
-    """
-    if asm.scenario != MULTIPARTITE:
-        raise ValueError(f"expected a multipartite assemblage, got {asm.scenario}")
-    failures = []
-    margin, key = _positivity_margin(asm)
-    if margin < -tol:
-        failures.append(f"element {key} not positive ({margin:.3g})")
-    arr = _stack(asm)
-    n = len(asm.outcomes)
-    for kept in itertools.chain.from_iterable(
-        itertools.combinations(range(n), r) for r in range(n)
-    ):
-        dropped = [i for i in range(n) if i not in kept]
-        partial = arr.sum(axis=tuple(dropped))
-        dev = 0.0
-        setting_axes = tuple(len(kept) + i for i in dropped)
-        if setting_axes:
-            dev = float(np.max(partial.max(axis=setting_axes) - partial.min(axis=setting_axes)))
-        margin = min(margin, -dev)
-        if dev > tol:
-            failures.append(
-                f"marginal over parties {tuple(kept)} depends on dropped settings (dev {dev:.3g})"
-            )
-    total = arr.sum(axis=tuple(range(n)))
-    rho = total[(0,) * n]
-    el_sys = next(iter(asm.elements.values())).system
-    trace = pair(unit_effect(el_sys), GptVector(el_sys, rho))
-    norm_err = abs(trace - 1.0)
-    margin = min(margin, -norm_err)
-    if norm_err > tol:
-        failures.append(f"reduced state has trace {trace:.6g}")
-    if failures:
-        return MembershipVerdict(REJECTED, margin=margin, detail="; ".join(failures))
-    return MembershipVerdict(ACCEPTED, margin=margin)
-
-
-def ns_check_bob_with_input(asm: Assemblage, tol: float = 1e-9) -> MembershipVerdict:
-    """Positivity, x-independent totals per input, input-independent traces."""
-    if asm.scenario != BOB_WITH_INPUT:
-        raise ValueError(f"expected a bob-with-input assemblage, got {asm.scenario}")
-    failures = []
-    margin, key = _positivity_margin(asm)
-    if margin < -tol:
-        failures.append(f"element {key} not positive ({margin:.3g})")
-    n_a, n_x, n_y = asm.outcomes[0], asm.settings[0], asm.bob_inputs
-    for y in range(n_y):
-        sums = np.stack([
-            np.sum([asm.element(a, x, y).coeffs for a in range(n_a)], axis=0)
-            for x in range(n_x)
-        ])
-        dev = float(np.max(np.abs(sums - sums[0]))) if n_x > 1 else 0.0
-        margin = min(margin, -dev)
-        if dev > tol:
-            failures.append(f"totals for input y={y} depend on the setting (dev {dev:.3g})")
-    el_sys = next(iter(asm.elements.values())).system
-    u = unit_effect(el_sys)
-    traces = np.array([
-        [[pair(u, asm.element(a, x, y)) for y in range(n_y)] for x in range(n_x)]
-        for a in range(n_a)
-    ])
-    dev = float(np.max(traces.max(axis=2) - traces.min(axis=2)))
-    margin = min(margin, -dev)
-    if dev > tol:
-        failures.append(f"outcome probabilities depend on Bob's input (dev {dev:.3g})")
-    norm_err = float(np.max(np.abs(traces.sum(axis=0) - 1.0)))
-    margin = min(margin, -norm_err)
-    if norm_err > tol:
-        failures.append(f"outcome probabilities are not normalized (dev {norm_err:.3g})")
-    if failures:
-        return MembershipVerdict(REJECTED, margin=margin, detail="; ".join(failures))
-    return MembershipVerdict(ACCEPTED, margin=margin)
 
 
 def ns_check(asm: Assemblage, tol: float = 1e-9) -> MembershipVerdict:
-    if asm.scenario == BIPARTITE:
-        return ns_check_bipartite(asm, tol)
-    if asm.scenario == MULTIPARTITE:
-        return ns_check_multipartite(asm, tol)
+    """Is a bipartite, multipartite or Bob-with-input assemblage no-signalling?
+
+    Four conditions, each failing when its deviation exceeds ``tol``:
+
+    * every element is positive (deviation: minus the lowest eigenvalue);
+    * for each proper subset of the black-box parties, including none, the
+      sum over the other parties' outcomes does not depend on their
+      settings (deviation: the largest spread, max - min, over those
+      settings); Bob's input is a spectator;
+    * with Bob's input, no element's trace depends on it (the same spread);
+    * the sum over all outcomes has unit trace at every setting and input.
+
+    The margin is the lowest eigenvalue or the largest deviation negated,
+    whichever is lower.  Instrumental assemblages are checked through the
+    assemblage they were wired from.
+    """
+    if asm.scenario == INSTRUMENTAL:
+        raise ValueError("instrumental assemblages are validated through their wiring")
+    arr, n = asm.coeffs, len(asm.outcomes)
+    lowest = _lowest_eigenvalues(arr, asm.d)
+    worst = np.unravel_index(np.argmin(lowest), lowest.shape)
+    margin = float(lowest[worst])
+    failures = [f"element {asm.key_at(worst)} not positive ({margin:.3g})"] if margin < -tol else []
+    spreads = []  # (deviation, what it means)
+    for kept in itertools.chain.from_iterable(
+        itertools.combinations(range(n), r) for r in range(n)
+    ):
+        dropped = tuple(i for i in range(n) if i not in kept)
+        dev = _spread(arr.sum(axis=dropped), tuple(len(kept) + i for i in dropped))
+        spreads.append((dev, f"marginal over parties {kept} depends on their settings"
+                        if kept else "outcome totals depend on the settings"))
+    unit = unit_effect(system(Quantum(asm.d))).coeffs
+    outcome_axes = tuple(range(n))
     if asm.scenario == BOB_WITH_INPUT:
-        return ns_check_bob_with_input(asm, tol)
-    raise ValueError("instrumental assemblages are validated through their wiring")
+        traces = arr @ unit
+        spreads.append((_spread(traces, -1), "outcome probabilities depend on Bob's input"))
+        # the element traces are summed; the other scenarios take the trace
+        # of the summed element (the two can differ in the last bit)
+        totals = traces.sum(axis=outcome_axes)
+    else:
+        totals = arr.sum(axis=outcome_axes) @ unit
+    for dev, what in spreads:
+        margin = min(margin, -dev)
+        if dev > tol:
+            failures.append(f"{what} (dev {dev:.3g})")
+    trace = float(totals.flat[np.argmax(np.abs(totals - 1.0))])
+    norm_err = abs(trace - 1.0)
+    margin = min(margin, -norm_err)
+    if norm_err > tol:
+        failures.append(f"reduced state has trace {trace:.6g}")
+    if failures:
+        return MembershipVerdict(REJECTED, margin=margin, detail="; ".join(failures))
+    return MembershipVerdict(ACCEPTED, margin=margin)
+
+
+def _spread(values: np.ndarray, axes) -> float:
+    """The largest spread, max - min, of ``values`` along ``axes``."""
+    return float(np.max(values.max(axis=axes) - values.min(axis=axes)))
 
 
 def wire_instrumental(bwi: Assemblage, tol: float = 1e-9) -> Assemblage:
@@ -330,7 +278,7 @@ def wire_instrumental(bwi: Assemblage, tol: float = 1e-9) -> Assemblage:
             f"wiring needs matching cardinalities, got outcomes {bwi.outcomes[0]} "
             f"and inputs {bwi.bob_inputs}"
         )
-    check = ns_check_bob_with_input(bwi, tol)
+    check = ns_check(bwi, tol)
     if not check.passed:
         raise ValueError(f"assemblage is signalling: {check.detail}")
     els = {
@@ -474,16 +422,14 @@ class LhsModel:
 
     def max_error(self, asm: Assemblage) -> float:
         """Largest coefficient deviation of the rebuilt elements from ``asm``."""
-        _, settings, els = asm.as_parties()
-        keys = list(els)
-        target = np.array([els[k].coeffs for k in keys])
-        a_arr = np.array([a for a, _ in keys])
-        x_arr = np.array([x for _, x in keys])
+        target = asm.coeffs.reshape(-1, asm.coeffs.shape[-1])
+        index = _grid_index(asm.outcomes, asm.settings)
+        n = len(asm.outcomes)
         # hit[row, i]: strategy i answers a_vec to x_vec on every party
-        hit = np.ones((len(keys), len(self.strategies)), dtype=bool)
-        for p, s in enumerate(settings):
+        hit = np.ones((len(target), len(self.strategies)), dtype=bool)
+        for p, s in enumerate(asm.settings):
             table = np.array([lam[p] for lam in self.strategies], dtype=int)
-            hit &= table.reshape(-1, s).T[x_arr[:, p]] == a_arr[:, p, None]
+            hit &= table.reshape(-1, s).T[index[n + p]] == index[p][:, None]
         # a sum over axis 1 adds the hit states in strategy order, as a loop would
         states = np.array([s.coeffs for s in self.local_states]).reshape(-1, target.shape[1])
         rebuilt = np.where(hit[:, :, None], states, 0.0).sum(axis=1)
@@ -499,10 +445,9 @@ class SteeringInequality:
     value: float
 
     def evaluate(self, asm: Assemblage) -> float:
-        _, _, els = asm.as_parties()
         k = self.eigenvector
         return float(sum(
-            c * np.real(k.conj() @ vector_to_hermitian(els[key]) @ k)
+            c * np.real(k.conj() @ asm.matrix(*key) @ k)
             for key, c in self.coefficients.items()
         ))
 
@@ -563,18 +508,26 @@ def _party_responses(outcomes, settings, cap):
     return [np.indices((o,) * s).reshape(s, -1) for o, s in zip(outcomes, settings)]
 
 
-def _response_matrix(keys, outcomes, tables):
-    """0/1 matrix: rows are element keys, columns deterministic strategies.
+def _grid_index(outcomes, settings) -> np.ndarray:
+    """Rows ``(*a_vec, *x_vec)`` of every element key, one per column, in grid order."""
+    grid = tuple(outcomes) + tuple(settings)
+    return np.indices(grid).reshape(len(grid), -1)
+
+
+def _response_matrix(outcomes, settings, tables):
+    """0/1 matrix: rows are element keys in grid order, columns deterministic
+    strategies.
 
     Columns follow ``itertools.product`` over the parties' response
     functions, so one party's indicator rows are combined with the next
     party's by outer products.
     """
-    dmat = np.ones((len(keys), 1))
-    for p, (o, table) in enumerate(zip(outcomes, tables)):
-        indicator = (table[None, :, :] == np.arange(o)[:, None, None]).astype(float)
-        rows = indicator[[k[0][p] for k in keys], [k[1][p] for k in keys]]
-        dmat = (dmat[:, :, None] * rows[:, None, :]).reshape(len(keys), -1)
+    index = _grid_index(outcomes, settings)
+    n, rows = len(outcomes), index.shape[1]
+    dmat = np.ones((rows, 1))
+    for p, table in enumerate(tables):
+        hit = (table[index[n + p]] == index[p][:, None]).astype(float)
+        dmat = (dmat[:, :, None] * hit[:, None, :]).reshape(rows, -1)
     return dmat
 
 
@@ -608,9 +561,8 @@ def lhs_check(asm: Assemblage, solver_cfg: LhsConfig | None = None):
     cfg = solver_cfg or LhsConfig()
     if asm.scenario not in (BIPARTITE, MULTIPARTITE):
         raise ValueError(f"LHS test supports bipartite or multipartite, got {asm.scenario}")
-    outcomes, settings, els = asm.as_parties()
-    keys = sorted(els)
-    stack = coeffs_to_hermitian_stack(np.array([els[k].coeffs for k in keys]), asm.d)
+    outcomes, settings = asm.outcomes, asm.settings
+    stack = coeffs_to_hermitian(asm.coeffs.reshape(-1, asm.coeffs.shape[-1]), (asm.d,))
     exp = unit_exponent(stack)
     unit = math.ldexp(1.0, exp)
     u, rotated = _common_eigenbasis(stack, cfg.tol, unit)
@@ -621,7 +573,7 @@ def lhs_check(asm: Assemblage, solver_cfg: LhsConfig | None = None):
         )
     d = stack.shape[1]
     responses = _party_responses(outcomes, settings, cfg.strategy_cap)
-    dmat = _response_matrix(keys, outcomes, responses)
+    dmat = _response_matrix(outcomes, settings, responses)
     tables = np.real(np.diagonal(rotated, axis1=1, axis2=2))
     unit_tables = np.ldexp(tables, -exp)
 
@@ -642,7 +594,8 @@ def lhs_check(asm: Assemblage, solver_cfg: LhsConfig | None = None):
                     ),
                     None,
                 )
-            coeffs = {key: float(y[row]) for row, key in enumerate(keys) if abs(y[row]) > 1e-13}
+            coeffs = {asm.key_at(np.unravel_index(row, asm.coeffs.shape[:-1])): float(y[row])
+                      for row in np.flatnonzero(np.abs(y) > 1e-13)}
             cert = SteeringInequality(coeffs, u[:, k].copy(), value)
             return (
                 MembershipVerdict(
@@ -659,7 +612,7 @@ def lhs_check(asm: Assemblage, solver_cfg: LhsConfig | None = None):
     used = np.flatnonzero(totals > 1e-13 * unit)
     # u diag(w) u^dagger for every used strategy, as one stacked product
     mats = (u * weights[used, None, :]) @ u.conj().T
-    rows = hermitian_stack_to_coeffs((mats + mats.conj().transpose(0, 2, 1)) / 2)
+    rows = hermitian_to_coeffs((mats + mats.conj().transpose(0, 2, 1)) / 2, (d,))
     sys = system(Quantum(d))
     model = LhsModel(
         tuple(_strategies(used, responses)),
@@ -696,15 +649,6 @@ def _controlled_box_measurement() -> LinearMap:
     branches = [
         measurement_map([rays[2 * x], rays[2 * x + 1]]) for x in range(2)
     ]
-    return controlled_map(branches)
-
-
-def _controlled_pauli_measurement(transposed: bool = True) -> LinearMap:
-    branches = []
-    for sigma in (PAULI_X, PAULI_Y, PAULI_Z):
-        s = sigma.T if transposed else sigma
-        effects = [hermitian_to_vector((np.eye(2) + sign * s) / 2) for sign in (1, -1)]
-        branches.append(measurement_map(effects))
     return controlled_map(branches)
 
 
@@ -752,7 +696,8 @@ def paper_assemblage(
     if name == "bwi-star-star":
         ct = controlled_map([identity_map(system(Quantum(2))), transpose_map(2)])
         return assemblage_from_realization(
-            _phi_plus_vector(), [_controlled_pauli_measurement()],
+            _phi_plus_vector(),
+            [controlled_map([_pauli_measurement(s.T) for s in (PAULI_X, PAULI_Y, PAULI_Z)])],
             bob_transform=ct, bob_input=2, cfg=cfg,
         )
     if name == "instrumental-star":

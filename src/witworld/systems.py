@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import string
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -221,6 +223,42 @@ def not_hermitian(m: np.ndarray, eps: float):
     return over
 
 
+@functools.lru_cache(maxsize=None)
+def _conversion_scripts(n: int) -> tuple:
+    """The einsum scripts of :func:`hermitian_to_coeffs` and
+    :func:`coeffs_to_hermitian` on ``n`` factors."""
+    k, p, q = (string.ascii_letters[i * n:(i + 1) * n] for i in range(3))
+    bases = ",".join(map("".join, zip(k, p, q)))
+    return f"{bases},...{q}{p}->...{k}", f"...{k},{bases}->...{p}{q}"
+
+
+def hermitian_to_coeffs(mats: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """Coefficients of Hermitian matrices on the tensor product of ``dims``.
+
+    ``mats`` has shape ``(..., D, D)`` with ``D`` the product of ``dims``;
+    the result has shape ``(..., prod(d**2))``, against products of the
+    local bases of :func:`hermitian_basis` (entry ``k`` is ``tr(B_k M)``).
+    One unoptimized einsum, unlike ``matmul`` or ``tensordot``, so each
+    matrix of a stack converts bit for bit as it would alone.  The caller
+    checks Hermiticity.
+    """
+    dims = tuple(dims)
+    lead = mats.shape[:-2]
+    coeffs = np.real(np.einsum(_conversion_scripts(len(dims))[0],
+                               *map(hermitian_basis, dims), mats.reshape(lead + dims + dims)))
+    return coeffs.reshape(lead + (math.prod(d * d for d in dims),))
+
+
+def coeffs_to_hermitian(coeffs: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """Inverse of :func:`hermitian_to_coeffs`: shape ``(..., D, D)``."""
+    dims = tuple(dims)
+    lead = coeffs.shape[:-1]
+    mats = np.einsum(_conversion_scripts(len(dims))[1],
+                     coeffs.reshape(lead + tuple(d * d for d in dims)), *map(hermitian_basis, dims))
+    total = math.prod(dims)
+    return mats.reshape(lead + (total, total))
+
+
 def hermitian_to_vector(m: np.ndarray, eps_herm: float = EPS_HERM) -> GptVector:
     """Expand a Hermitian matrix into its coefficient vector.
 
@@ -234,32 +272,14 @@ def hermitian_to_vector(m: np.ndarray, eps_herm: float = EPS_HERM) -> GptVector:
     if not_hermitian(m, eps_herm):
         raise ValueError("matrix is not Hermitian within tolerance")
     d = m.shape[0]
-    coeffs = np.real(np.einsum("kij,ji->k", hermitian_basis(d), m))
-    return GptVector(system(Quantum(d)), coeffs)
+    return GptVector(system(Quantum(d)), hermitian_to_coeffs(m, (d,)))
 
 
 def vector_to_hermitian(v: GptVector) -> np.ndarray:
     """Inverse of :func:`hermitian_to_vector`."""
     if len(v.atoms) != 1 or not isinstance(v.atoms[0], Quantum):
         raise ValueError(f"expected a single quantum atom, got {v.system}")
-    d = v.atoms[0].d
-    return np.einsum("k,kij->ij", v.coeffs, hermitian_basis(d))
-
-
-def hermitian_stack_to_coeffs(mats: np.ndarray) -> np.ndarray:
-    """Coefficient rows of a stack of Hermitian matrices, shape ``(n, d^2)``.
-
-    Row ``i`` equals ``hermitian_to_vector(mats[i]).coeffs`` bit for bit
-    (an unoptimized einsum, unlike ``matmul`` or ``tensordot``).  The
-    caller checks Hermiticity.
-    """
-    return np.real(np.einsum("kij,nji->nk", hermitian_basis(mats.shape[-1]), mats))
-
-
-def coeffs_to_hermitian_stack(coeffs: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`hermitian_stack_to_coeffs`, bit for bit per row
-    equal to :func:`vector_to_hermitian`."""
-    return np.einsum("nk,kij->nij", coeffs, hermitian_basis(d))
+    return coeffs_to_hermitian(v.coeffs, (v.atoms[0].d,))
 
 
 # ---------------------------------------------------------------------------

@@ -306,8 +306,8 @@ def positivity_check(t: LinearMap, cfg: SearchConfig | None = None) -> Membershi
 
     Decided by minimizing <r, t(g)> over codomain dual generators r and
     domain cone generators g.  Products of atomic generators are covered
-    by the engine; registered non-product extreme states of composite
-    domains are checked explicitly.  Conclusive whenever both generator
+    by the engine; the known non-product extreme states of composite
+    domains (:func:`witworld.compose.probe_states`) are checked explicitly.  Conclusive whenever both generator
     descriptions are complete and the quantum search is in its exact
     regime.  Before a search that is not, an all-quantum codomain with a
     quantum or Q2*Q2-, Q2*Q3-type domain is given :func:`_positivity_bound`,

@@ -214,6 +214,26 @@ def test_certificate_json_shape():
     assert all("|" in k for k in cert["coefficients"])
 
 
+def test_certificate_keys_parse_as_element_keys():
+    # a signalling bipartite assemblage: its outcome totals halve at x=1,
+    # so no LHS model reproduces it
+    elements = {f"a={a}|x={x}": {"re": (np.diag([1 - a, a]) / (2 + 2 * x)).tolist(),
+                                 "im": np.zeros((2, 2)).tolist()}
+                for a in range(2) for x in range(2)}
+    bipartite = assemblage_from_json({"scenario": "bipartite", "outcomes": [2], "settings": [2],
+                                      "elements": elements})
+    for asm in (bipartite, paper_assemblage("pr-box")):
+        verdict, _ = lhs_check(asm)
+        assert verdict.rejected
+        assert verdict.witness.evaluate(asm) == pytest.approx(verdict.witness.value, abs=1e-9)
+        cert = steering_inequality_to_json(verdict.witness, asm.scenario)
+        assert cert["coefficients"]
+        for text, c in cert["coefficients"].items():
+            key = serialize._element_key_from_str(asm.scenario, text)
+            assert key in asm.elements
+            assert verdict.witness.coefficients[key] == c
+
+
 def test_file_helpers(tmp_path):
     path = tmp_path / "vec.json"
     dump_json(gptvector_to_json(pr_state()), str(path))
@@ -264,7 +284,11 @@ def _psd_doc(rng, n=8, d=2):
 def test_valid_matrix_file_is_read_in_one_pass(monkeypatch):
     rng = np.random.default_rng(5)
     doc = _psd_doc(rng, 64)
-    expected = serialize._elements_one_by_one("bipartite", doc["elements"])
+    expected = {
+        serialize._element_key_from_str("bipartite", key):
+            hermitian_to_vector(np.array(el["re"]) + 1j * np.array(el["im"]))
+        for key, el in doc["elements"].items()
+    }
     calls = []
     monkeypatch.setattr(serialize, "_matrix_from_json",
                         lambda obj: calls.append(obj) or pytest.fail("per-element read"))
@@ -338,6 +362,22 @@ def test_files_outside_the_one_pass_read_as_before():
     twice = assemblage_from_json(doc)
     assert list(twice.elements) == [(0, 0)] + [(a, 0) for a in range(2, 8)] + [(1, 0)]
     assert np.array_equal(twice.elements[(1, 0)].coeffs, one_pass.elements[(0, 0)].coeffs)
+
+
+def test_a_key_spelled_twice_keeps_its_first_place():
+    rng = np.random.default_rng(9)
+    base = _psd_doc(rng)
+    later = {"system": ["Q2"], "coeffs": hermitian_to_vector(np.eye(2) / 2).coeffs.tolist()}
+    for first, second in ((base["elements"]["a=3|x=0"], later), (later, base["elements"]["a=3|x=0"])):
+        doc = copy.deepcopy(base)
+        items = list(doc["elements"].items())
+        items[3] = ("a=03|x=0", first)
+        doc["elements"] = dict(items + [("a=3|x=0", second)])
+        asm = assemblage_from_json(doc)
+        assert list(asm.elements) == [(a, 0) for a in range(8)]
+        want = assemblage_from_json(dict(base, elements=dict(base["elements"], **{"a=3|x=0": second})))
+        for key, el in asm.elements.items():
+            assert np.array_equal(el.coeffs, want.elements[key].coeffs)
 
 
 @pytest.mark.parametrize("kind", ["non-finite", "ragged", "non-numeric", "list", "bad-d"])

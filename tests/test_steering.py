@@ -20,9 +20,6 @@ from witworld import (
     lhs_check,
     measurement_map,
     ns_check,
-    ns_check_bipartite,
-    ns_check_bob_with_input,
-    ns_check_multipartite,
     paper_assemblage,
     pr_state,
     state_vertices,
@@ -42,7 +39,6 @@ from witworld.steering import (
     StrategyCapError,
     _common_eigenbasis,
     _lowest_eigenvalues,
-    _positivity_margin,
     _party_responses,
     _response_matrix,
     _strategies,
@@ -114,7 +110,8 @@ def test_batched_psd_check_matches_atomic_state_check(d):
         for negative in ((), (n - 1,), tuple(range(n // 2, n, 3))):
             els = _random_hermitian_elements(rng, d, n, negative)
             checks = [atomic_state_check(el, ELEMENT_PSD_TOL) for el in els.values()]
-            assert np.array_equal(_lowest_eigenvalues(els), [c.margin for c in checks])
+            coeffs = np.array([el.coeffs for el in els.values()])
+            assert np.array_equal(_lowest_eigenvalues(coeffs, d), [c.margin for c in checks])
             if not negative:
                 Assemblage(BIPARTITE, (n,), (1,), els)
                 continue
@@ -130,9 +127,10 @@ def test_batched_psd_check_matches_atomic_state_check(d):
 
 
 def _looped_positivity_margin(asm, tol):
+    """The lowest element eigenvalue and its first key in grid (sorted key) order."""
     worst, which = np.inf, None
-    for key, el in asm.elements.items():
-        m = atomic_state_check(el, tol).margin
+    for key in sorted(asm.elements):
+        m = atomic_state_check(asm.elements[key], tol).margin
         if m < worst:
             worst, which = m, key
     return worst, which
@@ -143,12 +141,33 @@ def test_positivity_margin_matches_per_element_loop():
     asms = [paper_assemblage(name) for name in ("pr-box", "bwi-star", "bwi-star-star")]
     for d in (2, 3, 4):
         els = _random_hermitian_elements(rng, d, 8)
-        els[(5, 0)] = els[(2, 0)]  # a tie: the first key in dict order wins
+        els[(5, 0)] = els[(2, 0)]  # a tie: the first key in grid order wins
         asms.append(Assemblage(BIPARTITE, (8,), (1,), els))
     for asm in asms:
-        worst, key = _positivity_margin(asm)
-        assert (worst, key) == _looped_positivity_margin(asm, 1e-9)
-        assert type(worst) is float
+        lowest = _lowest_eigenvalues(asm.coeffs, asm.d)
+        at = np.unravel_index(np.argmin(lowest), lowest.shape)
+        assert (float(lowest[at]), asm.key_at(at)) == _looped_positivity_margin(asm, 1e-9)
+    # two tied failing elements: ns_check names the first in grid order, whatever
+    # the dict order
+    dip = _vec(np.diag([0.5, 0.0]) - 5e-9 * np.eye(2))
+    rest = _vec(np.diag([0.0, 0.5]) + 5e-9 * np.eye(2))
+    els = {(a, x): dip if a == 1 else rest for x in (1, 0) for a in (1, 0)}
+    res = ns_check(_bipartite(els))
+    assert res.rejected and res.margin == atomic_state_check(dip, 1e-9).margin
+    assert f"element (1, 0) not positive ({res.margin:.3g})" in res.detail
+
+
+def test_assemblage_coeffs_hold_every_element_at_its_grid_index():
+    rng = np.random.default_rng(8)
+    asms = [paper_assemblage(name) for name in ("pr-box", "bwi-star", "bwi-star-star",
+                                                "instrumental-star")]
+    asms.append(_unequal_local_assemblage(rng))
+    for asm in asms:
+        grid = asm.outcomes + asm.settings + ((asm.bob_inputs,) if asm.bob_inputs else ())
+        assert asm.coeffs.shape == grid + (asm.d ** 2,)
+        assert not asm.coeffs.flags.writeable
+        for index in np.ndindex(grid):
+            assert np.array_equal(asm.coeffs[index], asm.elements[asm.key_at(index)].coeffs)
 
 
 def test_lhs_stack_matches_per_element_matrices(monkeypatch):
@@ -200,7 +219,7 @@ def test_singlet_realization_is_quantum_assemblage():
         branches.append(measurement_map(effects))
     asm = assemblage_from_realization(shared, [controlled_map(branches)])
     assert asm.scenario == BIPARTITE
-    res = ns_check_bipartite(asm)
+    res = ns_check(asm)
     assert res.accepted
     for x in range(2):
         total = sum(asm.matrix(a, x) for a in range(2))
@@ -251,14 +270,14 @@ def test_realization_soundness_random():
             for _ in range(2)
         ]
         asm = assemblage_from_realization(shared, meas, validate=False)
-        assert ns_check_multipartite(asm).accepted
+        assert ns_check(asm).accepted
 
 
 # --- no-signalling checks ----------------------------------------------------------
 
 
 def test_ns_bipartite_accepts_uniform():
-    assert ns_check_bipartite(_bipartite(_uniform_elements())).accepted
+    assert ns_check(_bipartite(_uniform_elements())).accepted
 
 
 def test_ns_bipartite_rejects_signalling():
@@ -268,14 +287,44 @@ def test_ns_bipartite_rejects_signalling():
         (0, 1): _vec(np.eye(2) / 4),
         (1, 1): _vec(np.eye(2) / 4),
     }
-    res = ns_check_bipartite(_bipartite(els))
+    res = ns_check(_bipartite(els))
     assert res.rejected
     assert "totals depend" in res.detail
 
 
+def test_ns_deviation_is_the_spread_over_settings():
+    # outcome totals I/2 + s X at s = 0, +delta, -delta: their X coefficient
+    # spreads over twice its largest distance from the setting-0 value
+    delta = 0.5e-9
+    els = {(a, x): _vec((np.eye(2) / 2 + s * PAULI_X) / 2)
+           for a in range(2) for x, s in enumerate((0.0, delta, -delta))}
+    asm = Assemblage(BIPARTITE, (2,), (3,), els)
+    totals = asm.coeffs.sum(axis=0)
+    spread = float(np.max(totals.max(axis=0) - totals.min(axis=0)))
+    assert 1e-9 < spread < 2e-9
+    assert float(np.max(np.abs(totals - totals[0]))) < 1e-9
+    res = ns_check(asm)
+    assert res.rejected and res.margin == -spread
+    assert f"outcome totals depend on the settings (dev {spread:.3g})" == res.detail
+
+
+def test_ns_normalization_is_checked_at_every_setting():
+    # the totals' traces are 1 at x=0 and 1 + eps at x=1; the trace
+    # deviation at x=1 exceeds the coefficient spread, so it sets the margin
+    eps = 4e-10
+    els = {(a, x): _vec(np.eye(2) * (1 + x * eps) / 4) for a in range(2) for x in range(2)}
+    asm = Assemblage(BIPARTITE, (2,), (2,), els)
+    totals = asm.coeffs.sum(axis=0)
+    traces = totals @ np.array([np.sqrt(2), 0, 0, 0])
+    spread = float(np.max(totals.max(axis=0) - totals.min(axis=0)))
+    res = ns_check(asm)
+    assert res.accepted and traces[0] == 1.0
+    assert res.margin == -abs(traces[1] - 1.0) < -spread
+
+
 def test_ns_bipartite_reports_the_actual_trace():
     els = {(a, x): _vec(np.eye(2) / 8) for a in range(2) for x in range(2)}
-    res = ns_check_bipartite(_bipartite(els))
+    res = ns_check(_bipartite(els))
     assert res.rejected
     assert "reduced state has trace 0.5" in res.detail
     assert res.margin == pytest.approx(-0.5)
@@ -284,14 +333,14 @@ def test_ns_bipartite_reports_the_actual_trace():
 def test_ns_multipartite_reports_the_actual_trace():
     els = {((a, b), (x, y)): _vec(np.eye(2) / 16)
            for a, b, x, y in itertools.product(range(2), repeat=4)}
-    res = ns_check_multipartite(Assemblage(MULTIPARTITE, (2, 2), (2, 2), els))
+    res = ns_check(Assemblage(MULTIPARTITE, (2, 2), (2, 2), els))
     assert res.rejected
     assert "reduced state has trace 0.5" in res.detail
     assert res.margin == pytest.approx(-0.5)
 
 
 def test_ns_multipartite_accepts_pr_and_lhs():
-    assert ns_check_multipartite(paper_assemblage("pr-box")).accepted
+    assert ns_check(paper_assemblage("pr-box")).accepted
     rng = np.random.default_rng(7)
     rho = random_density(rng, 2)
     p = random_local_box(rng)
@@ -300,7 +349,7 @@ def test_ns_multipartite_accepts_pr_and_lhs():
         for a, b, x, y in itertools.product(range(2), repeat=4)
     }
     asm = Assemblage(MULTIPARTITE, (2, 2), (2, 2), els)
-    assert ns_check_multipartite(asm).accepted
+    assert ns_check(asm).accepted
 
 
 def test_ns_multipartite_rejects_signalling_piece():
@@ -310,14 +359,14 @@ def test_ns_multipartite_rejects_signalling_piece():
         p = 0.5 if b == x else 0.0
         els[((a, b), (x, y))] = _vec(p * np.eye(2) / 2)
     asm = Assemblage(MULTIPARTITE, (2, 2), (2, 2), els)
-    res = ns_check_multipartite(asm)
+    res = ns_check(asm)
     assert res.rejected
     assert "marginal" in res.detail
 
 
 def test_ns_bob_with_input():
     asm = paper_assemblage("bwi-star")
-    assert ns_check_bob_with_input(asm).accepted
+    assert ns_check(asm).accepted
     # traces depending on y must be rejected
     els = {}
     for a in range(2):
@@ -326,14 +375,14 @@ def test_ns_bob_with_input():
                 w = 0.5 if y == 0 else (0.8 if a == 0 else 0.2)
                 els[(a, x, y)] = _vec(w * np.eye(2) / 2)
     bad = Assemblage(BOB_WITH_INPUT, (2,), (2,), els, bob_inputs=2)
-    res = ns_check_bob_with_input(bad)
+    res = ns_check(bad)
     assert res.rejected
     assert "input" in res.detail
 
 
 def test_ns_dispatch_and_scenario_guards():
-    with pytest.raises(ValueError):
-        ns_check_bipartite(paper_assemblage("pr-box"))
+    for name in ("pr-box", "bwi-star", "bwi-star-star"):
+        assert ns_check(paper_assemblage(name)).accepted
     with pytest.raises(ValueError):
         ns_check(paper_assemblage("instrumental-star"))
 
@@ -647,7 +696,7 @@ def test_response_matrix_matches_nested_loops(outcomes, settings):
     keys = _party_keys(outcomes, settings)
     responses = _party_responses(outcomes, settings, 10 ** 6)
     strategies, dmat = _nested_loop_dmat(keys, outcomes, settings)
-    assert np.array_equal(_response_matrix(keys, outcomes, responses), dmat)
+    assert np.array_equal(_response_matrix(outcomes, settings, responses), dmat)
     assert _strategies(range(len(strategies)), responses) == strategies
 
 
