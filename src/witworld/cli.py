@@ -46,10 +46,12 @@ from .steering import (
     BIPARTITE,
     MULTIPARTITE,
     PAPER_ASSEMBLAGE_NAMES,
+    LhsConfig,
     StrategyCapError,
     lhs_check,
     ns_check,
     paper_assemblage,
+    wire_instrumental,
 )
 from .systems import Quantum, hermitian_to_vector
 from .transforms import builtin_map, positivity_check, quantum_cp_check, trace_condition_check
@@ -152,7 +154,7 @@ def _cmd_prbox(args) -> int:
 
 
 def _cmd_rsp(args) -> int:
-    def run_payload(run):
+    def run_payload(run, dist):
         return {
             "psi": {"re": np.real(run.psi).tolist(), "im": np.imag(run.psi).tolist()},
             "branches": [
@@ -164,7 +166,7 @@ def _cmd_rsp(args) -> int:
                 }
                 for b in run.branches
             ],
-            "trace_distance": run.trace_distance_to_target(),
+            "trace_distance": dist,
             "bits_sent": run.bits_sent,
         }
 
@@ -179,16 +181,18 @@ def _cmd_rsp(args) -> int:
             rsp_run(bloch_state(np.arccos(1 - 2 * (i + 0.5) / n), (i * golden) % (2 * np.pi)))
             for i in range(n)
         ]
-        worst = max(r.trace_distance_to_target() for r in runs)
+        dists = [r.trace_distance_to_target() for r in runs]
+        worst = max(dists)
         if args.json:
-            print(dump_json({"runs": [run_payload(r) for r in runs], "max_trace_distance": worst}))
+            print(dump_json({"runs": [run_payload(r, d) for r, d in zip(runs, dists)],
+                             "max_trace_distance": worst}))
         else:
             print(f"ran {n} grid states; max trace distance = {worst:.3e}; bits sent = 1 each")
         return EXIT_OK if worst <= 1e-8 else EXIT_REJECTED
     run = rsp_run(bloch_state(args.theta, args.phi))
     dist = run.trace_distance_to_target()
     if args.json:
-        print(dump_json(run_payload(run)))
+        print(dump_json(run_payload(run, dist)))
     else:
         print(f"target: theta={args.theta}, phi={args.phi}")
         for b in run.branches:
@@ -270,7 +274,11 @@ def _default_gleason_measurements(witness):
 
 def _cmd_assemblage(args) -> int:
     cfg = _cfg_from_args(args)
-    if args.name == "gleason":
+    wired_from = None  # the bob-with-input assemblage behind instrumental-star
+    if args.name == "instrumental-star":
+        wired_from = paper_assemblage("bwi-star-star", cfg=cfg)
+        asm = wire_instrumental(wired_from, cfg.tol)
+    elif args.name == "gleason":
         if not args.witness:
             raise _UsageError("assemblage gleason needs --witness FILE|builtin:NAME")
         witness = _load_state(args.witness)
@@ -284,18 +292,17 @@ def _cmd_assemblage(args) -> int:
     code = EXIT_OK
     messages = []
     if args.verify_ns:
-        if asm.scenario == "instrumental":
-            bwi = paper_assemblage("bwi-star-star", cfg=cfg)
-            verdict = ns_check(bwi)
+        if wired_from is not None:
+            verdict = ns_check(wired_from, cfg.tol)
             messages.append(f"ns (of the wired assemblage): {verdict.describe()}")
         else:
-            verdict = ns_check(asm)
+            verdict = ns_check(asm, cfg.tol)
             messages.append(f"ns: {verdict.describe()}")
         payload["ns"] = {"status": verdict.status, "margin": verdict.margin, "detail": verdict.detail}
         code = max(code, _verdict_exit(verdict.status))
     if args.verify_lhs:
         if asm.scenario in (BIPARTITE, MULTIPARTITE):
-            verdict, model = lhs_check(asm)
+            verdict, model = lhs_check(asm, LhsConfig(tol=cfg.tol))
             if verdict.status == ACCEPTED:
                 messages.append(f"lhs: feasible ({verdict.detail})")
                 payload["lhs"] = {"status": "feasible", "detail": verdict.detail}

@@ -11,6 +11,7 @@ suffices here and not there.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -37,6 +38,7 @@ from .systems import (
     vector_to_hermitian,
 )
 from .transforms import (
+    LinearMap,
     apply,
     compose_par,
     computational_measurement,
@@ -181,6 +183,36 @@ class RspRun:
         return trace_distance(self.output_matrix(), self.target_matrix())
 
 
+@dataclass(frozen=True)
+class _RspParts:
+    """The maps and vectors every :func:`rsp_run` shares."""
+
+    singlet: GptVector
+    ident: LinearMap
+    measure: LinearMap        # computational measurement ⊗ id
+    unot: LinearMap
+    correction: LinearMap     # controlled universal NOT
+    unit: GptVector
+    outcome_effects: tuple
+
+
+@functools.lru_cache(maxsize=None)
+def _rsp_parts() -> _RspParts:
+    """The fixed parts of the protocol, built on first use."""
+    q2 = system(Quantum(2))
+    ident = identity_map(q2)
+    unot = unot_map(2)
+    return _RspParts(
+        singlet=singlet_vector(),
+        ident=ident,
+        measure=compose_par(computational_measurement(2), ident),
+        unot=unot,
+        correction=controlled_map([ident, unot]),
+        unit=unit_effect(q2),
+        outcome_effects=tuple(classical_outcome_effect(2, a) for a in range(2)),
+    )
+
+
 def rsp_run(psi) -> RspRun:
     """Prepare ``psi`` remotely with one classical bit of communication.
 
@@ -188,7 +220,8 @@ def rsp_run(psi) -> RspRun:
     unitary; measure in the computational basis; feed the outcome bit
     into a controlled universal NOT on the receiver's half, which also
     sums out the bit.  The transcript records both measurement branches
-    before and after correction.
+    before and after correction.  Only the encoding map depends on
+    ``psi``; the other maps are built once (:func:`_rsp_parts`).
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != 2:
@@ -197,23 +230,18 @@ def rsp_run(psi) -> RspRun:
         raise ValueError("amplitudes must be finite")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("state is not normalized")
-    q2 = system(Quantum(2))
-    ident = identity_map(q2)
+    parts = _rsp_parts()
     after_encoding = apply(
-        compose_par(unitary_conjugation_map(encoding_unitary(psi)), ident),
-        singlet_vector(),
+        compose_par(unitary_conjugation_map(encoding_unitary(psi)), parts.ident),
+        parts.singlet,
     )
-    classical_and_qubit = apply(
-        compose_par(computational_measurement(2), ident), after_encoding
-    )
-    unot = unot_map(2)
-    u = unit_effect(q2)
+    classical_and_qubit = apply(parts.measure, after_encoding)
     branches = []
-    for a in range(2):
-        pre = steer(classical_and_qubit, classical_outcome_effect(2, a), on=(0,))
-        post = apply(unot, pre) if a == 1 else pre
-        branches.append(RspBranch(a, pair(u, pre), pre, post))
-    output = apply(controlled_map([ident, unot]), classical_and_qubit)
+    for a, effect in enumerate(parts.outcome_effects):
+        pre = steer(classical_and_qubit, effect, on=(0,))
+        post = apply(parts.unot, pre) if a == 1 else pre
+        branches.append(RspBranch(a, pair(parts.unit, pre), pre, post))
+    output = apply(parts.correction, classical_and_qubit)
     return RspRun(psi, tuple(branches), output)
 
 

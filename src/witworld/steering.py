@@ -11,6 +11,7 @@ states, entangled quantum states, and the controlled transpose.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -23,7 +24,6 @@ from .compose import (
     composite_state_check,
     hermitian_tensor_to_vector,
     pr_state,
-    steer,
     tensor_all,
     unit_exponent,
 )
@@ -47,13 +47,13 @@ from .systems import (
 from .transforms import (
     LinearMap,
     _pauli_measurement,
-    apply,
+    _apply_matrix,
+    _classical_slice,
+    _kron_all,
     compose_seq,
     controlled_map,
     identity_map,
     measurement_map,
-    parallel,
-    partial_apply_classical,
     preparation_map,
     transpose_map,
     trace_condition_check,
@@ -219,7 +219,8 @@ def ns_check(asm: Assemblage, tol: float = 1e-9) -> MembershipVerdict:
       settings (deviation: the largest spread, max - min, over those
       settings); Bob's input is a spectator;
     * with Bob's input, no element's trace depends on it (the same spread);
-    * the sum over all outcomes has unit trace at every setting and input.
+    * the sum over all outcomes has unit trace at every setting and input
+      (the detail gives the trace furthest from 1 with all its digits).
 
     The margin is the lowest eigenvalue or the largest deviation negated,
     whichever is lower.  Instrumental assemblages are checked through the
@@ -258,7 +259,7 @@ def ns_check(asm: Assemblage, tol: float = 1e-9) -> MembershipVerdict:
     norm_err = abs(trace - 1.0)
     margin = min(margin, -norm_err)
     if norm_err > tol:
-        failures.append(f"reduced state has trace {trace:.6g}")
+        failures.append(f"reduced state has trace {trace!r}")
     if failures:
         return MembershipVerdict(REJECTED, margin=margin, detail="; ".join(failures))
     return MembershipVerdict(ACCEPTED, margin=margin)
@@ -308,7 +309,17 @@ def assemblage_from_realization(
     atom first, then the party's share) producing that party's classical
     outcome.  ``bob_transform`` maps the remaining share to a quantum
     system; in the Bob-with-input scenario (``bob_input`` set) it takes
-    an extra leading classical input atom.
+    an extra leading classical input atom.  ``validate=False`` skips the
+    composite membership check of ``shared``, for a caller that has made it.
+
+    Each party's measurement matrix with its setting plugged in, the
+    passive party's map per input, and the effect of each outcome vector
+    are built once.  Per setting vector (and input) the maps are combined
+    by one Kronecker chain and applied to ``shared`` with :func:`apply`'s
+    noise rule; each element is then that output contracted with one
+    outcome effect.  These are the products, in the same order, of
+    per-element :func:`partial_apply_classical`, :func:`parallel`,
+    :func:`apply` and :func:`steer` calls, so every element has their bits.
     """
     cfg = cfg or SearchConfig()
     n = len(measurements)
@@ -342,39 +353,41 @@ def assemblage_from_realization(
         raise ValueError(
             f"transform domain {bob_transform.domain} does not match {expected_dom}"
         )
-    cod = bob_transform.codomain.atoms
-    if len(cod) != 1 or not isinstance(cod[0], Quantum):
+    bob_cod = bob_transform.codomain
+    if len(bob_cod.atoms) != 1 or not isinstance(bob_cod.atoms[0], Quantum):
         raise ValueError("the passive party must end up with a single quantum system")
     if validate:
         check = composite_state_check(shared, cfg)
         if not check.passed:
             raise ValueError(f"shared state is outside the composite cone: {check.describe()}")
 
-    def steered(x_vec, bob_map):
-        alice = [partial_apply_classical(measurements[i], x_vec[i]) for i in range(n)]
-        out = apply(parallel(*alice, bob_map), shared)
-        result = {}
-        for a_vec in itertools.product(*(range(o) for o in outcomes)):
-            eff = tensor_all([
-                classical_outcome_effect(outcomes[i], a_vec[i]) for i in range(n)
-            ])
-            result[a_vec] = steer(out, eff, on=tuple(range(n)))
-        return result
+    slices = [[_classical_slice(meas, x)[1] for x in range(s)]
+              for meas, s in zip(measurements, settings)]
+    party_effects = [[classical_outcome_effect(o, a).coeffs for a in range(o)] for o in outcomes]
+    a_vecs = list(itertools.product(*(range(o) for o in outcomes)))
+    effects = [_kron_all([party_effects[i][a] for i, a in enumerate(a_vec)]).reshape(outcomes)
+               for a_vec in a_vecs]
+    axes = list(range(n))
+
+    def steered(x_vec, bob_matrix):
+        mat = _kron_all([slices[i][x] for i, x in enumerate(x_vec)] + [bob_matrix])
+        out = _apply_matrix(mat, shared.coeffs).reshape(tuple(outcomes) + (-1,))
+        return [GptVector(bob_cod, np.tensordot(out, e, axes=(axes, axes))) for e in effects]
 
     if bob_input is not None:
         if n != 1:
             raise ValueError("bob-with-input realizations support one black-box party")
+        bob_slices = [_classical_slice(bob_transform, y)[1] for y in range(bob_input)]
         els = {}
         for x in range(settings[0]):
             for y in range(bob_input):
-                branch = steered((x,), partial_apply_classical(bob_transform, y))
-                for a_vec, sigma in branch.items():
+                for a_vec, sigma in zip(a_vecs, steered((x,), bob_slices[y])):
                     els[(a_vec[0], x, y)] = sigma
         return Assemblage(BOB_WITH_INPUT, tuple(outcomes), tuple(settings), els,
                           bob_inputs=bob_input)
     els = {}
     for x_vec in itertools.product(*(range(s) for s in settings)):
-        for a_vec, sigma in steered(x_vec, bob_transform).items():
+        for a_vec, sigma in zip(a_vecs, steered(x_vec, bob_transform.matrix)):
             els[(a_vec, x_vec)] = sigma
     if n == 1:
         flat = {(a[0], x[0]): v for (a, x), v in els.items()}
@@ -658,6 +671,30 @@ def _phi_plus_vector() -> GptVector:
     return hermitian_tensor_to_vector(np.outer(amp, amp.conj()), (2, 2))
 
 
+@functools.lru_cache(maxsize=None)
+def _named_realization(name: str) -> tuple:
+    """``(shared, measurements, bob_transform, bob_input)`` of a named
+    realization, built on first use; the maps and states are read-only."""
+    if name == "pr-box":
+        mixed = hermitian_to_vector(np.eye(2, dtype=complex) / 2)
+        meas = _controlled_box_measurement()
+        return tensor_all([pr_state(), mixed]), (meas, meas), None, None
+    if name == "bwi-star":
+        meas = _controlled_box_measurement()
+        device = compose_seq(
+            preparation_map(
+                [hermitian_to_vector(np.diag([1.0, 0.0]).astype(complex)),
+                 hermitian_to_vector(np.diag([0.0, 1.0]).astype(complex))]
+            ),
+            meas,
+        )
+        return pr_state(), (meas,), device, 2
+    # bwi-star-star
+    ct = controlled_map([identity_map(system(Quantum(2))), transpose_map(2)])
+    meas = controlled_map([_pauli_measurement(s.T) for s in (PAULI_X, PAULI_Y, PAULI_Z)])
+    return _phi_plus_vector(), (meas,), ct, 2
+
+
 def paper_assemblage(
     name: str,
     witness: GptVector | None = None,
@@ -672,36 +709,20 @@ def paper_assemblage(
     the basis state given by the result.  ``bwi-star-star``: Pauli
     measurements on a maximally entangled pair with a transpose applied
     conditioned on the input.  ``instrumental-star``: the previous one
-    wired.  ``gleason``: quantum measurements on a supplied composite
-    state (any entanglement witness), given per-party POVM lists.
+    wired at ``cfg.tol``.  ``gleason``: quantum measurements on a supplied
+    composite state (any entanglement witness), given per-party POVM
+    lists; the witness is checked for composite membership once.
+
+    The first three realizations' states and maps are built once per
+    process (:func:`_named_realization`).
     """
     cfg = cfg or SearchConfig()
-    if name == "pr-box":
-        mixed = hermitian_to_vector(np.eye(2, dtype=complex) / 2)
-        shared = tensor_all([pr_state(), mixed])
-        meas = _controlled_box_measurement()
-        return assemblage_from_realization(shared, [meas, meas], cfg=cfg)
-    if name == "bwi-star":
-        device = compose_seq(
-            preparation_map(
-                [hermitian_to_vector(np.diag([1.0, 0.0]).astype(complex)),
-                 hermitian_to_vector(np.diag([0.0, 1.0]).astype(complex))]
-            ),
-            _controlled_box_measurement(),
-        )
-        return assemblage_from_realization(
-            pr_state(), [_controlled_box_measurement()],
-            bob_transform=device, bob_input=2, cfg=cfg,
-        )
-    if name == "bwi-star-star":
-        ct = controlled_map([identity_map(system(Quantum(2))), transpose_map(2)])
-        return assemblage_from_realization(
-            _phi_plus_vector(),
-            [controlled_map([_pauli_measurement(s.T) for s in (PAULI_X, PAULI_Y, PAULI_Z)])],
-            bob_transform=ct, bob_input=2, cfg=cfg,
-        )
+    if name in ("pr-box", "bwi-star", "bwi-star-star"):
+        shared, meas, device, inputs = _named_realization(name)
+        return assemblage_from_realization(shared, meas, bob_transform=device,
+                                           bob_input=inputs, cfg=cfg)
     if name == "instrumental-star":
-        return wire_instrumental(paper_assemblage("bwi-star-star", cfg=cfg))
+        return wire_instrumental(paper_assemblage("bwi-star-star", cfg=cfg), cfg.tol)
     if name == "gleason":
         if witness is None or measurements is None:
             raise ValueError("gleason assemblages need a witness state and measurements")
@@ -719,5 +740,5 @@ def paper_assemblage(
                         raise ValueError("gleason measurements must be quantum")
                 branches.append(measurement_map(list(povm)))
             controlled.append(controlled_map(branches))
-        return assemblage_from_realization(witness, controlled, cfg=cfg)
+        return assemblage_from_realization(witness, controlled, cfg=cfg, validate=False)
     raise KeyError(f"unknown assemblage {name!r}; choose from {PAPER_ASSEMBLAGE_NAMES}")

@@ -85,7 +85,15 @@ class LinearMap:
 
 
 def apply(t: LinearMap, v: GptVector) -> GptVector:
-    """``t(v)``, with rounding noise where an exact zero may be meant set to 0.
+    """``t(v)``, with rounding noise where an exact zero may be meant set to 0
+    (:func:`_apply_matrix`)."""
+    if v.system != t.domain:
+        raise ValueError(f"map expects {t.domain}, got {v.system}")
+    return GptVector(t.codomain, _apply_matrix(t.matrix, v.coeffs))
+
+
+def _apply_matrix(matrix: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``matrix @ coeffs`` with every entry that is rounding noise made 0.
 
     An entry of the product no larger than its rounding-error bound,
     ``n eps (|T| |v|)_i`` for ``n`` terms, carries no digit of the true
@@ -93,13 +101,11 @@ def apply(t: LinearMap, v: GptVector) -> GptVector:
     its own size; without this, a generator that a positive map sends to
     zero would come out as a few entries near -1e-17 and be rejected.
     """
-    if v.system != t.domain:
-        raise ValueError(f"map expects {t.domain}, got {v.system}")
-    out = t.matrix @ v.coeffs
-    bound = np.abs(t.matrix) @ np.abs(v.coeffs)
-    noise = np.abs(out) <= v.coeffs.size * np.finfo(float).eps * bound
+    out = matrix @ coeffs
+    bound = np.abs(matrix) @ np.abs(coeffs)
+    noise = np.abs(out) <= coeffs.size * np.finfo(float).eps * bound
     out[noise & np.isfinite(bound)] = 0.0
-    return GptVector(t.codomain, out)
+    return out
 
 
 def compose_seq(t2: LinearMap, t1: LinearMap) -> LinearMap:
@@ -119,9 +125,18 @@ def compose_par(t1: LinearMap, t2: LinearMap) -> LinearMap:
 
 
 def parallel(*ts: LinearMap) -> LinearMap:
-    out = LinearMap(SystemType(), SystemType(), np.eye(1))
+    """Side-by-side composition of any number of maps (:func:`_kron_all`)."""
+    dom, cod = SystemType(), SystemType()
     for t in ts:
-        out = compose_par(out, t)
+        dom, cod = dom * t.domain, cod * t.codomain
+    return LinearMap(dom, cod, _kron_all([t.matrix for t in ts]))
+
+
+def _kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The Kronecker product of ``mats``, taken left to right from ``[[1]]``."""
+    out = np.eye(1)
+    for m in mats:
+        out = np.kron(out, m)
     return out
 
 
@@ -245,13 +260,21 @@ def copy_map(v: int) -> LinearMap:
 
 def partial_apply_classical(t: LinearMap, x: int) -> LinearMap:
     """Plug the classical point state x into the first atom of the domain."""
+    rest, matrix = _classical_slice(t, x)
+    return LinearMap(rest, t.codomain, matrix)
+
+
+def _classical_slice(t: LinearMap, x: int) -> tuple:
+    """The remaining domain and the matrix of :func:`partial_apply_classical`:
+    ``t``'s matrix times the embedding of classical point ``x`` beside the
+    identity on the rest of the domain."""
     atoms = t.domain.atoms
     if not atoms or not isinstance(atoms[0], Classical):
         raise ValueError(f"domain of {t!r} does not start with a classical atom")
     rest = SystemType(atoms[1:])
     point = classical_point(atoms[0].v, x)
     embed = np.kron(point.coeffs.reshape(-1, 1), np.eye(rest.dim))
-    return LinearMap(rest, t.codomain, t.matrix @ embed)
+    return rest, t.matrix @ embed
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from witworld import cli, steering
 from witworld.cli import main
 from witworld.serialize import (
     assemblage_from_json,
@@ -436,6 +437,80 @@ def test_assemblage_verify_lhs_unsupported_is_inconclusive(capsys):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 2
     assert json.loads(out)["lhs"]["status"] == "unsupported"
+
+
+def _scaled_singlet_file(tmp_path, factor=1 + 1e-6):
+    singlet = builtin_state("singlet")
+    path = tmp_path / "w.json"
+    dump_json(gptvector_to_json(GptVector(singlet.system, singlet.coeffs * factor)), str(path))
+    return str(path)
+
+
+def test_assemblage_tol_reaches_the_ns_verdict(capsys, tmp_path):
+    argv = ["assemblage", "gleason", "--witness", _scaled_singlet_file(tmp_path),
+            "--verify-ns", "--json"]
+    code, out, _ = run(capsys, *argv)
+    ns = json.loads(out)["ns"]
+    assert code == 1 and ns["status"] == "rejected"
+    assert "reduced state has trace 1.000000" in ns["detail"]
+    code, out, _ = run(capsys, *argv, "--tol", "1e-3")
+    ns = json.loads(out)["ns"]
+    assert code == 0 and ns["status"] == "accepted"
+    assert ns["margin"] == pytest.approx(-1e-6)
+
+
+@pytest.mark.parametrize("name, reached", [
+    ("pr-box", ["ns_check", "lhs_check"]),
+    ("instrumental-star", ["wire_instrumental", "ns_check"]),
+])
+def test_assemblage_tol_reaches_every_check(capsys, monkeypatch, name, reached):
+    seen = []
+
+    def recording(hook):
+        original = getattr(cli, hook)
+
+        def wrapper(asm, tol):
+            seen.append((hook, tol.tol if hook == "lhs_check" else tol))
+            return original(asm, tol)
+        return wrapper
+
+    for hook in ("ns_check", "lhs_check", "wire_instrumental"):
+        monkeypatch.setattr(cli, hook, recording(hook))
+    code, out, _ = run(capsys, "assemblage", name, "--verify-ns", "--verify-lhs",
+                       "--tol", "1e-7", "--json")
+    assert code == 0
+    assert seen == [(hook, 1e-7) for hook in reached]
+
+
+def _count_calls(monkeypatch, module, name, counted=lambda *a, **k: True):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        if counted(*args, **kwargs):
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_instrumental_star_is_realized_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, steering, "assemblage_from_realization")
+    code, out, _ = run(capsys, "assemblage", "instrumental-star", "--verify-ns", "--json")
+    assert code == 0 and json.loads(out)["ns"]["status"] == "accepted"
+    assert len(calls) == 1
+
+
+def test_gleason_witness_is_checked_once(capsys, monkeypatch):
+    witness = builtin_state("swap2")
+
+    def is_witness(v, *args, **kwargs):
+        return v.system == witness.system and np.array_equal(v.coeffs, witness.coeffs)
+
+    calls = _count_calls(monkeypatch, steering, "composite_state_check", is_witness)
+    run(capsys, "assemblage", "gleason", "--witness", "builtin:swap2", "--json")
+    assert len(calls) == 1
 
 
 def test_check_map_cp_on_non_quantum_map_is_usage_error(capsys):

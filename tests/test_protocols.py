@@ -7,12 +7,16 @@ import pytest
 
 from witworld import (
     Assemblage,
+    apply,
     bloch_state,
     builtin_state,
     best_deterministic_chsh,
     chsh_value,
+    compose_par,
     composite_state_check,
+    controlled_map,
     haar_random_states,
+    identity_map,
     lhs_check,
     pair,
     pr_box_kit,
@@ -20,13 +24,17 @@ from witworld import (
     rsp_as_assemblage,
     rsp_run,
     singlet_vector,
+    steer,
     system,
     trace_distance,
     unit_effect,
+    unitary_conjugation_map,
+    unot_map,
     vector_to_hermitian,
     vector_to_hermitian_tensor,
     Quantum,
 )
+from witworld import protocols
 from witworld.protocols import (
     BUILTIN_STATE_NAMES,
     deterministic_box,
@@ -34,6 +42,8 @@ from witworld.protocols import (
     orthogonal_state,
 )
 from witworld.steering import BIPARTITE
+from witworld.systems import classical_outcome_effect
+from witworld.transforms import computational_measurement
 
 
 def test_pr_kit_invariants():
@@ -100,6 +110,76 @@ def test_rsp_random_states():
         run = rsp_run(psi)
         assert run.trace_distance_to_target() < 1e-10
         assert np.allclose([b.weight for b in run.branches], [0.5, 0.5], atol=1e-12)
+
+
+def _reference_rsp_run(psi):
+    """The protocol with every map built per call: the arithmetic
+    :func:`rsp_run` must reproduce bit for bit."""
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    q2 = system(Quantum(2))
+    ident = identity_map(q2)
+    after_encoding = apply(
+        compose_par(unitary_conjugation_map(encoding_unitary(psi)), ident),
+        singlet_vector(),
+    )
+    classical_and_qubit = apply(
+        compose_par(computational_measurement(2), ident), after_encoding
+    )
+    unot = unot_map(2)
+    u = unit_effect(q2)
+    branches = []
+    for a in range(2):
+        pre = steer(classical_and_qubit, classical_outcome_effect(2, a), on=(0,))
+        post = apply(unot, pre) if a == 1 else pre
+        branches.append((a, pair(u, pre), pre, post))
+    return branches, apply(controlled_map([ident, unot]), classical_and_qubit)
+
+
+def _golden_spiral(n):
+    golden = np.pi * (3.0 - np.sqrt(5.0))
+    return [bloch_state(np.arccos(1 - 2 * (i + 0.5) / n), (i * golden) % (2 * np.pi))
+            for i in range(n)]
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def test_rsp_run_matches_the_per_call_reference_bit_for_bit():
+    states = haar_random_states(64, seed=11)
+    states += [psi for n in (1, 2, 3, 16, 32) for psi in _golden_spiral(n)]
+    for psi in states:
+        run = rsp_run(psi)
+        branches, output = _reference_rsp_run(psi)
+        assert _bits(run.output.coeffs) == _bits(output.coeffs)
+        assert run.output.system == output.system
+        for got, (a, weight, pre, post) in zip(run.branches, branches, strict=True):
+            assert got.outcome == a
+            assert _bits(got.weight) == _bits(weight)
+            assert _bits(got.pre_correction.coeffs) == _bits(pre.coeffs)
+            assert _bits(got.post_correction.coeffs) == _bits(post.coeffs)
+            assert (got.pre_correction.system, got.post_correction.system) == (
+                pre.system, post.system)
+
+
+def test_rsp_runs_after_the_first_build_no_fixed_map(monkeypatch):
+    built = {"unot_map": 0, "computational_measurement": 0}
+
+    def counting(name):
+        original = getattr(protocols, name)
+
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in built:
+        monkeypatch.setattr(protocols, name, counting(name))
+    rsp_run([1.0, 0.0])
+    built.update(dict.fromkeys(built, 0))
+    for psi in haar_random_states(8, seed=5):
+        rsp_run(psi)
+    assert built == {"unot_map": 0, "computational_measurement": 0}
 
 
 def test_rsp_input_validation():

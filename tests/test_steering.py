@@ -12,7 +12,11 @@ from witworld import (
     Assemblage,
     Boxworld,
     GptVector,
+    Quantum,
+    SystemType,
+    apply,
     assemblage_from_realization,
+    compose_seq,
     controlled_map,
     effect_cone_rays,
     hermitian_tensor_to_vector,
@@ -22,19 +26,26 @@ from witworld import (
     ns_check,
     paper_assemblage,
     pr_state,
+    preparation_map,
     state_vertices,
+    steer,
     system,
     tensor,
+    tensor_all,
+    transpose_map,
+    unitary_conjugation_map,
+    unot_map,
     vector_to_hermitian,
     wire_instrumental,
 )
 from witworld import lp, steering, systems
-from witworld.systems import atomic_state_check
+from witworld.systems import atomic_state_check, classical_outcome_effect
 from witworld.steering import (
     BIPARTITE,
     BOB_WITH_INPUT,
     MULTIPARTITE,
     ELEMENT_PSD_TOL,
+    PAPER_ASSEMBLAGE_NAMES,
     LhsConfig,
     StrategyCapError,
     _common_eigenbasis,
@@ -43,8 +54,10 @@ from witworld.steering import (
     _response_matrix,
     _strategies,
 )
-from witworld.transforms import PAULI_X, PAULI_Y, PAULI_Z
-from witworld.protocols import singlet_vector
+from witworld.transforms import (
+    PAULI_X, PAULI_Y, PAULI_Z, identity_map, parallel, partial_apply_classical,
+)
+from witworld.protocols import builtin_state, singlet_vector
 
 from conftest import (
     pr_box_table,
@@ -273,6 +286,194 @@ def test_realization_soundness_random():
         assert ns_check(asm).accepted
 
 
+def _reference_realization(shared, measurements, bob_transform=None, bob_input=None):
+    """The realization as a loop over element keys, each element through
+    partial_apply_classical, parallel, apply and steer: the arithmetic the
+    realization must reproduce bit for bit."""
+    n = len(measurements)
+    settings = [m.domain.atoms[0].v for m in measurements]
+    outcomes = [m.codomain.atoms[0].v for m in measurements]
+    if bob_transform is None:
+        bob_transform = identity_map(SystemType(shared.atoms[n:]))
+
+    def steered(x_vec, bob_map):
+        alice = [partial_apply_classical(measurements[i], x_vec[i]) for i in range(n)]
+        out = apply(parallel(*alice, bob_map), shared)
+        result = {}
+        for a_vec in itertools.product(*(range(o) for o in outcomes)):
+            eff = tensor_all([
+                classical_outcome_effect(outcomes[i], a_vec[i]) for i in range(n)
+            ])
+            result[a_vec] = steer(out, eff, on=tuple(range(n)))
+        return result
+
+    if bob_input is not None:
+        els = {}
+        for x in range(settings[0]):
+            for y in range(bob_input):
+                branch = steered((x,), partial_apply_classical(bob_transform, y))
+                for a_vec, sigma in branch.items():
+                    els[(a_vec[0], x, y)] = sigma
+        return Assemblage(BOB_WITH_INPUT, tuple(outcomes), tuple(settings), els,
+                          bob_inputs=bob_input)
+    els = {}
+    for x_vec in itertools.product(*(range(s) for s in settings)):
+        for a_vec, sigma in steered(x_vec, bob_transform).items():
+            els[(a_vec, x_vec)] = sigma
+    if n == 1:
+        flat = {(a[0], x[0]): v for (a, x), v in els.items()}
+        return Assemblage(BIPARTITE, tuple(outcomes), tuple(settings), flat)
+    return Assemblage(MULTIPARTITE, tuple(outcomes), tuple(settings), els)
+
+
+def _assert_same_bits(asm, ref):
+    assert (asm.scenario, asm.outcomes, asm.settings, asm.bob_inputs) == (
+        ref.scenario, ref.outcomes, ref.settings, ref.bob_inputs)
+    assert list(asm.elements) == list(ref.elements)
+    assert asm.coeffs.shape == ref.coeffs.shape
+    assert asm.coeffs.tobytes() == ref.coeffs.tobytes()
+    for key, el in asm.elements.items():
+        assert el.system == ref.elements[key].system
+        assert el.coeffs.tobytes() == ref.elements[key].coeffs.tobytes()
+
+
+def _random_povm(rng, d, outcomes):
+    """``outcomes`` quantum effects summing to the identity: S^-1/2 A_k S^-1/2."""
+    parts = [random_psd(rng, d) for _ in range(outcomes)]
+    vals, vecs = np.linalg.eigh(sum(parts))
+    root = vecs @ np.diag(vals ** -0.5) @ vecs.conj().T
+    return [_vec(root @ a @ root) for a in parts]
+
+
+def _random_box_povm(rng, outcomes):
+    """``outcomes`` B2,2 effects summing to the unit effect."""
+    e0, e1 = random_box_measurement(rng)
+    if outcomes == 1:
+        return [GptVector(e0.system, e0.coeffs + e1.coeffs)]
+    if outcomes == 2:
+        return [e0, e1]
+    t = rng.uniform(0.1, 0.9)
+    return [GptVector(e0.system, t * e0.coeffs), GptVector(e0.system, (1 - t) * e0.coeffs), e1]
+
+
+def _random_share_state(rng, atom):
+    if isinstance(atom, Quantum):
+        return random_density(rng, atom.d)
+    verts = state_vertices(atom)
+    return GptVector(system(atom), sum(w * v.coeffs for w, v in
+                                       zip(rng.dirichlet(np.ones(len(verts))), verts)))
+
+
+def _random_shared(rng, atoms):
+    """A separable mixture over ``atoms``, or an entangled density when all are quantum."""
+    if all(isinstance(a, Quantum) for a in atoms) and rng.random() < 0.5:
+        return hermitian_tensor_to_vector(
+            random_density(rng, math.prod(a.d for a in atoms)), [a.d for a in atoms])
+    total = 0.0
+    for w in rng.dirichlet(np.ones(3)):
+        parts = [_random_share_state(rng, a) for a in atoms]
+        parts = [p if isinstance(p, GptVector) else _vec(p) for p in parts]
+        total = total + w * tensor_all(parts).coeffs
+    return GptVector(SystemType(tuple(atoms)), total)
+
+
+def _random_qubit_map(rng):
+    kind = rng.integers(4)
+    if kind == 0:
+        return identity_map(system(Quantum(2)))
+    if kind == 1:
+        return transpose_map(2)
+    if kind == 2:
+        return unot_map(2)
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return unitary_conjugation_map(u)
+
+
+def _random_realization(rng):
+    """Random measurements on random quantum and box shares, with and without
+    a passive-party map, and in the Bob-with-input scenario."""
+    with_input = rng.random() < 0.3
+    n = 1 if with_input else int(rng.integers(1, 4))
+    atoms = [Quantum(2) if rng.random() < 0.5 else B22 for _ in range(n)]
+    measurements = []
+    for atom in atoms:
+        outcomes, settings = (int(v) for v in rng.integers(1, 4, size=2))
+        povms = [_random_povm(rng, 2, outcomes) if isinstance(atom, Quantum)
+                 else _random_box_povm(rng, outcomes) for _ in range(settings)]
+        measurements.append(controlled_map([measurement_map(p) for p in povms]))
+    bob_atom = Quantum(2)
+    transform, inputs = None, None
+    if with_input:
+        inputs = int(rng.integers(1, 4))
+        transform = controlled_map([_random_qubit_map(rng) for _ in range(inputs)])
+    elif rng.random() < 0.3:
+        bob_atom = B22
+        transform = compose_seq(
+            preparation_map([_vec(random_density(rng, 2)) for _ in range(2)]),
+            measurement_map(random_box_measurement(rng)))
+    elif rng.random() < 0.5:
+        transform = _random_qubit_map(rng)
+    shared = _random_shared(rng, atoms + [bob_atom])
+    return shared, measurements, transform, inputs
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_realization_matches_the_per_key_reference_bit_for_bit(seed):
+    shared, meas, transform, inputs = _random_realization(np.random.default_rng([17, seed]))
+    asm = assemblage_from_realization(shared, meas, bob_transform=transform,
+                                      bob_input=inputs, validate=False)
+    _assert_same_bits(asm, _reference_realization(shared, meas, transform, inputs))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_realization_zeroes_rounding_noise_as_the_reference_does(seed):
+    # measuring a pure state in a basis that contains it: the weight of the
+    # orthogonal outcome is 0, computed as rounding noise that apply's rule zeroes
+    rng = np.random.default_rng(seed)
+    n = rng.normal(size=3)
+    proj = (np.eye(2) + np.einsum("i,ijk->jk", n / np.linalg.norm(n), np.array(PAULIS))) / 2
+    meas = controlled_map([measurement_map([_vec(np.eye(2) - proj), _vec(proj)])])
+    shared = tensor(_vec(proj), _vec(random_density(rng, 2)))
+    asm = assemblage_from_realization(shared, [meas], validate=False)
+    _assert_same_bits(asm, _reference_realization(shared, [meas]))
+    assert not asm.coeffs[0].any()
+
+
+def _reference_named_realization(name):
+    """The named realizations' inputs, built from their definitions here."""
+    box = _controlled_box_meas()
+    if name == "pr-box":
+        return tensor(pr_state(), _vec(np.eye(2) / 2)), [box, box], None, None
+    if name == "bwi-star":
+        device = compose_seq(
+            preparation_map([_vec(np.diag([1.0, 0.0])), _vec(np.diag([0.0, 1.0]))]), box)
+        return pr_state(), [box], device, 2
+    ct = controlled_map([identity_map(system(Quantum(2))), transpose_map(2)])
+    meas = controlled_map([
+        measurement_map([_vec((np.eye(2) + sign * s.T) / 2) for sign in (1.0, -1.0)])
+        for s in PAULIS])
+    return builtin_state("phi-plus"), [meas], ct, 2
+
+
+@pytest.mark.parametrize("name", PAPER_ASSEMBLAGE_NAMES)
+def test_named_assemblages_match_the_per_key_reference_bit_for_bit(name):
+    if name == "gleason":
+        witness = builtin_state("singlet-pt")
+        z = [_vec(np.diag([1.0, 0.0])), _vec(np.diag([0.0, 1.0]))]
+        x = [_vec(np.array([[0.5, s * 0.5], [s * 0.5, 0.5]])) for s in (1.0, -1.0)]
+        asm = paper_assemblage("gleason", witness=witness, measurements=[[z, x]])
+        ref = _reference_realization(
+            witness, [controlled_map([measurement_map(z), measurement_map(x)])])
+    elif name == "instrumental-star":
+        asm = paper_assemblage(name)
+        ref = wire_instrumental(_reference_realization(
+            *_reference_named_realization("bwi-star-star")))
+    else:
+        asm = paper_assemblage(name)
+        ref = _reference_realization(*_reference_named_realization(name))
+    _assert_same_bits(asm, ref)
+
+
 # --- no-signalling checks ----------------------------------------------------------
 
 
@@ -337,6 +538,19 @@ def test_ns_multipartite_reports_the_actual_trace():
     assert res.rejected
     assert "reduced state has trace 0.5" in res.detail
     assert res.margin == pytest.approx(-0.5)
+
+
+def test_ns_normalization_failure_prints_every_digit_of_the_trace():
+    # .6g would print "trace 1" for 1.000001
+    asm = _scaled(_singlet_gleason(), 1 + 1e-6)
+    res = ns_check(asm)
+    assert res.rejected
+    printed = res.detail.rsplit("reduced state has trace ", 1)[1]
+    assert printed.startswith("1.000000")
+    # the margin is 1 - trace, exact here, so the printed number is the trace itself
+    assert float(printed) == 1.0 - res.margin
+    assert res.margin == pytest.approx(-1e-6)
+    assert ns_check(asm, tol=1e-3).accepted
 
 
 def test_ns_multipartite_accepts_pr_and_lhs():
