@@ -57,14 +57,16 @@ from .systems import (
     atomic_effect_check,
     atomic_state_check,
     coeffs_to_hermitian,
-    effect_cone_rays,
     hermitian_basis,
     hermitian_to_coeffs,
+    kron_all,
     not_hermitian,
     pair,
+    ray_table,
     state_vertices,
     system,
     unit_effect,
+    vertex_table,
 )
 from .verdict import ACCEPTED, INCONCLUSIVE_ACCEPT, REJECTED, MembershipVerdict
 
@@ -110,10 +112,8 @@ def tensor(v1: GptVector, v2: GptVector) -> GptVector:
 
 
 def tensor_all(vs: Sequence[GptVector]) -> GptVector:
-    out = GptVector(SystemType(), np.array([1.0]))
-    for v in vs:
-        out = tensor(out, v)
-    return out
+    return GptVector(SystemType(sum((v.atoms for v in vs), ())),
+                     kron_all([v.coeffs for v in vs]))
 
 
 def scalar_one() -> GptVector:
@@ -157,11 +157,11 @@ def vector_to_hermitian_tensor(v: GptVector) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class FiniteGenerators:
-    """Finite generator list for one factor (vertices or dual rays)."""
+    """Finite generators of one factor (vertices or dual rays), rows of a ``(G, D)`` array."""
 
-    vectors: tuple
+    vectors: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -485,21 +485,6 @@ def _min_quantum_general(red: np.ndarray, qdims: Sequence[int], cfg: SearchConfi
     return _descent(red, rows)
 
 
-def _min_over_quantum(red: np.ndarray, qdims: Sequence[int], cfg: SearchConfig,
-                      rng: np.random.Generator):
-    if not qdims:
-        return float(red), []
-    if len(qdims) == 1:
-        # a qubit operator that is a multiple of the identity keeps |0><0|
-        # (+z), the ground state eigh returns for it
-        zero = _projector_coeffs(np.eye(qdims[0], dtype=complex)[:1])
-        vals, proj = _ground_states(red.reshape(1, -1), zero)
-        return float(vals[0]), [proj[0]]
-    if len(qdims) == 2 and qdims[0] == 2 and qdims[1] == 2:
-        return _min_qubit_pair(red.reshape(4, 4), cfg)
-    return _min_quantum_general(red, qdims, cfg, rng)
-
-
 def search_is_exact(qdims: Sequence[int]) -> bool:
     """Is the engine's minimum over these quantum factors exact?
 
@@ -539,6 +524,11 @@ def minimize_product_form(coeffs: np.ndarray, specs: Sequence, cfg: SearchConfig
     scan-seeded descent); otherwise it is a seeded heuristic and
     ``conclusive`` is False.  Non-finite ``coeffs`` raise ``ValueError``.
 
+    Each finite factor's generator table is contracted in, leaving one row
+    per combination of finite generators; one quantum factor is minimized on
+    all rows by one stacked :func:`_ground_states` call, more row by row.
+    Ties go to the first combination in ``itertools.product`` order.
+
     The search runs at unit size: ``coeffs`` is scaled by the power of two
     that brings its largest entry into [1/2, 1), exactly, and the minimum
     is scaled back.  So no step overflows or underflows at any finite
@@ -547,40 +537,46 @@ def minimize_product_form(coeffs: np.ndarray, specs: Sequence, cfg: SearchConfig
     coeffs = np.asarray(coeffs, dtype=float)
     if not np.isfinite(coeffs).all():
         raise ValueError("coefficients must be finite")
-    dims = tuple(
-        s.vectors[0].coeffs.size if isinstance(s, FiniteGenerators) else s.d * s.d
-        for s in specs
-    )
     exp = unit_exponent(coeffs)
-    tensor_w = np.ldexp(coeffs, -exp).reshape(dims)
+    t = np.ldexp(coeffs, -exp).reshape(tuple(
+        s.vectors.shape[1] if isinstance(s, FiniteGenerators) else s.d * s.d for s in specs))
     finite_axes = [i for i, s in enumerate(specs) if isinstance(s, FiniteGenerators)]
     qdims = [s.d for s in specs if isinstance(s, QuantumGenerators)]
-    conclusive = search_is_exact(qdims)
-    rng = np.random.default_rng(cfg.seed)
-
-    best_val, best_factors = np.inf, None
-    ranges = [range(len(specs[i].vectors)) for i in finite_axes]
-    for combo in itertools.product(*ranges):
-        red = tensor_w
-        for ax, gi in sorted(zip(finite_axes, combo), reverse=True):
-            red = np.tensordot(specs[ax].vectors[gi].coeffs, red, axes=([0], [ax]))
-        val, qfactors = _min_over_quantum(red, qdims, cfg, rng)
-        if val < best_val:
-            factors: list = [None] * len(specs)
-            for ax, gi in zip(finite_axes, combo):
-                factors[ax] = specs[ax].vectors[gi].coeffs
-            it = iter(qfactors)
-            for i, s in enumerate(specs):
-                if isinstance(s, QuantumGenerators):
-                    factors[i] = next(it)
-            best_val, best_factors = val, tuple(factors)
-    return ProductMin(math.ldexp(best_val, exp), best_factors, conclusive)
+    # last finite factor first, each table's axis put in front: one row per
+    # combination of generators, in itertools.product order
+    for k, ax in enumerate(reversed(finite_axes)):
+        t = np.tensordot(specs[ax].vectors, t, axes=([1], [ax + k]))
+    rows = t.reshape(-1, math.prod(d * d for d in qdims))
+    if len(qdims) > 1:
+        # a qubit pair starts from its scan; only the restart search draws
+        rng = None if qdims == [2, 2] else np.random.default_rng(cfg.seed)
+        best_val = np.inf
+        for r, red in enumerate(rows):
+            val, qf = (_min_qubit_pair(red.reshape(4, 4), cfg) if rng is None else
+                       _min_quantum_general(red.reshape([d * d for d in qdims]), qdims, cfg, rng))
+            if val < best_val:
+                best, best_val, qfactors = r, val, qf
+    elif qdims:
+        # a qubit operator that is a multiple of the identity keeps |0><0|
+        # (+z), the ground state eigh returns for it
+        zero = _projector_coeffs(np.eye(qdims[0], dtype=complex)[:1])
+        vals, proj = _ground_states(rows, np.broadcast_to(zero, rows.shape))
+        best = int(np.argmin(vals))
+        best_val, qfactors = float(vals[best]), [proj[best]]
+    else:
+        best = int(np.argmin(rows[:, 0]))
+        best_val, qfactors = float(rows[best, 0]), []
+    picks = iter(np.unravel_index(best, [len(specs[ax].vectors) for ax in finite_axes]))
+    qs = iter(qfactors)
+    factors = tuple(s.vectors[next(picks)] if isinstance(s, FiniteGenerators) else next(qs)
+                    for s in specs)
+    return ProductMin(math.ldexp(best_val, exp), factors, search_is_exact(qdims))
 
 
 def _effect_side_specs(atoms: Sequence) -> list:
     return [
         QuantumGenerators(a.d) if isinstance(a, Quantum)
-        else FiniteGenerators(tuple(effect_cone_rays(a)))
+        else FiniteGenerators(ray_table(a))
         for a in atoms
     ]
 
@@ -588,17 +584,14 @@ def _effect_side_specs(atoms: Sequence) -> list:
 def _state_side_specs(atoms: Sequence) -> list:
     return [
         QuantumGenerators(a.d) if isinstance(a, Quantum)
-        else FiniteGenerators(tuple(state_vertices(a)))
+        else FiniteGenerators(vertex_table(a))
         for a in atoms
     ]
 
 
 def _product(sys: SystemType, factors: Sequence[np.ndarray]) -> GptVector:
     """The tensor product of per-atom coefficient arrays, as one vector on ``sys``."""
-    coeffs = np.array([1.0])
-    for f in factors:
-        coeffs = np.kron(coeffs, f)
-    return GptVector(sys, coeffs)
+    return GptVector(sys, kron_all(factors))
 
 
 def _verdict(value: float, conclusive: bool, tol: float,
@@ -703,8 +696,7 @@ def _mixed_state_coeffs(atom) -> np.ndarray:
         c = np.zeros(atom.dim)
         c[0] = 1.0 / np.sqrt(atom.d)
         return c
-    verts = state_vertices(atom)
-    return np.mean([s.coeffs for s in verts], axis=0)
+    return vertex_table(atom).mean(axis=0)
 
 
 def _rank_one_effect_factors(e: GptVector) -> list | None:

@@ -40,6 +40,7 @@ from .systems import (
     effect_cone_rays,
     hermitian_to_coeffs,
     hermitian_to_vector,
+    kron_all,
     system,
     unit_effect,
     vector_to_hermitian,
@@ -49,7 +50,6 @@ from .transforms import (
     _pauli_measurement,
     _apply_matrix,
     _classical_slice,
-    _kron_all,
     compose_seq,
     controlled_map,
     identity_map,
@@ -311,6 +311,7 @@ def assemblage_from_realization(
     system; in the Bob-with-input scenario (``bob_input`` set) it takes
     an extra leading classical input atom.  ``validate=False`` skips the
     composite membership check of ``shared``, for a caller that has made it.
+    A measurement object passed for several parties is checked once.
 
     Each party's measurement matrix with its setting plugged in, the
     passive party's map per input, and the effect of each outcome vector
@@ -339,7 +340,8 @@ def assemblage_from_realization(
         cod = meas.codomain.atoms
         if len(cod) != 1 or not isinstance(cod[0], Classical):
             raise ValueError(f"measurement {i} must output a classical outcome")
-        if not trace_condition_check(meas, "preserving", cfg).accepted:
+        if meas not in measurements[:i] and not trace_condition_check(
+                meas, "preserving", cfg).accepted:
             raise ValueError(f"measurement {i} is not normalized")
         settings.append(atoms[0].v)
         outcomes.append(cod[0].v)
@@ -365,12 +367,12 @@ def assemblage_from_realization(
               for meas, s in zip(measurements, settings)]
     party_effects = [[classical_outcome_effect(o, a).coeffs for a in range(o)] for o in outcomes]
     a_vecs = list(itertools.product(*(range(o) for o in outcomes)))
-    effects = [_kron_all([party_effects[i][a] for i, a in enumerate(a_vec)]).reshape(outcomes)
+    effects = [kron_all([party_effects[i][a] for i, a in enumerate(a_vec)]).reshape(outcomes)
                for a_vec in a_vecs]
     axes = list(range(n))
 
     def steered(x_vec, bob_matrix):
-        mat = _kron_all([slices[i][x] for i, x in enumerate(x_vec)] + [bob_matrix])
+        mat = kron_all([slices[i][x] for i, x in enumerate(x_vec)] + [bob_matrix])
         out = _apply_matrix(mat, shared.coeffs).reshape(tuple(outcomes) + (-1,))
         return [GptVector(bob_cod, np.tensordot(out, e, axes=(axes, axes))) for e in effects]
 
@@ -674,25 +676,24 @@ def _phi_plus_vector() -> GptVector:
 @functools.lru_cache(maxsize=None)
 def _named_realization(name: str) -> tuple:
     """``(shared, measurements, bob_transform, bob_input)`` of a named
-    realization, built on first use; the maps and states are read-only."""
+    realization, built on first use; the maps and states are read-only.
+    The shared state is checked for composite membership here, once."""
     if name == "pr-box":
         mixed = hermitian_to_vector(np.eye(2, dtype=complex) / 2)
         meas = _controlled_box_measurement()
-        return tensor_all([pr_state(), mixed]), (meas, meas), None, None
-    if name == "bwi-star":
+        out = tensor_all([pr_state(), mixed]), (meas, meas), None, None
+    elif name == "bwi-star":
         meas = _controlled_box_measurement()
-        device = compose_seq(
-            preparation_map(
-                [hermitian_to_vector(np.diag([1.0, 0.0]).astype(complex)),
-                 hermitian_to_vector(np.diag([0.0, 1.0]).astype(complex))]
-            ),
-            meas,
-        )
-        return pr_state(), (meas,), device, 2
-    # bwi-star-star
-    ct = controlled_map([identity_map(system(Quantum(2))), transpose_map(2)])
-    meas = controlled_map([_pauli_measurement(s.T) for s in (PAULI_X, PAULI_Y, PAULI_Z)])
-    return _phi_plus_vector(), (meas,), ct, 2
+        basis = [hermitian_to_vector(np.diag(p).astype(complex)) for p in ([1.0, 0.0], [0.0, 1.0])]
+        out = pr_state(), (meas,), compose_seq(preparation_map(basis), meas), 2
+    else:  # bwi-star-star
+        ct = controlled_map([identity_map(system(Quantum(2))), transpose_map(2)])
+        meas = controlled_map([_pauli_measurement(s.T) for s in (PAULI_X, PAULI_Y, PAULI_Z)])
+        out = _phi_plus_vector(), (meas,), ct, 2
+    check = composite_state_check(out[0])
+    if not check.passed:
+        raise ValueError(f"shared state is outside the composite cone: {check.describe()}")
+    return out
 
 
 def paper_assemblage(
@@ -713,14 +714,14 @@ def paper_assemblage(
     composite state (any entanglement witness), given per-party POVM
     lists; the witness is checked for composite membership once.
 
-    The first three realizations' states and maps are built once per
-    process (:func:`_named_realization`).
+    The first three realizations' states and maps are built, and their
+    shared states checked, once per process (:func:`_named_realization`).
     """
     cfg = cfg or SearchConfig()
     if name in ("pr-box", "bwi-star", "bwi-star-star"):
         shared, meas, device, inputs = _named_realization(name)
         return assemblage_from_realization(shared, meas, bob_transform=device,
-                                           bob_input=inputs, cfg=cfg)
+                                           bob_input=inputs, cfg=cfg, validate=False)
     if name == "instrumental-star":
         return wire_instrumental(paper_assemblage("bwi-star-star", cfg=cfg), cfg.tol)
     if name == "gleason":

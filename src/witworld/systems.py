@@ -287,6 +287,11 @@ def vector_to_hermitian(v: GptVector) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def kron_all(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The Kronecker product of ``arrays``, taken left to right from the number 1."""
+    return functools.reduce(np.kron, arrays, np.ones(()))
+
+
 def _atomic_unit(atom: AtomicSystem) -> np.ndarray:
     u = np.zeros(atom.dim)
     if isinstance(atom, Quantum):
@@ -301,10 +306,7 @@ def unit_effect(sys: SystemType) -> GptVector:
 
     For a composite it is the Kronecker product of the atomic unit effects.
     """
-    out = np.array([1.0])
-    for atom in sys.atoms:
-        out = np.kron(out, _atomic_unit(atom))
-    return GptVector(sys, out)
+    return GptVector(sys, kron_all([_atomic_unit(atom) for atom in sys.atoms]))
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +345,13 @@ def atomic_state_check(v: GptVector, tol: float = DEFAULT_TOL) -> MembershipVerd
             detail=f"eigenvalue {margin:.6g} < 0",
         )
     # block i holds the first k - 1 outcome weights of measurement i; its k
-    # outcome effects are effect_cone_rays(atom)[i * k:(i + 1) * k]
+    # outcome effects are ray_table(atom)[i * k:(i + 1) * k]
     box = isinstance(atom, Boxworld)
-    n, k = (atom.n, atom.k) if box else (1, atom.v)
+    n, k = _blocks(atom)
     last = float(c[-1])
     worst = last
     worst_detail = f"normalization coordinate {last:.6g}"
-    worst_ray = None  # index into effect_cone_rays(atom); None for the unit effect
+    worst_ray = None  # row of ray_table(atom); None for the unit effect
     for i in range(n):
         block = c[i * (k - 1):(i + 1) * (k - 1)]
         label = f"measurement {i}: " if box else ""
@@ -366,7 +368,8 @@ def atomic_state_check(v: GptVector, tol: float = DEFAULT_TOL) -> MembershipVerd
             worst_ray = i * k + k - 1
     if worst >= -tol:
         return MembershipVerdict(ACCEPTED, margin=worst)
-    witness = unit_effect(v.system) if worst_ray is None else effect_cone_rays(atom)[worst_ray]
+    witness = (unit_effect(v.system) if worst_ray is None
+               else GptVector(v.system, ray_table(atom)[worst_ray]))
     return MembershipVerdict(REJECTED, margin=worst, witness=witness, detail=worst_detail)
 
 
@@ -393,18 +396,16 @@ def atomic_effect_check(e: GptVector, tol: float = DEFAULT_TOL) -> MembershipVer
             detail=f"eigenvalues span [{vals[0]:.6g}, {vals[-1]:.6g}]",
         )
     margin = np.inf
-    witness = None
-    detail = ""
-    for s in state_vertices(atom):
-        val = pair(e, s)
+    for g, s in enumerate(vertex_table(atom)):
+        val = float(np.dot(e.coeffs, s))
         slack = min(val, 1.0 - val)
         if slack < margin:
-            margin = slack
-            witness = s
-            detail = f"evaluates to {val:.6g} on a vertex"
+            margin, worst, worst_val = slack, g, val
     if margin >= -tol:
         return MembershipVerdict(ACCEPTED, margin=float(margin))
-    return MembershipVerdict(REJECTED, margin=float(margin), witness=witness, detail=detail)
+    return MembershipVerdict(REJECTED, margin=float(margin),
+                             witness=GptVector(e.system, vertex_table(atom)[worst]),
+                             detail=f"evaluates to {worst_val:.6g} on a vertex")
 
 
 # ---------------------------------------------------------------------------
@@ -412,33 +413,55 @@ def atomic_effect_check(e: GptVector, tol: float = DEFAULT_TOL) -> MembershipVer
 # ---------------------------------------------------------------------------
 
 
+def _blocks(atom: AtomicSystem) -> tuple:
+    """(measurements, outcomes) of a polytopic atom: Classical(v) has the
+    coordinates and the cone of Boxworld(1, v)."""
+    if isinstance(atom, Quantum):
+        raise ValueError("quantum atoms have a continuum of extreme states and dual rays")
+    return (1, atom.v) if isinstance(atom, Classical) else (atom.n, atom.k)
+
+
+@functools.lru_cache(maxsize=32)
+def vertex_table(atom: AtomicSystem) -> np.ndarray:
+    """The rows of :func:`state_vertices` as one read-only ``(G, D)`` array,
+    built on first use.  Outcome j of a measurement is row j of eye(k, k - 1)
+    in its block: an indicator, or zeros for the last outcome."""
+    n, k = _blocks(atom)
+    picks = np.array(list(itertools.product(range(k), repeat=n)), dtype=int).reshape(k ** n, n)
+    out = np.hstack([np.eye(k, k - 1)[picks].reshape(k ** n, -1), np.ones((k ** n, 1))])
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def ray_table(atom: AtomicSystem) -> np.ndarray:
+    """The rows of :func:`effect_cone_rays` as one read-only ``(G, D)`` array,
+    built on first use.  Measurement i has rows i k to i k + k - 1: its
+    k - 1 outcome indicators, then the last outcome, -1 on its block and 1
+    in the normalization column."""
+    n, k = _blocks(atom)
+    if n == 0:
+        out = np.ones((1, 1))
+    else:
+        out = np.zeros((n * k, n * (k - 1) + 1))
+        block = np.vstack([np.eye(k - 1), -np.ones(k - 1)])
+        for i in range(n):
+            out[i * k:(i + 1) * k, i * (k - 1):(i + 1) * (k - 1)] = block
+        out[k - 1::k, -1] = 1.0
+    out.flags.writeable = False
+    return out
+
+
 def state_vertices(atom: AtomicSystem) -> list:
     """Extreme points of the normalized state space of a polytopic atom.
 
     Classical(v) yields the v deterministic distributions; Boxworld(n, k)
-    yields the k^n deterministic outcome assignments.  Quantum atoms have a
-    continuum of extreme points and are rejected.
+    yields the k^n deterministic outcome assignments, the first
+    measurement's outcome varying slowest.  Quantum atoms have a continuum
+    of extreme points and are rejected.
     """
-    if isinstance(atom, Quantum):
-        raise ValueError("quantum atoms have a continuum of extreme states")
     sys = system(atom)
-    out = []
-    if isinstance(atom, Classical):
-        for j in range(atom.v):
-            c = np.zeros(atom.v)
-            c[-1] = 1.0
-            if j < atom.v - 1:
-                c[j] = 1.0
-            out.append(GptVector(sys, c))
-        return out
-    for assignment in itertools.product(range(atom.k), repeat=atom.n):
-        c = np.zeros(atom.dim)
-        c[-1] = 1.0
-        for i, j in enumerate(assignment):
-            if j < atom.k - 1:
-                c[i * (atom.k - 1) + j] = 1.0
-        out.append(GptVector(sys, c))
-    return out
+    return [GptVector(sys, row) for row in vertex_table(atom)]
 
 
 def effect_cone_rays(atom: AtomicSystem) -> list:
@@ -451,47 +474,22 @@ def effect_cone_rays(atom: AtomicSystem) -> list:
     is a cone over a product of simplices, whose facets are exactly these
     inequalities; verified against facet enumeration in the test suite).
     """
-    if isinstance(atom, Quantum):
-        raise ValueError("quantum dual-cone rays form a continuum (rank-1 projectors)")
     sys = system(atom)
-    out = []
-    if isinstance(atom, Classical):
-        for j in range(atom.v):
-            c = np.zeros(atom.v)
-            if j < atom.v - 1:
-                c[j] = 1.0
-            else:
-                c[: atom.v - 1] = -1.0
-                c[-1] = 1.0
-            out.append(GptVector(sys, c))
-        return out
-    if atom.n == 0:
-        return [GptVector(sys, np.array([1.0]))]
-    for i in range(atom.n):
-        block = slice(i * (atom.k - 1), (i + 1) * (atom.k - 1))
-        for j in range(atom.k):
-            c = np.zeros(atom.dim)
-            if j < atom.k - 1:
-                c[block.start + j] = 1.0
-            else:
-                c[block] = -1.0
-                c[-1] = 1.0
-            out.append(GptVector(sys, c))
-    return out
+    return [GptVector(sys, row) for row in ray_table(atom)]
 
 
 def classical_point(v: int, i: int) -> GptVector:
     """Deterministic state of Classical(v) with outcome ``i``."""
     if not 0 <= i < v:
         raise ValueError(f"outcome {i} out of range for {v} outcomes")
-    return state_vertices(Classical(v))[i]
+    return GptVector(system(Classical(v)), vertex_table(Classical(v))[i])
 
 
 def classical_outcome_effect(v: int, i: int) -> GptVector:
     """Effect reading off the probability of outcome ``i`` of Classical(v)."""
     if not 0 <= i < v:
         raise ValueError(f"outcome {i} out of range for {v} outcomes")
-    return effect_cone_rays(Classical(v))[i]
+    return GptVector(system(Classical(v)), ray_table(Classical(v))[i])
 
 
 def boxworld_to_classical(v: GptVector) -> GptVector:

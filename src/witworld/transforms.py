@@ -47,7 +47,10 @@ from .systems import (
     atomic_effect_check,
     classical_point,
     hermitian_basis,
+    hermitian_to_coeffs,
     hermitian_to_vector,
+    kron_all,
+    not_hermitian,
     pair,
     system,
     unit_effect,
@@ -125,19 +128,11 @@ def compose_par(t1: LinearMap, t2: LinearMap) -> LinearMap:
 
 
 def parallel(*ts: LinearMap) -> LinearMap:
-    """Side-by-side composition of any number of maps (:func:`_kron_all`)."""
+    """Side-by-side composition of any number of maps; none is the scalar identity."""
     dom, cod = SystemType(), SystemType()
     for t in ts:
         dom, cod = dom * t.domain, cod * t.codomain
-    return LinearMap(dom, cod, _kron_all([t.matrix for t in ts]))
-
-
-def _kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """The Kronecker product of ``mats``, taken left to right from ``[[1]]``."""
-    out = np.eye(1)
-    for m in mats:
-        out = np.kron(out, m)
-    return out
+    return LinearMap(dom, cod, kron_all([t.matrix for t in ts]).reshape(cod.dim, dom.dim))
 
 
 def identity_map(sys: SystemType) -> LinearMap:
@@ -151,13 +146,19 @@ def identity_map(sys: SystemType) -> LinearMap:
 
 def map_from_matrix_action(action: Callable[[np.ndarray], np.ndarray],
                            d_in: int, d_out: int | None = None) -> LinearMap:
-    """Linear map on quantum systems from its action on Hermitian matrices."""
+    """Linear map on quantum systems from its action on Hermitian matrices.
+
+    The basis images, each Hermitian to 1e-8 by :func:`not_hermitian`, convert
+    as one stack, each bit for bit as alone (:func:`hermitian_to_coeffs`).
+    """
     d_out = d_out if d_out is not None else d_in
-    cols = [
-        hermitian_to_vector(action(b), eps_herm=1e-8).coeffs
-        for b in hermitian_basis(d_in)
-    ]
-    return LinearMap(system(Quantum(d_in)), system(Quantum(d_out)), np.column_stack(cols))
+    imgs = np.asarray([action(b) for b in hermitian_basis(d_in)], dtype=complex)
+    if imgs.ndim != 3 or imgs.shape[1] != imgs.shape[2]:
+        raise ValueError(f"expected square images, got shape {imgs.shape[1:]}")
+    if not_hermitian(imgs, 1e-8).any():
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return LinearMap(system(Quantum(d_in)), system(Quantum(d_out)),
+                     hermitian_to_coeffs(imgs, (imgs.shape[1],)).T)
 
 
 def transpose_map(d: int) -> LinearMap:

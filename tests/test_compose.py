@@ -975,7 +975,7 @@ def test_qubit_ground_states_match_eigh(scale):
 
 
 def test_qubit_ground_states_keep_previous_direction_on_a_multiple_of_identity():
-    from witworld.compose import _ground_states, _min_over_quantum
+    from witworld.compose import QuantumGenerators, _ground_states
 
     gen = np.random.default_rng(19)
     t = np.zeros((50, 4))
@@ -987,7 +987,9 @@ def test_qubit_ground_states_keep_previous_direction_on_a_multiple_of_identity()
     assert np.array_equal(vals, t[:, 0] / np.sqrt(2.0))
     assert np.allclose(proj, prev, rtol=0, atol=1e-15)
     # a lone qubit keeps +z, the ground state eigh returns for the identity
-    val, factors = _min_over_quantum(np.array([1.0, 0.0, 0.0, 0.0]), [2], SearchConfig(), gen)
+    res = minimize_product_form(np.array([1.0, 0.0, 0.0, 0.0]), [QuantumGenerators(2)],
+                                SearchConfig())
+    val, factors = res.value, res.factors
     assert val == 1.0 / np.sqrt(2.0)
     plus_z = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     assert np.allclose(factors[0], plus_z, rtol=0, atol=1e-16)
@@ -998,7 +1000,8 @@ def test_qubit_ground_states_keep_previous_direction_on_a_multiple_of_identity()
     vals, proj = _ground_states(t, prev)
     assert np.array_equal(proj, prev)
     assert np.allclose(vals, t[:, 0] / np.sqrt(3.0), rtol=1e-15, atol=0)
-    val, factors = _min_over_quantum(np.eye(1, 9).ravel(), [3], SearchConfig(), gen)
+    res = minimize_product_form(np.eye(1, 9).ravel(), [QuantumGenerators(3)], SearchConfig())
+    val, factors = res.value, res.factors
     assert val == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-15)
     zero = _reference_projector_coeffs(np.eye(3)[0])
     assert np.allclose(factors[0], zero, rtol=0, atol=1e-16)
@@ -1165,6 +1168,126 @@ def test_hermitian_tensor_test_is_relative_to_the_entries():
         hermitian_tensor_to_vector(bad, (2, 3))
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_tensor_to_vector(np.diag([0.0, 0, 0, 0]) + 1e-7 * np.eye(4, k=1), (2, 2))
+
+
+# --- finite factors: one stacked contraction against the per-combination loop ---------
+
+
+def _reference_min_over_quantum(red, qdims, cfg, rng):
+    """The engine's minimum over the quantum factors of one combination."""
+    import witworld.compose as compose
+
+    if not qdims:
+        return float(red), []
+    if len(qdims) == 1:
+        zero = compose._projector_coeffs(np.eye(qdims[0], dtype=complex)[:1])
+        vals, proj = compose._ground_states(red.reshape(1, -1), zero)
+        return float(vals[0]), [proj[0]]
+    if qdims == [2, 2]:
+        return compose._min_qubit_pair(red.reshape(4, 4), cfg)
+    return compose._min_quantum_general(red, qdims, cfg, rng)
+
+
+def _reference_minimize_product_form(coeffs, specs, cfg):
+    """The engine as a loop over generator combinations, one contraction chain
+    and one quantum minimum each, the first strict minimum winning."""
+    import math
+
+    import witworld.compose as compose
+    from witworld.compose import FiniteGenerators, QuantumGenerators
+
+    coeffs = np.asarray(coeffs, dtype=float)
+    dims = tuple(s.vectors.shape[1] if isinstance(s, FiniteGenerators) else s.d * s.d
+                 for s in specs)
+    exp = compose.unit_exponent(coeffs)
+    tensor_w = np.ldexp(coeffs, -exp).reshape(dims)
+    finite_axes = [i for i, s in enumerate(specs) if isinstance(s, FiniteGenerators)]
+    qdims = [s.d for s in specs if isinstance(s, QuantumGenerators)]
+    rng = np.random.default_rng(cfg.seed)
+    best_val, best_factors = np.inf, None
+    for combo in itertools.product(*(range(len(specs[i].vectors)) for i in finite_axes)):
+        red = tensor_w
+        for ax, gi in sorted(zip(finite_axes, combo), reverse=True):
+            red = np.tensordot(specs[ax].vectors[gi], red, axes=([0], [ax]))
+        val, qfactors = _reference_min_over_quantum(red, qdims, cfg, rng)
+        if val < best_val:
+            factors = [None] * len(specs)
+            for ax, gi in zip(finite_axes, combo):
+                factors[ax] = specs[ax].vectors[gi]
+            it = iter(qfactors)
+            for i, s in enumerate(specs):
+                if isinstance(s, QuantumGenerators):
+                    factors[i] = next(it)
+            best_val, best_factors = val, tuple(factors)
+    return compose.ProductMin(math.ldexp(best_val, exp), best_factors,
+                              compose.search_is_exact(qdims))
+
+
+_ENGINE_SHAPES = {
+    "B22*B22 effect side": (lambda: _effect_side_specs((B22, B22)), 200),
+    "B22->B22 positivity": (lambda: _effect_side_specs((B22,)) + _state_side_specs((B22,)), 200),
+    "C2*B22 state side": (lambda: _state_side_specs((Classical(2), B22)), 200),
+    "B23*C3": (lambda: _effect_side_specs((Boxworld(2, 3), Classical(3))), 200),
+    "B22*B22*Q2": (lambda: _effect_side_specs((B22, B22, Q2)), 200),
+    "C2*Q2": (lambda: _effect_side_specs((Classical(2), Q2)), 200),
+    "C2*Q2*Q2": (lambda: _effect_side_specs((Classical(2), Q2, Q2)), 40),
+    "C2*Q3*Q3": (lambda: _effect_side_specs((Classical(2), Quantum(3), Quantum(3))), 20),
+}
+
+
+def _random_engine_inputs(gen, specs, count):
+    """``count`` random coefficient vectors for ``specs``, over 20 orders of magnitude."""
+    from witworld.compose import FiniteGenerators
+
+    size = 1
+    for s in specs:
+        size *= s.vectors.shape[1] if isinstance(s, FiniteGenerators) else s.d * s.d
+    return gen.normal(size=(count, size)) * 10.0 ** gen.uniform(-10, 10, size=(count, 1))
+
+
+@pytest.mark.parametrize("shape", list(_ENGINE_SHAPES))
+def test_engine_matches_the_per_combination_loop_bit_for_bit(shape):
+    build, count = _ENGINE_SHAPES[shape]
+    specs = build()
+    gen = np.random.default_rng(list(_ENGINE_SHAPES).index(shape))
+    cfg = SearchConfig(grid=40, restarts=3)
+    for coeffs in _random_engine_inputs(gen, specs, count):
+        res = minimize_product_form(coeffs, specs, cfg)
+        ref = _reference_minimize_product_form(coeffs, specs, cfg)
+        assert res.value == ref.value and res.conclusive == ref.conclusive
+        assert len(res.factors) == len(ref.factors)
+        for f, g in zip(res.factors, ref.factors):
+            assert np.array_equal(f, g)
+
+
+@pytest.mark.parametrize("atoms", [(Classical(2), Quantum(3)), (B22, Quantum(3)),
+                                   (Quantum(4), Classical(3))])
+def test_engine_over_one_larger_quantum_factor_stays_within_16_ulps(atoms):
+    # a stack of rows rounds the ground-state products apart from one row
+    specs = _effect_side_specs(atoms)
+    gen = np.random.default_rng([a.dim for a in atoms])
+    cfg = SearchConfig()
+    for coeffs in _random_engine_inputs(gen, specs, 200):
+        res = minimize_product_form(coeffs, specs, cfg)
+        ref = _reference_minimize_product_form(coeffs, specs, cfg)
+        assert abs(res.value - ref.value) <= 16 * np.spacing(max(abs(res.value), abs(ref.value)))
+        assert res.conclusive and ref.conclusive
+
+
+def test_engine_ties_go_to_the_first_combination():
+    from witworld.compose import FiniteGenerators
+
+    zero = _reference_projector_coeffs(np.eye(2)[0])
+    for atoms, coeffs in (((B22, B22), np.zeros(9)),
+                          ((Classical(2), B22, Q2), np.zeros(24)),
+                          ((Classical(2), B22), unit_effect(system(Classical(2), B22)).coeffs)):
+        specs = (_state_side_specs(atoms) if coeffs.any() else _effect_side_specs(atoms))
+        res = minimize_product_form(coeffs, specs, SearchConfig())
+        for f, s in zip(res.factors, specs):
+            first = s.vectors[0] if isinstance(s, FiniteGenerators) else zero
+            assert np.allclose(f, first, rtol=0, atol=1e-16)
+            if isinstance(s, FiniteGenerators):
+                assert np.array_equal(f, first)
 
 
 @pytest.mark.parametrize("restarts", [1, 7, 40])

@@ -474,6 +474,32 @@ def test_named_assemblages_match_the_per_key_reference_bit_for_bit(name):
     _assert_same_bits(asm, ref)
 
 
+def test_named_realizations_check_each_object_once(monkeypatch):
+    names = ("pr-box", "bwi-star", "bwi-star-star")
+    for name in names:
+        paper_assemblage(name)  # builds each realization and checks its shared state
+    counts = {}
+
+    def counting(fn, key):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for key in ("trace_condition_check", "composite_state_check"):
+        monkeypatch.setattr(steering, key, counting(getattr(steering, key), key))
+    for name in names:
+        counts.update(trace_condition_check=0, composite_state_check=0)
+        for _ in range(5):
+            paper_assemblage(name)
+        # pr-box passes its one measurement object for both parties
+        assert counts == {"trace_condition_check": 5, "composite_state_check": 0}, name
+    counts.update(trace_condition_check=0, composite_state_check=0)
+    steering._named_realization.cache_clear()
+    paper_assemblage("pr-box")
+    assert counts == {"trace_condition_check": 1, "composite_state_check": 1}
+
+
 # --- no-signalling checks ----------------------------------------------------------
 
 

@@ -24,7 +24,13 @@ from witworld import (
     vector_to_hermitian,
 )
 from witworld.lp import solve_feasibility
-from witworld.systems import boxworld_to_classical, classical_point
+from witworld.systems import (
+    boxworld_to_classical,
+    classical_point,
+    kron_all,
+    ray_table,
+    vertex_table,
+)
 
 from conftest import random_hermitian
 
@@ -219,6 +225,32 @@ def test_boxworld_1v_matches_classical():
     assert len(box) == 3
     box_as_cls = sorted(tuple(boxworld_to_classical(v).coeffs) for v in box)
     assert box_as_cls == sorted(tuple(v.coeffs) for v in cls)
+
+
+@pytest.mark.parametrize("atom", [Classical(1), Classical(3), Boxworld(0, 2), Boxworld(2, 2),
+                                  Boxworld(3, 3)])
+def test_generator_tables_are_built_once_and_read_only(atom):
+    for table, listed in ((vertex_table, state_vertices), (ray_table, effect_cone_rays)):
+        rows = table(atom)
+        assert table(atom) is rows and not rows.flags.writeable
+        assert np.array_equal(rows, np.stack([v.coeffs for v in listed(atom)]))
+        assert rows.shape[1] == atom.dim
+        # a negative zero would print as -0.0 in a witness built from a row
+        assert not np.signbit(rows[rows == 0]).any()
+
+
+def test_kron_all_matches_the_left_to_right_chain():
+    gen = np.random.default_rng(3)
+    for n in range(1, 4):
+        for _ in range(20):
+            mats = [gen.normal(size=(gen.integers(1, 4), gen.integers(1, 4))) for _ in range(n)]
+            vecs = [m[0] for m in mats]
+            ref, ref_vec = np.eye(1), np.array([1.0])
+            for m, v in zip(mats, vecs):
+                ref, ref_vec = np.kron(ref, m), np.kron(ref_vec, v)
+            assert np.array_equal(kron_all(mats), ref)
+            assert np.array_equal(kron_all(vecs), ref_vec)
+    assert kron_all([]) == 1.0
 
 
 def test_quantum_vertices_unsupported():

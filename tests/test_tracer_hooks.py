@@ -43,3 +43,15 @@ def _targets():
 @pytest.mark.parametrize("owner, attr", _targets())
 def test_tracer_hook_target_resolves(owner, attr):
     assert callable(getattr(tracer._resolve(owner), attr, None))
+
+
+def test_combination_counter_reads_the_engine_specs():
+    from witworld import Boxworld, Classical, Quantum
+    from witworld.compose import _effect_side_specs, _state_side_specs
+
+    b22 = Boxworld(2, 2)
+    for specs, combos in ((_effect_side_specs((b22, b22)), 16),
+                          (_state_side_specs((Classical(2), b22)), 8),
+                          (_effect_side_specs((Quantum(2), Quantum(2))), 1)):
+        assert tracer._count_combos((None, specs), {}, None) == {"combos": combos}
+        assert tracer._count_combos((), {"specs": specs}, None) == {"combos": combos}

@@ -21,6 +21,7 @@ from witworld import (
     controlled_map,
     copy_map,
     effect_cone_rays,
+    hermitian_basis,
     hermitian_tensor_to_vector,
     hermitian_to_vector,
     identity_map,
@@ -158,6 +159,36 @@ def test_singlet_covariance_at_state_vector_level():
 
 
 # --- positivity ------------------------------------------------------------------
+
+
+def _reference_map_from_matrix_action(action, d_in, d_out=None):
+    """One image at a time, each through :func:`hermitian_to_vector`."""
+    d_out = d_in if d_out is None else d_out
+    cols = [hermitian_to_vector(action(b), eps_herm=1e-8).coeffs for b in hermitian_basis(d_in)]
+    return LinearMap(system(Quantum(d_in)), system(Quantum(d_out)), np.column_stack(cols))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_map_from_matrix_action_matches_per_image_conversion_bit_for_bit(d):
+    gen = np.random.default_rng(d)
+    actions = [lambda m: m.T, lambda m: np.trace(m) * np.eye(d) - m]
+    for _ in range(50):
+        u = np.linalg.qr(gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))[0]
+        actions.append(lambda m, u=u: u @ m @ u.conj().T)
+    for action in actions:
+        t = map_from_matrix_action(action, d)
+        assert np.array_equal(t.matrix, _reference_map_from_matrix_action(action, d).matrix)
+    k = np.linalg.qr(gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))[0][:2]
+    narrow = lambda m: k @ m.T @ k.conj().T  # noqa: E731
+    assert np.array_equal(map_from_matrix_action(narrow, d, 2).matrix,
+                          _reference_map_from_matrix_action(narrow, d, 2).matrix)
+
+
+def test_map_from_matrix_action_rejects_a_non_hermitian_action():
+    with pytest.raises(ValueError, match="not Hermitian within tolerance"):
+        map_from_matrix_action(lambda m: m @ np.array([[1.0, 1.0], [0.0, 1.0]]), 2)
+    with pytest.raises(ValueError, match="not Hermitian within tolerance"):
+        map_from_matrix_action(lambda m: m + 1e-7j * np.trace(m) * np.eye(3, k=1), 3)
 
 
 def test_transpose_and_unot_are_positive():
