@@ -5,8 +5,9 @@ Verbs: ``prbox``, ``rsp``, ``check-state``, ``check-effect``, ``check-map``,
 certificate is printed), 2 inconclusive, unsupported or not applicable
 (``lhs`` on a scenario it does not take), 64 usage error,
 65 malformed input file, 70 internal error (the traceback goes to
-standard error).  Every verb has a ``--json`` mode; diagnostics go
-to standard error.  The environment variable ``WITWORLD_SEED`` supplies
+standard error), 74 standard output closed before the result was
+written.  Every verb has a ``--json`` mode; diagnostics go to standard
+error.  The environment variable ``WITWORLD_SEED`` supplies
 the default search seed; a value that is not an integer, like an
 out-of-range search flag, is a usage error.
 """
@@ -14,7 +15,9 @@ out-of-range search flag, is a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
+import os
 import sys
 import traceback
 
@@ -63,6 +66,7 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_BAD_INPUT = 65
 EXIT_SOFTWARE = 70
+EXIT_IOERR = 74
 
 
 class _Parser(argparse.ArgumentParser):
@@ -432,6 +436,8 @@ def main(argv=None) -> int:
     when the call runs, not bound when the parser is built.  It runs with
     floating-point overflow and invalid operations raising, so a number
     that went to inf or nan exits as an internal error, never as a verdict.
+    Standard output is flushed before the call returns; if its reader has
+    gone, the call returns 74.
     """
     global _parser
     if _parser is None:
@@ -443,7 +449,18 @@ def main(argv=None) -> int:
     command = globals()["_cmd_" + args.verb.replace("-", "_")]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return command(args)
+            code = command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point standard output at the null device, so that the interpreter's
+        # last flush at exit stays quiet; a StringIO has no descriptor to point
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        return EXIT_IOERR
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -116,11 +116,6 @@ def tensor_all(vs: Sequence[GptVector]) -> GptVector:
                      kron_all([v.coeffs for v in vs]))
 
 
-def scalar_one() -> GptVector:
-    """The unit of the tensor product (the scalar system's number 1)."""
-    return GptVector(SystemType(), np.array([1.0]))
-
-
 @functools.lru_cache(maxsize=32)
 def _quantum_system(dims: tuple) -> SystemType:
     """The composite of quantum atoms of dimensions ``dims``, one object per dims."""
@@ -268,12 +263,20 @@ def _unit(v: tuple) -> tuple:
     return tuple(c * s for c in v)
 
 
+def _projector_columns(coeffs: np.ndarray) -> np.ndarray:
+    """Of each qutrit projector psi psi^dagger with coefficient rows ``coeffs``, the
+    column with the largest diagonal entry, a nonzero multiple of psi; one row per component."""
+    mats = (coeffs @ _real_basis(3)).view(complex).reshape(-1, 3, 3)
+    j = np.argmax(np.diagonal(mats, axis1=1, axis2=2).real, axis=1)
+    return mats[np.arange(len(j)), :, j].T
+
+
 def _lower_pair_ground(b: np.ndarray, w: tuple, mu: np.ndarray, p: np.ndarray,
                        prev: np.ndarray) -> tuple:
     """Ground vectors of qutrit operators whose bottom pair may be degenerate.
 
-    :func:`_qutrit_ground_vectors` sends only its rows with sin(phi) <
-    1/20 here, where the top eigenvalue is isolated by more than 2.9 p.
+    :func:`_qutrit_projectors` sends only its rows with sin(phi) < 1/8
+    here, where the top eigenvalue is isolated by more than 2.7 p.
     Column r of ``b`` holds the row-major entries of a traceless Hermitian
     3x3 operator, ``w`` the components of its unit top eigenvectors and
     ``mu[r]`` that eigenvalue.  The ground vector lies in the plane
@@ -307,11 +310,7 @@ def _lower_pair_ground(b: np.ndarray, w: tuple, mu: np.ndarray, p: np.ndarray,
     g0, g1 = np.where(up, beta, alpha - r), np.where(up, -alpha - r, beta.conj())
     keep = r <= 1e-15 * np.sqrt(3.0) * p
     if keep.any():
-        # of the projector prev = psi psi^dagger, the column with the
-        # largest diagonal entry is a nonzero multiple of psi
-        mats = (prev[keep] @ _real_basis(3)).view(complex).reshape(-1, 3, 3)
-        j = np.argmax(np.diagonal(mats, axis1=1, axis2=2).real, axis=1)
-        psi = mats[np.arange(len(j)), :, j].T
+        psi = _projector_columns(prev[keep])
         h0 = c0[keep] * psi[0] + c1[keep] * psi[1] + c2[keep] * psi[2]
         h1 = (u2[0][keep].conj() * psi[0] + u2[1][keep].conj() * psi[1]
               + u2[2][keep].conj() * psi[2])
@@ -321,54 +320,66 @@ def _lower_pair_ground(b: np.ndarray, w: tuple, mu: np.ndarray, p: np.ndarray,
     return tuple(g0 * f + g1 * h for f, h in zip(u1, u2))
 
 
-# cos(3 phi) at sin(phi) = 1/20: rows with q above it take the plane solve
-_PLANE_Q = math.cos(3.0 * math.asin(0.05))
+# cos(3 phi) at sin(phi) = 1/8: rows with q above it take the plane solve
+_PLANE_Q = math.cos(3.0 * math.asin(0.125))
 
 
-def _qutrit_ground_vectors(t: np.ndarray, prev: np.ndarray) -> tuple:
-    """Ground vectors of qutrit operators with coefficient rows ``t``.
+@functools.lru_cache(maxsize=1)
+def _adjugate_basis() -> np.ndarray:
+    """Read-only (9, 9) map to the coefficients of a Hermitian 3x3 matrix from (h00, h11,
+    h22, Re h01, Im h01, Re h02, Im h02, Re h12, Im h12), each h_ij with i < j twice."""
+    m = _real_basis(3)[:, [0, 8, 16, 2, 3, 4, 5, 10, 11]].T.copy()
+    m[3:] *= 2.0
+    m.flags.writeable = False
+    return m
 
-    The traceless part b = A - tr(A) / 3 has coefficients t_vec, so its
-    eigenvalues are 2 p cos(phi + 2 pi k / 3) with p = |t_vec| / sqrt(6),
-    cos(3 phi) = q = det(b) / (2 p^3) and phi in [0, pi / 3] (Smith 1961):
-    top k = 0, bottom k = 1, middle k = 2.  The bottom one is 2 sqrt(3) p
-    sin(phi) below the middle one, and its eigenvector is the largest
-    column of the adjugate of b - mu, which is c v v^dagger for the null
-    vector v (Kopp 2008).  That column is only as good as mu: an error e in
-    q moves mu by at most p e / (3 sqrt(3) sin(phi)), and the column turns
-    toward the middle eigenvector by that over the gap, an angle of about
-    e / (18 sin(phi)^2).  The rows with sin(phi) >= 1/20 take it, where
-    the angle stays below 400 e / 18, about 2e-14 for an error of a few
-    ulps in q (1.8e-14 measured at sin(phi) = 1/20 against the planted
-    eigenvectors of 4000 random rows).  On the others the bottom pair may
-    be degenerate, while the top eigenvalue is isolated by 2 sqrt(3) p
-    sin(pi / 3 - phi) > 2.9 p, and :func:`_lower_pair_ground` solves the
-    rest on its complement.  Every row needs |t_vec| > 0.  Returns the
-    components of the unit vectors.
+
+def _qutrit_projectors(t: np.ndarray, tt: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """Ground-state projectors of qutrit operators with coefficient rows ``t``.
+
+    ``tt`` holds |t_vec|^2 per row, every one of them > 0.  The traceless
+    part b = A - tr(A) / 3 has coefficients t_vec, so its eigenvalues are
+    2 p cos(phi + 2 pi k / 3) with p = |t_vec| / sqrt(6), cos(3 phi) = q =
+    det(b) / (2 p^3) and phi in [0, pi / 3] (Smith 1961): top k = 0,
+    bottom k = 1, middle k = 2.  The bottom one mu is 2 sqrt(3) p sin(phi)
+    below the middle one.  For a simple eigenvalue mu the adjugate of
+    b - mu is (lambda_2 - mu)(lambda_3 - mu) v v^dagger for its unit
+    eigenvector v (Kopp 2008), so divided by its trace it is the projector
+    (Sylvester's formula).  That is only as good as mu: an error e in q
+    moves mu by at most p e / (3 sqrt(3) sin(phi)), which leaves a weight
+    of that over the gap, at most e / (18 sin(phi)^2), on the other
+    eigenvectors.  The rows with sin(phi) >= 1/8 take it, where that
+    weight stays below 3.6 e.  On the others the bottom pair may be
+    degenerate, while the top eigenvalue is isolated by 2 sqrt(3) p
+    sin(pi / 3 - phi) > 2.7 p: the same formula gives its projector, and
+    :func:`_lower_pair_ground` solves the rest on its complement.  Returns
+    the projector coefficients, one row each.
     """
     b = np.ascontiguousarray((t[:, 1:] @ _real_basis(3)[1:]).view(complex).T)
     d0, d1, d2, x, y, z = b[0].real, b[4].real, b[8].real, b[1], b[2], b[5]
     xx, yy, zz = _abs2(x), _abs2(y), _abs2(z)
-    p = np.sqrt(np.einsum("ij,ij->i", t[:, 1:], t[:, 1:]) / 6.0)
+    p = np.sqrt(tt / 6.0)
     det = d0 * d1 * d2 - d0 * zz - d1 * yy - d2 * xx + 2.0 * (x * z * y.conj()).real
-    q = np.clip(det / (2.0 * p ** 3), -1.0, 1.0)
+    q = np.minimum(np.maximum(det / (2.0 * p ** 3), -1.0), 1.0)
     plane = q > _PLANE_Q
     mu = 2.0 * p * np.cos(np.arccos(q) / 3.0 + np.where(plane, 0.0, 2.0 * np.pi / 3.0))
     e0, e1, e2 = d0 - mu, d1 - mu, d2 - mu
-    a00, a11, a22 = e1 * e2 - zz, e0 * e2 - yy, e0 * e1 - xx
-    a01, a02, a12 = y * z.conj() - x * e2, x * z - y * e1, x.conj() * y - e0 * z
-    n00, n11, n22 = np.abs(a00), np.abs(a11), np.abs(a22)
-    col0 = (n00 >= n11) & (n00 >= n22)
-    col1 = ~col0 & (n11 >= n22)
-    v = _unit((np.where(col0, a00, np.where(col1, a01, a02)),
-               np.where(col0, a01.conj(), np.where(col1, a11, a12)),
-               np.where(col0, a02.conj(), np.where(col1, a12.conj(), a22))))
+    adj = np.empty((len(t), 9))  # the upper triangle, in _adjugate_basis order
+    a00, a11, a22 = adj[:, 0], adj[:, 1], adj[:, 2]
+    a01, a02, a12 = adj[:, 3:].view(complex).T
+    np.subtract(e1 * e2, zz, out=a00)
+    np.subtract(e0 * e2, yy, out=a11)
+    np.subtract(e0 * e1, xx, out=a22)
+    np.subtract(y * z.conj(), x * e2, out=a01)
+    np.subtract(x * z, y * e1, out=a02)
+    np.subtract(x.conj() * y, e0 * z, out=a12)
+    proj = adj @ _adjugate_basis()
+    proj /= (a00 + a11 + a22)[:, None]
     if plane.any():
-        low = _lower_pair_ground(b[:, plane], tuple(c[plane] for c in v), mu[plane],
-                                 p[plane], prev[plane])
-        for c, g in zip(v, low):
-            c[plane] = g
-    return v
+        w = _unit(_projector_columns(proj[plane]))
+        low = _lower_pair_ground(b[:, plane], w, mu[plane], p[plane], prev[plane])
+        proj[plane] = _projector_coeffs(np.stack(low, axis=1))
+    return proj
 
 
 def _ground_states(t: np.ndarray, prev: np.ndarray):
@@ -379,12 +390,13 @@ def _ground_states(t: np.ndarray, prev: np.ndarray):
     closed form: value (t0 - |t_vec|) / sqrt(2) and projector
     (1, -t_vec / |t_vec|) / sqrt(2), keeping the direction of ``prev``
     where |t_vec| <= 1e-15 (the value is then t0 / sqrt(2) up to that
-    size).  A qutrit has one too (:func:`_qutrit_ground_vectors`); it keeps
-    ``prev`` where |t_vec| <= 1e-15, and within a degenerate ground space
-    keeps what it can of it.  Either value is the operator's expectation in
-    the returned projector.  Larger factors take a batched ``eigh`` and
-    ignore ``prev``.  Returns the values and the projector coefficients, one
-    row each.
+    size).  A qutrit has one too (:func:`_qutrit_projectors`): the adjugate
+    projector, a few ulps from the true one, or on 2-3% of a planted map's
+    rows a solve below the top eigenvector.  It keeps ``prev`` where
+    |t_vec| <= 1e-15, and within a degenerate ground space keeps what it
+    can of it.  Either value is the operator's expectation in the returned
+    projector.  Larger factors take a batched ``eigh`` and ignore ``prev``.
+    Returns the values and the projector coefficients, one row each.
     """
     if t.shape[1] == 4:
         tv = t[:, 1:]
@@ -394,12 +406,14 @@ def _ground_states(t: np.ndarray, prev: np.ndarray):
         np.divide(tv, -norms[:, None], out=proj[:, 1:], where=(norms > 1e-15)[:, None])
         return np.einsum("ij,ij->i", t, proj) / _SQRT2, proj / _SQRT2
     if t.shape[1] == 9:
-        live = np.einsum("ij,ij->i", t[:, 1:], t[:, 1:]) > 1e-30
-        rows = slice(None) if live.all() else live  # a slice selects without copies
-        proj = prev.copy()
-        if live.any():
-            psi = np.stack(_qutrit_ground_vectors(t[rows], prev[rows]), axis=1)
-            proj[rows] = _projector_coeffs(psi)
+        tt = np.einsum("ij,ij->i", t[:, 1:], t[:, 1:])
+        live = tt > 1e-30
+        if live.all():
+            proj = _qutrit_projectors(t, tt, prev)
+        else:
+            proj = prev.copy()
+            if live.any():
+                proj[live] = _qutrit_projectors(t[live], tt[live], prev[live])
         return np.einsum("ij,ij->i", t, proj), proj
     d = math.isqrt(t.shape[1])
     mats = (t @ _real_basis(d)).view(complex).reshape(len(t), d, d)
@@ -430,9 +444,10 @@ def _descent(red: np.ndarray, rows: list):
     larger factor (:func:`_ground_states`).  A start stops once the last
     factor's eigenvalue moves by less than 1e-13 over a sweep, or after 200
     sweeps.  All starts run as one stack, and the contraction for each
-    factor goes one other factor at a time.  ``rows`` is updated in place.
-    Returns the smallest final value and the factors of the first start
-    attaining it.
+    factor goes one other factor at a time.  ``rows`` is updated in place,
+    on the sweeps where some start stops and after the last one.  Returns
+    the smallest final value and the factors of the first start attaining
+    it.
     """
     n = len(rows)
     # red with axis i moved last, so contracting the others leaves factor i
@@ -440,11 +455,14 @@ def _descent(red: np.ndarray, rows: list):
     active = np.arange(len(rows[0]))
     cur = list(rows)  # the rows of the active starts
     last = np.inf  # their last factor's previous values
-    for _ in range(200):
+    for sweep in range(200):
         for i in range(n):
             t = _contract(reds[i], cur[:i] + cur[i + 1:])
             vals, cur[i] = _ground_states(t, cur[i])
         moving = np.abs(last - vals) >= 1e-13
+        if sweep < 199 and moving.all():
+            last = vals
+            continue
         last = vals[moving]
         for row, c in zip(rows, cur):
             row[active] = c

@@ -550,6 +550,46 @@ def test_floating_point_overflow_exits_70(capsys, monkeypatch, bad_float):
     assert "Traceback" in err and "FloatingPointError" in err
 
 
+@pytest.mark.parametrize("argv", [["check-state", "builtin:phi-plus", "--tol", "0", "--json"],
+                                  ["rsp", "--grid", "3", "--json"], ["prbox"]])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_74_without_traceback(argv, unbuffered):
+    # buffered, the write fails at main's flush; unbuffered, at the print
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to standard output fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "witworld.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_IOERR == 74
+    assert proc.stderr == b""
+
+
+def test_closed_stdout_in_process_leaves_file_descriptors_alone(monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    dup2_calls = []
+    monkeypatch.setattr(cli.os, "dup2", lambda *a: dup2_calls.append(a))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(ClosedPipe()), contextlib.redirect_stderr(err):
+        code = main(["prbox", "--json"])
+    assert code == 74
+    assert err.getvalue() == "" and dup2_calls == []
+
+
 @pytest.mark.parametrize("scale", [1e100, 1e155, 1e300])
 def test_scaled_planted_inputs_rejected_with_exit_1(capsys, tmp_path, scale):
     rng = np.random.default_rng(13)

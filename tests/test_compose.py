@@ -48,7 +48,6 @@ from witworld.compose import (
     _state_side_specs,
     minimize_product_form,
     ppt_dims,
-    scalar_one,
 )
 from witworld.transforms import map_from_matrix_action
 
@@ -78,8 +77,8 @@ def test_tensor_of_units_is_composite_unit():
 
 def test_tensor_with_scalar_is_identity():
     v = pr_state()
-    assert np.allclose(tensor(v, scalar_one()).coeffs, v.coeffs)
-    assert tensor(v, scalar_one()).system == v.system
+    assert np.allclose(tensor(v, tensor_all([])).coeffs, v.coeffs)
+    assert tensor(v, tensor_all([])).system == v.system
 
 
 def test_tensor_associative():
@@ -905,23 +904,45 @@ def _reference_min_quantum_general(red, qdims, cfg, rng):
 _FACTOR_ATOL = 1e-5
 
 
-@pytest.mark.parametrize("qdims", [[2, 3], [3, 3], [2, 2, 2], [3, 2], [2, 2, 2, 2]])
+def _descent_tensor(gen, source, qdims):
+    """A tensor over the factors ``qdims``: Gaussian, or a planted witness on
+    Q_d1*Q_d2 or the positivity tensor of a planted map Q_d2 -> Q_d1."""
+    shape = tuple(d * d for d in qdims)
+    if source == "random":
+        return gen.normal(size=shape)
+    if source == "planted witness":
+        return hermitian_tensor_to_vector(planted_witness(gen, *qdims), qdims).coeffs.reshape(shape)
+    return planted_map(gen, qdims[1], qdims[0]).matrix
+
+
+@pytest.mark.parametrize("source, qdims", [
+    pytest.param("random", qdims, id=f"qdims{i}")
+    for i, qdims in enumerate([[2, 3], [3, 3], [2, 2, 2], [3, 2], [2, 2, 2, 2]])] + [
+    pytest.param(source, qdims, id=f"{source.replace(' ', '-')}-{qdims[0]}{qdims[1]}")
+    for source, qdims in (("planted witness", [2, 3]), ("planted witness", [3, 3]),
+                          ("planted map", [3, 3]), ("planted map", [3, 2]))])
 @pytest.mark.parametrize("restarts", [1, 7, 40])
-def test_stacked_descent_matches_per_restart_loop(qdims, restarts):
+def test_stacked_descent_matches_per_restart_loop(source, qdims, restarts):
     from witworld.compose import _min_quantum_general
 
-    gen = np.random.default_rng(restarts + 10 * len(qdims) + qdims[0])
+    entropy = restarts + 10 * len(qdims) + qdims[0]
+    gen = np.random.default_rng(entropy if source == "random" else [entropy, len(source)])
     cfg = SearchConfig(restarts=restarts)
     for _ in range(3):
-        red = gen.normal(size=tuple(d * d for d in qdims))
+        red = _descent_tensor(gen, source, qdims)
         seed = int(gen.integers(2**31))
         rng_ref, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
         ref_val, ref_factors = _reference_min_quantum_general(red, qdims, cfg, rng_ref)
         val, factors = _min_quantum_general(red, qdims, cfg, rng_new)
         assert val == pytest.approx(ref_val, abs=1e-12)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        if source == "planted map":
+            # restarts can reach distinct minimizers whose values agree to a
+            # rounding, so the winner is checked by the value it gives
+            assert factors[0] @ red @ factors[1] == pytest.approx(val, abs=1e-12)
+            continue
         for f, g in zip(factors, ref_factors):
             assert np.allclose(f, g, atol=_FACTOR_ATOL)
-        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 @pytest.mark.parametrize("d_in, d_out", [(3, 2), (3, 3)])
@@ -1056,9 +1077,12 @@ def _qutrit_operators(gen, kind, n):
             # a planted map on a pure input, and its valid part on a mixed one
             "rank-2 indefinite": [-0.6, 0.0, 1.0], "rank-2 positive": [0.0, 0.4, 1.0]}.get(kind)
     if kind.startswith("threshold"):
-        # sin(phi) just above or below 1/20, where _qutrit_ground_vectors
-        # turns from the plane solve to the adjugate
-        phi = np.arcsin(0.05 * (1.0 + (1e-6 if kind.endswith("above") else -1e-6)))
+        # sin(phi) just above or below the threshold of _qutrit_projectors,
+        # where it turns from the plane solve to the adjugate
+        from witworld.compose import _PLANE_Q
+
+        sin_phi = np.sin(np.arccos(_PLANE_Q) / 3.0)
+        phi = np.arcsin(sin_phi * (1.0 + (1e-6 if kind.endswith("above") else -1e-6)))
         eigs = 0.3 + 0.5 * np.cos(phi + 2.0 * np.pi * np.arange(3) / 3.0)
     elif eigs is None:
         gap = float(kind.split()[-1])
@@ -1099,17 +1123,17 @@ def _plane_rows(monkeypatch):
     import witworld.compose as compose
 
     rows, plane = [], []
-    kernel, lower = compose._qutrit_ground_vectors, compose._lower_pair_ground
+    kernel, lower = compose._qutrit_projectors, compose._lower_pair_ground
 
-    def counted_kernel(t, prev):
+    def counted_kernel(t, tt, prev):
         rows.append(len(t))
-        return kernel(t, prev)
+        return kernel(t, tt, prev)
 
     def counted_lower(b, w, mu, p, prev):
         plane.append(len(mu))
         return lower(b, w, mu, p, prev)
 
-    monkeypatch.setattr(compose, "_qutrit_ground_vectors", counted_kernel)
+    monkeypatch.setattr(compose, "_qutrit_projectors", counted_kernel)
     monkeypatch.setattr(compose, "_lower_pair_ground", counted_lower)
     return rows, plane
 
@@ -1125,6 +1149,25 @@ def test_qutrit_branch_turns_at_the_threshold(monkeypatch):
         plane.clear()
         _ground_states(_operator_coeffs(_qutrit_operators(gen, kind, 50)), prev)
         assert sum(plane) == solved_on_plane, kind
+
+
+def test_qutrit_projectors_build_outer_products_only_on_plane_rows(monkeypatch):
+    import witworld.compose as compose
+
+    _, plane = _plane_rows(monkeypatch)
+    built, outer = [], compose._projector_coeffs
+
+    def counted_outer(psi):
+        built.append(len(psi))
+        return outer(psi)
+
+    monkeypatch.setattr(compose, "_projector_coeffs", counted_outer)
+    gen = np.random.default_rng(9)
+    prev = np.tile(_reference_projector_coeffs(np.eye(3)[0]), (50, 1))
+    for kind in _QUTRIT_KINDS:
+        compose._ground_states(_operator_coeffs(_qutrit_operators(gen, kind, 50)), prev)
+    assert built == plane
+    assert 0 < sum(plane) < 50 * len(_QUTRIT_KINDS)
 
 
 @pytest.mark.parametrize("dims", [(3, 3), (2, 3)])
