@@ -2,40 +2,34 @@
 
 The composite state cone is the max tensor product of the atomic cones: a
 vector belongs to it exactly when it pairs nonnegatively with every
-product of local effects.  Membership testing therefore reduces to
-minimizing a multilinear form over products of dual-cone generators:
-finitely many outcome effects for classical and box atoms, rank-1
-projectors for quantum atoms.  The same minimization engine also serves
-positivity and trace checks in :mod:`witworld.transforms`, which minimize
-over products of *state*-side generators instead.
+product of local effects.  So every check here and in
+:mod:`witworld.transforms` minimizes a multilinear form over products of
+generators: effect-side ones (outcome effects of classical and box atoms,
+rank-1 projectors of quantum atoms) for states, state-side ones (vertices,
+projectors) for effects and trace conditions, and both for positivity.
+All of them take one path.  :func:`certificate_bound` is the one gate: on
+all-quantum forms whose search would not be exact, or whose states are
+P + Q^Γ, a partial transpose maps product projectors to product
+projectors, so a lowest eigenvalue of at least -tol accepts with that
+certified margin and no search.  :func:`_generator_min` is the one
+minimum: the engine :func:`minimize_product_form`, optionally on the side
+``offset u - form`` too, then the known non-product probe states, and
+whether all that is conclusive.  Where separable equals PPT (Q2*Q2, Q2*Q3,
+Q3*Q2) :func:`ppt_min` replaces it with exact eigenvalues.
+:func:`_verdict` is the one merge: the first lowest candidate decides.
 
-Two or more quantum factors go through one stacked alternating descent,
-which takes a qubit or qutrit factor's ground state in closed form and a
-larger factor's from a batched ``eigh``.  A qutrit's comes from an
-adjugate column wherever its bottom eigenvalue lies at least sqrt(3) p /
-10 below the middle one (p sets the spread of the spectrum), and from a
-plane solve only on the rows where the bottom pair may be degenerate.
-The search runs on the input scaled exactly to unit size, so it cannot
-overflow and its thresholds are relative.  A qubit pair starts it once,
-from the best direction of a scan over one Bloch sphere (the other has a
-closed-form minimum), exact for the systems of interest.  More or larger
-quantum factors start it from seeded random restarts and report only
-inconclusive acceptance.  Before that search, :func:`spectral_bound`
-gives a certified lower bound: a partial transpose maps product
-projectors to product projectors, so the lowest eigenvalue of any partial
-transpose of the operator bounds its minimum over them.  When that bound
-is at least -tol the state (or, in :mod:`witworld.transforms`, the map)
-is accepted with the bound as its margin and no search runs.  State and
-positivity verdicts take tol at the input's unit size (:func:`unit_tol`),
-so scaling an input scales its threshold with its margin.
-
-Effect validity is the dual question: ``e`` and ``u - e`` must be
-separable.  On Q2*Q2, Q2*Q3 and Q3*Q2 separable equals PPT, so there it
-is decided exactly by the eigenvalues of ``e``, ``u - e`` and their
-partial transposes; elsewhere it is searched for over product states
-and known probe states, exactly where those generate the cone.
+In the engine, two or more quantum factors go through one stacked
+alternating descent, which takes a qubit or qutrit factor's ground state
+in closed form and a larger factor's from a batched ``eigh``.  It runs on
+the input scaled exactly to unit size, so it cannot overflow and its
+thresholds are relative.  A qubit pair starts it once, from the best
+direction of a scan over one Bloch sphere (the other has a closed-form
+minimum), exact for the systems of interest.  More or larger quantum
+factors start it from seeded random restarts and report only
+inconclusive acceptance.  State and positivity verdicts take tol at the
+input's unit size (:func:`unit_tol`), so scaling an input scales its
+threshold with its margin.
 """
-
 from __future__ import annotations
 
 import functools
@@ -527,9 +521,13 @@ def unit_tol(tol: float, values) -> float:
     Inputs whose largest entry lies in [1/2, 1) keep ``tol`` exactly;
     those in [1, 2), normalized states among them, get ``2 tol``.  A
     verdict that compares a homogeneous margin with it does not change
-    when the input is scaled by a power of two, at any size.
+    when the input is scaled by a power of two, at any size.  A ``tol``
+    that overflows there passes every margin: it is infinite.
     """
-    return math.ldexp(tol, unit_exponent(values))
+    try:
+        return math.ldexp(tol, unit_exponent(values))
+    except OverflowError:
+        return math.inf
 
 
 def minimize_product_form(coeffs: np.ndarray, specs: Sequence, cfg: SearchConfig) -> ProductMin:
@@ -612,20 +610,108 @@ def _product(sys: SystemType, factors: Sequence[np.ndarray]) -> GptVector:
     return GptVector(sys, kron_all(factors))
 
 
-def _verdict(value: float, conclusive: bool, tol: float,
-             reject: Callable[[], tuple], detail: str = "") -> MembershipVerdict:
-    """The verdict on a minimum slack ``value``.
+# ---------------------------------------------------------------------------
+# One verdict path: certificate gate, generator minimum, merge
+# ---------------------------------------------------------------------------
 
-    At ``value >= -tol`` the verdict is ``accepted`` with ``detail`` when
-    the minimum is ``conclusive`` and ``inconclusive-accept`` otherwise.
-    Below that it is ``rejected`` with the (witness, detail) pair that
-    ``reject()`` returns; the witness is only built then.
+_SCALAR = SystemType()
+
+
+def certificate_bound(coeffs: np.ndarray, effect_atoms: Sequence,
+                      state_atoms: Sequence) -> float | None:
+    """The one certificate gate: a :func:`spectral_bound` on a form's minimum, or None.
+
+    On quantum atoms the form is tr(X (R ⊗ S)) over effects R of
+    ``effect_atoms`` and states S of ``state_atoms``.  With at most one
+    state atom the states are pure, so the bound is taken on X, where the
+    engine's search would not be exact.  On two state atoms where
+    :func:`ppt_dims` holds every state is P + Q^Γ, so it is the lower of
+    those on X and on X with the last atom transposed, the pair as one
+    factor.  Any other atom, or shape, gets None.
     """
+    atoms = tuple(effect_atoms) + tuple(state_atoms)
+    if not all(isinstance(a, Quantum) for a in atoms):
+        return None
+    dims = tuple(a.d for a in atoms)
+    pair_dims = ppt_dims(SystemType(tuple(state_atoms))) if len(state_atoms) == 2 else None
+    if pair_dims is not None:
+        x = coeffs_to_hermitian(coeffs, dims)
+        return spectral_bound(np.stack([x, _partial_transpose(x, dims)]),
+                              dims[:-2] + (pair_dims[0] * pair_dims[1],))
+    if len(state_atoms) > 1 or search_is_exact(dims):
+        return None
+    return spectral_bound(coeffs_to_hermitian(coeffs, dims)[None], dims)
+
+
+def _generator_min(coeffs: np.ndarray, effect_sys: SystemType, state_sys: SystemType,
+                   cfg: SearchConfig, witness: Callable, probe: Callable | None,
+                   offset: float | None = None) -> tuple[list, bool]:
+    """The one generator minimum: (value, build) candidates, and whether they are conclusive.
+
+    The form pairs effect-side generators of ``effect_sys`` with state-side
+    ones of ``state_sys``.  The engine's minimum comes first; with
+    ``offset`` the side ``offset u - form`` follows at ``offset +
+    min(-form)`` (``u - e``; ``0 u - r = -r``).  Then each probe state p
+    of ``state_sys`` adds ``probe(p) = (value, effect, conclusive)``, and
+    with ``offset`` ``offset - value``.  ``build()`` returns
+    ``witness(effect, state, value)``.  Conclusive when the engine is
+    exact, :func:`product_generators_complete` holds for ``state_sys`` and
+    every probe is.
+    """
+    n = len(effect_sys.atoms)
+    specs = _effect_side_specs(effect_sys.atoms) + _state_side_specs(state_sys.atoms)
+
+    def engine(res, value):
+        return value, lambda: witness(_product(effect_sys, res.factors[:n]),
+                                      _product(state_sys, res.factors[n:]), value)
+
+    def probed(p, effect, value):
+        return value, lambda: witness(effect, p, value)
+
+    lo = minimize_product_form(coeffs, specs, cfg)
+    found = [engine(lo, lo.value)]
+    if offset is not None:
+        hi = minimize_product_form(-coeffs, specs, cfg)
+        found.append(engine(hi, offset + hi.value))
+    conclusive = lo.conclusive and product_generators_complete(state_sys)
+    for p in probe_states(state_sys):
+        value, effect, settled = probe(p)
+        conclusive = conclusive and settled
+        found.append(probed(p, effect, value))
+        if offset is not None:
+            found.append(probed(p, effect, offset - value))
+    return found, conclusive
+
+
+def _form_verdict(coeffs: np.ndarray, effect_sys: SystemType, state_sys: SystemType,
+                  cfg: SearchConfig, tol: float, witness: Callable, why: str,
+                  probe: Callable | None = None) -> MembershipVerdict:
+    """Is a form at least -tol on products of generators?  Gate, minimum, merge.
+
+    A :func:`certificate_bound` of at least -tol accepts with the bound as
+    the margin; otherwise :func:`_generator_min` and :func:`_verdict` decide.
+    """
+    bound = certificate_bound(coeffs, effect_sys.atoms, state_sys.atoms)
+    if bound is not None and bound >= -tol:
+        return MembershipVerdict(ACCEPTED, margin=bound, detail=_CERTIFIED)
+    found, conclusive = _generator_min(coeffs, effect_sys, state_sys, cfg, witness, probe)
+    return _verdict(found, conclusive, tol, why=why)
+
+
+def _verdict(found: Sequence, conclusive: bool, tol: float, detail="", why="") -> MembershipVerdict:
+    """The verdict on the first lowest of the (value, build) candidates ``found``.
+
+    At value >= -tol it is ``accepted`` with ``detail`` when the minimum is
+    ``conclusive`` and ``inconclusive-accept`` otherwise.  Below that it is
+    ``rejected`` with the witness ``build()`` returns, built only then, and
+    ``why``.  ``detail`` and ``why`` may be functions of the margin.
+    """
+    value, build = min(found, key=lambda c: c[0])
     if value >= -tol:
-        return MembershipVerdict(ACCEPTED if conclusive else INCONCLUSIVE_ACCEPT,
-                                 margin=value, detail=detail)
-    witness, detail = reject()
-    return MembershipVerdict(REJECTED, margin=value, witness=witness, detail=detail)
+        return MembershipVerdict(ACCEPTED if conclusive else INCONCLUSIVE_ACCEPT, margin=value,
+                                 detail=detail(value) if callable(detail) else detail)
+    return MembershipVerdict(REJECTED, margin=value, witness=build(),
+                             detail=why(value) if callable(why) else why)
 
 
 # ---------------------------------------------------------------------------
@@ -636,27 +722,17 @@ def _verdict(value: float, conclusive: bool, tol: float,
 def composite_state_check(v: GptVector, cfg: SearchConfig | None = None) -> MembershipVerdict:
     """Max-tensor cone membership: nonnegative against all product effects.
 
-    Polytopic factors are checked exhaustively over their dual rays; a
-    qubit pair is scanned and refined.  Other all-quantum composites are
-    first given a :func:`spectral_bound`, which accepts with that bound as
-    the margin when it is at least -tol; anything else falls back to a
-    seeded random-restart search whose acceptance is inconclusive.  A
-    rejection carries the product effect attaining the margin.  The
-    tolerance is ``cfg.tol`` at the unit size of ``v`` (:func:`unit_tol`).
+    A single atom has its exact test; a composite goes through
+    :func:`_form_verdict` over product effects, and a rejection carries
+    the product effect attaining the margin.  The tolerance is ``cfg.tol``
+    at the unit size of ``v`` (:func:`unit_tol`).
     """
     cfg = cfg or SearchConfig()
     tol = unit_tol(cfg.tol, v.coeffs)
     if len(v.atoms) == 1:
         return atomic_state_check(v, tol)
-    if all(isinstance(a, Quantum) for a in v.atoms):
-        dims = tuple(a.d for a in v.atoms)
-        if not search_is_exact(dims):
-            bound = spectral_bound(vector_to_hermitian_tensor(v)[None], dims)
-            if bound >= -tol:
-                return certified_verdict(bound)
-    res = minimize_product_form(v.coeffs, _effect_side_specs(v.atoms), cfg)
-    return _verdict(res.value, res.conclusive, tol, lambda: (
-        _product(v.system, res.factors), _NEGATIVE_EFFECT))
+    return _form_verdict(v.coeffs, v.system, _SCALAR, cfg, tol,
+                         lambda effect, state, value: effect, _NEGATIVE_EFFECT)
 
 
 def steer(v: GptVector, e: GptVector, on: int | Sequence[int] | None = None) -> GptVector:
@@ -718,7 +794,12 @@ def _mixed_state_coeffs(atom) -> np.ndarray:
 
 
 def _rank_one_effect_factors(e: GptVector) -> list | None:
-    """Split a product effect into per-atom factors, or None if entangled."""
+    """Split a product effect into per-atom factors, or None if entangled.
+
+    Every factor but the last is scaled to a largest value of 1 over
+    states, and the last carries the scales, so a valid product effect
+    splits into valid factors whatever the sizes of its factors.
+    """
     dims = e.system.atom_dims
     factors = []
     rest = e.coeffs
@@ -734,7 +815,11 @@ def _rank_one_effect_factors(e: GptVector) -> list | None:
             return None
         if ref < 0:
             f, rest = -f, -rest
-        factors.append(GptVector(system(e.atoms[i]), f))
+        a = e.atoms[i]  # f's largest value on a state, at least ref > 0
+        top = (np.linalg.eigvalsh(coeffs_to_hermitian(f, (a.d,)))[-1] if isinstance(a, Quantum)
+               else np.max(vertex_table(a) @ f))
+        factors.append(GptVector(system(e.atoms[i]), f / top))
+        rest = rest * top
     factors.append(GptVector(system(e.atoms[-1]), rest))
     return factors
 
@@ -812,15 +897,6 @@ def spectral_bound(mats: np.ndarray, dims: tuple) -> float:
     return float(lows.max(axis=0).min())
 
 
-def certified_verdict(bound: float) -> MembershipVerdict:
-    """The acceptance that a :func:`spectral_bound` of at least -tol proves.
-
-    The margin is the bound; the detail is one shared string, so a kept
-    verdict holds no text of its own.
-    """
-    return MembershipVerdict(ACCEPTED, margin=bound, detail=_CERTIFIED)
-
-
 _CERTIFIED = "spectral certificate: partial-transpose eigenvalues >= -tol"
 
 # Rejection details, one shared string each: the margin carries the number,
@@ -829,60 +905,44 @@ _NEGATIVE_EFFECT = "a product effect evaluates to the margin"
 _OUTSIDE_ON_STATE = "evaluates outside [0, 1] on a state, by the margin"
 
 
-def ppt_min(mats: np.ndarray, dims: tuple) -> tuple[float, Callable[[], GptVector]]:
-    """Exact minimum of tr(M W) over the normalized states W, M in a stack.
+def ppt_min(mats: np.ndarray, dims: tuple) -> list:
+    """Exact minima of tr(M W) over the normalized states W, one per M in a stack and per M^Γ.
 
     On a system where :func:`ppt_dims` holds, every state is P + Q^Γ with
     P, Q PSD (Størmer 1963; Woronowicz 1976), so the minimum over
-    unit-trace states is the lowest eigenvalue of any M or M^Γ.  One
-    batched ``eigh`` covers the stack and its partial transposes.  Returns
-    that minimum and a function building the state attaining it: vv† for
-    an eigenvector v of some M, (vv†)^Γ for one of some M^Γ.
+    unit-trace states is the lowest eigenvalue of any M or M^Γ, from one
+    batched ``eigh``.  Returns (value, build) candidates, the stack first,
+    then its partial transposes; ``build()`` gives the state attaining the
+    value: vv† for an eigenvector v of M, (vv†)^Γ for one of M^Γ.
     """
     vals, vecs = np.linalg.eigh(np.concatenate([mats, _partial_transpose(mats, dims)]))
-    i = int(np.argmin(vals[:, 0]))
 
-    def state() -> GptVector:
-        v = vecs[i, :, 0]
-        w = np.outer(v, v.conj())
-        if i >= len(mats):
-            w = _partial_transpose(w, dims)
-        return hermitian_tensor_to_vector(w, dims)
+    def state(i) -> GptVector:
+        w = np.outer(vecs[i, :, 0], vecs[i, :, 0].conj())
+        return hermitian_tensor_to_vector(_partial_transpose(w, dims) if i >= len(mats) else w,
+                                          dims)
 
-    return float(vals[i, 0]), state
+    return [(float(vals[i, 0]), lambda i=i: state(i)) for i in range(len(vals))]
 
 
-def _state_min(f: GptVector, cfg: SearchConfig | None, complement: bool = False):
-    """Minimum of <f, s>, and of <u - f, s> with ``complement``, over states s.
+def _state_min(f: GptVector, cfg: SearchConfig | None, offset: float | None = None):
+    """Candidates for the minimum of <f, s> over states s, and of <offset u - f, s> with ``offset``.
 
     The states are the normalized members of the state cone of ``f``'s
-    system.  Where :func:`ppt_dims` holds the minimum is exact
-    (:func:`ppt_min`).  Elsewhere it is the engine's minimum over products
-    of atomic vertices and projectors, lowered by the known probe
-    states, and conclusive when the engine is and
-    :func:`product_generators_complete` holds.  Returns (value,
-    conclusive, state) where ``state()`` builds a state attaining the value.
+    system.  Where :func:`ppt_dims` holds the candidates are exact
+    (:func:`ppt_min` of f and offset I - f).  Elsewhere they are the
+    state-side :func:`_generator_min`: products of atomic vertices and
+    projectors, then the probe states.  With ``offset`` the candidates
+    alternate between the two forms.  Returns (candidates, conclusive).
     """
     dims = ppt_dims(f.system)
     if dims is not None:
         mat = vector_to_hermitian_tensor(f)
-        value, state = ppt_min(np.stack([mat, np.eye(len(mat)) - mat]) if complement
-                               else mat[None], dims)
-        return value, True, state
-    cfg = cfg or SearchConfig()
-    specs = _state_side_specs(f.atoms)
-    lo = minimize_product_form(f.coeffs, specs, cfg)
-    found = [(lo.value, lambda: _product(f.system, lo.factors))]
-    if complement:
-        hi = minimize_product_form(-f.coeffs, specs, cfg)
-        found.append((1.0 + hi.value, lambda: _product(f.system, hi.factors)))
-    for probe in probe_states(f.system):
-        val = pair(f, probe)
-        found.append((val, lambda p=probe: p))
-        if complement:
-            found.append((1.0 - val, lambda p=probe: p))
-    value, state = min(found, key=lambda c: c[0])
-    return value, lo.conclusive and product_generators_complete(f.system), state
+        return ppt_min(mat[None] if offset is None
+                       else np.stack([mat, offset * np.eye(len(mat)) - mat]), dims), True
+    return _generator_min(f.coeffs, _SCALAR, f.system, cfg or SearchConfig(),
+                          lambda effect, state, value: state,
+                          lambda p: (pair(f, p), None, True), offset)
 
 
 def composite_effect_check(
@@ -895,14 +955,12 @@ def composite_effect_check(
     A supplied separable decomposition ``[(weight, [factor, ...]), ...]``
     with valid factors and sub-unit weight sum certifies validity exactly.
     Otherwise the margin is the lowest of <e, s> and <u - e, s> over the
-    states s found by :func:`_state_min`, and a rejection carries the state
-    attaining it.  That is exact on Q2*Q2, Q2*Q3 and Q3*Q2 (``e`` and
-    ``u - e`` must be PSD and PPT) and on systems whose product generators
-    and probes are complete.  Elsewhere product effects are certified
-    automatically, and the rest is a heuristic: finding a violation
-    rejects conclusively, finding none only reports inconclusive
-    acceptance.  The tolerance is ``cfg.tol``; a configuration is only
-    built when the heuristic search runs.
+    candidates of one :func:`_state_min` call, and a rejection carries the
+    state attaining it.  That is exact on Q2*Q2, Q2*Q3 and Q3*Q2 and where
+    the generators are complete.  Elsewhere the zero effect and product
+    effects with valid factors are accepted first, and finding no
+    violation only reports inconclusive acceptance.  The tolerance is
+    ``cfg.tol``; a configuration is only built when the search runs.
     """
     tol = cfg.tol if cfg is not None else DEFAULT_TOL
     if len(e.atoms) == 1:
@@ -920,15 +978,11 @@ def composite_effect_check(
         factors = _rank_one_effect_factors(e)
         if factors is not None and _validate_certificate(e, [(1.0, factors)], tol)[0]:
             return MembershipVerdict(ACCEPTED, margin=0.0, detail="product-effect certificate")
-    value, conclusive, state = _state_min(e, cfg, complement=True)
-
-    def reject():
-        return state(), detail + _OUTSIDE_ON_STATE
-
+    found, conclusive = _state_min(e, cfg, 1.0)
     how = ("e and u - e are PPT" if dims is not None
            else "no violation on the cone generators" if conclusive
            else "no violation found (heuristic search)")
-    return _verdict(value, conclusive, tol, reject, detail + how)
+    return _verdict(found, conclusive, tol, detail + how, detail + _OUTSIDE_ON_STATE)
 
 
 # ---------------------------------------------------------------------------

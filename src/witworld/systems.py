@@ -259,17 +259,17 @@ def coeffs_to_hermitian(coeffs: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     return mats.reshape(lead + (total, total))
 
 
-def hermitian_to_vector(m: np.ndarray, eps_herm: float = EPS_HERM) -> GptVector:
+def hermitian_to_vector(m: np.ndarray) -> GptVector:
     """Expand a Hermitian matrix into its coefficient vector.
 
     The map is linear and invertible, and Euclidean inner products of
     images equal Hilbert-Schmidt inner products of the matrices.  The
-    matrix must be Hermitian to ``eps_herm`` by :func:`not_hermitian`.
+    matrix must be Hermitian to ``EPS_HERM`` by :func:`not_hermitian`.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not_hermitian(m, eps_herm):
+    if not_hermitian(m, EPS_HERM):
         raise ValueError("matrix is not Hermitian within tolerance")
     d = m.shape[0]
     return GptVector(system(Quantum(d)), hermitian_to_coeffs(m, (d,)))

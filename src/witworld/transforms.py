@@ -1,11 +1,12 @@
 """Linear maps between systems: application, composition, and validity tests.
 
 A transformation is a real matrix between the coefficient spaces of two
-systems.  Positivity (mapping the domain cone into the codomain cone) is
-decided by minimizing the bilinear form <codomain ray, T(domain
-generator)> with the engine from :mod:`witworld.compose`; for quantum
-systems the separate Choi-matrix test distinguishes maps that are
-positive but not completely positive in quantum theory, which are
+systems.  Positivity (mapping the domain cone into the codomain cone) and
+the trace conditions are forms minimized on the one verdict path of
+:mod:`witworld.compose`, which alone decides which method settles which
+shape; this module only builds the forms and their witnesses.  For
+quantum systems the separate Choi-matrix test distinguishes maps that
+are positive but not completely positive in quantum theory, which are
 nevertheless valid here.
 """
 
@@ -19,23 +20,12 @@ import numpy as np
 
 from .compose import (
     SearchConfig,
-    certified_verdict,
     composite_effect_check,
     composite_state_check,
-    minimize_product_form,
-    ppt_dims,
-    probe_states,
-    product_generators_complete,
-    search_is_exact,
-    spectral_bound,
     tensor_all,
     unit_tol,
-    vector_to_hermitian_tensor,
-    _effect_side_specs,
-    _partial_transpose,
-    _product,
+    _form_verdict,
     _state_min,
-    _state_side_specs,
     _verdict,
 )
 from .systems import (
@@ -292,72 +282,27 @@ class PositivityViolation:
     value: float
 
 
-def _positivity_bound(t: LinearMap) -> float | None:
-    """A :func:`spectral_bound` on the positivity margin of ``t``, or None.
-
-    With codomain effects r and domain states s, <r, t(s)> = tr(X (R ⊗ S))
-    for X = Σ M_ij B_i ⊗ B_j over the codomain atoms and the domain.  On a
-    single quantum domain atom the states are pure, so the margin is the
-    minimum of X over products of projectors.  On a domain where
-    :func:`ppt_dims` holds, t is positive exactly when t*(r) and its
-    partial transpose are PSD for every product r, so the margin is the
-    lower of the minima of X and of X with the last domain atom transposed,
-    each over products of projectors with the domain as one factor.  Given
-    only for an all-quantum codomain and where the search is not exact.
-    """
-    cod, dom = t.codomain.atoms, t.domain.atoms
-    if not all(isinstance(a, Quantum) for a in cod):
-        return None
-    cod_dims = tuple(a.d for a in cod)
-    pair_dims = None
-    if len(dom) == 1 and isinstance(dom[0], Quantum):
-        dims = cod_dims + (dom[0].d,)
-        if search_is_exact(dims):
-            return None
-    else:
-        pair_dims = ppt_dims(t.domain)
-        if pair_dims is None:
-            return None
-        dims = cod_dims + (pair_dims[0] * pair_dims[1],)
-    x = vector_to_hermitian_tensor(GptVector(t.codomain * t.domain, t.matrix.reshape(-1)))
-    mats = (x[None] if pair_dims is None
-            else np.stack([x, _partial_transpose(x, cod_dims + pair_dims)]))
-    return spectral_bound(mats, dims)
-
-
 def positivity_check(t: LinearMap, cfg: SearchConfig | None = None) -> MembershipVerdict:
     """Does ``t`` map the domain cone into the codomain cone?
 
-    Decided by minimizing <r, t(g)> over codomain dual generators r and
-    domain cone generators g.  Products of atomic generators are covered
-    by the engine; the known non-product extreme states of composite
-    domains (:func:`witworld.compose.probe_states`) are checked explicitly.  Conclusive whenever both generator
-    descriptions are complete and the quantum search is in its exact
-    regime.  Before a search that is not, an all-quantum codomain with a
-    quantum or Q2*Q2-, Q2*Q3-type domain is given :func:`_positivity_bound`,
-    which accepts when it is at least -tol.  A rejection carries a
-    :class:`PositivityViolation`.  The tolerance is ``cfg.tol`` at the
-    unit size of the map's matrix (:func:`witworld.compose.unit_tol`).
+    The minimum of <r, t(g)> over codomain effect generators r and domain
+    generators g, on :func:`witworld.compose._form_verdict`'s path; the
+    domain's probe states count through :func:`composite_state_check` of
+    their images, and replace the engine's witness only when strictly
+    lower.  A rejection carries a :class:`PositivityViolation`.  The
+    tolerance is ``cfg.tol`` at the unit size of the map's matrix
+    (:func:`witworld.compose.unit_tol`).
     """
     cfg = cfg or SearchConfig()
-    tol = unit_tol(cfg.tol, t.matrix)
-    bound = _positivity_bound(t)
-    if bound is not None and bound >= -tol:
-        return certified_verdict(bound)
-    cod, dom = t.codomain.atoms, t.domain.atoms
-    specs = _effect_side_specs(cod) + _state_side_specs(dom)
-    res = minimize_product_form(t.matrix.reshape(-1), specs, cfg)
-    n = len(cod)
-    margin, violation = res.value, lambda: PositivityViolation(
-        _product(t.domain, res.factors[n:]), _product(t.codomain, res.factors[:n]), res.value)
-    conclusive = res.conclusive and product_generators_complete(t.domain)
-    for probe in probe_states(t.domain):
-        check = composite_state_check(apply(t, probe), cfg)
-        conclusive = conclusive and check.status != INCONCLUSIVE_ACCEPT
-        if check.margin < margin:
-            margin, violation = check.margin, (
-                lambda p=probe, c=check: PositivityViolation(p, c.witness, c.margin))
-    return _verdict(margin, conclusive, tol, lambda: (violation(), _OUTSIDE_CODOMAIN))
+
+    def probe(p):
+        check = composite_state_check(apply(t, p), cfg)
+        return check.margin, check.witness, check.status != INCONCLUSIVE_ACCEPT
+
+    return _form_verdict(t.matrix.reshape(-1), t.codomain, t.domain, cfg,
+                         unit_tol(cfg.tol, t.matrix),
+                         lambda effect, state, value: PositivityViolation(state, effect, value),
+                         _OUTSIDE_CODOMAIN, probe)
 
 
 # the detail of every positivity rejection; the margin carries the number
@@ -412,39 +357,35 @@ def trace_condition_check(t: LinearMap, mode: str,
                           cfg: SearchConfig | None = None) -> MembershipVerdict:
     """Check ``u(T(s)) = u(s)`` (preserving) or ``<=`` (non-increasing).
 
-    Both are conditions on normalized states s, decided by
-    :func:`_state_min`, and a rejection carries the state attaining the
-    margin.  The preserving case asks that ``r = T^T u - u`` vanish on
-    every state: its margin is -max |<r, s>|, the lowest of <r, s> and
-    <-r, s>, and r = 0 makes it 0 without a search.  An acceptance is
-    conclusive where the search is exact or every coefficient of r is
-    within tol.  The non-increasing
-    case asks that the deficit ``u - T^T u`` be nonnegative on the domain
-    cone.  On Q2*Q2, Q2*Q3 and Q3*Q2 domains both are exact through the
-    partial transpose; elsewhere the functional is minimized over the
-    domain cone generators.
+    Both are conditions on normalized states s.  A map with ``T^T u = u``
+    exactly meets both, with margin 0 and no search.  Otherwise one
+    :func:`witworld.compose._state_min` call decides, and a rejection
+    carries the state attaining the margin.  Preserving asks that ``r =
+    T^T u - u`` vanish: its margin is the lowest of <r, s> and <-r, s>,
+    ties to the r side, and it is conclusive where the search is exact or
+    every coefficient of r is within tol.  Non-increasing asks that the
+    deficit ``u - T^T u`` be nonnegative.
     """
+    if mode not in ("preserving", "non-increasing"):
+        raise ValueError(f"unknown mode {mode!r}; use 'preserving' or 'non-increasing'")
     cfg = cfg or SearchConfig()
     u_dom = unit_effect(t.domain).coeffs
-    u_cod = unit_effect(t.codomain).coeffs
+    tu = t.matrix.T @ unit_effect(t.codomain).coeffs
+    residual = tu - u_dom
+    if not residual.any():
+        return MembershipVerdict(ACCEPTED, margin=0.0, detail="u(T(s)) = u(s) identically"
+                                 if mode == "preserving" else "")
     if mode == "preserving":
-        residual = t.matrix.T @ u_cod - u_dom
-        if not residual.any():
-            return MembershipVerdict(ACCEPTED, margin=0.0, detail="u(T(s)) = u(s) identically")
-        lo, lo_exact, lo_state = _state_min(GptVector(t.domain, residual), cfg)
-        hi, hi_exact, hi_state = _state_min(GptVector(t.domain, -residual), cfg)
-        margin, state = (lo, lo_state) if lo <= hi else (hi, hi_state)
+        found, exact = _state_min(GptVector(t.domain, residual), cfg, 0.0)
         # within tol on a basis the identity holds, whatever a search found
-        exact = (lo_exact and hi_exact) or float(np.max(np.abs(residual))) <= cfg.tol
-        return _verdict(margin, exact, cfg.tol, lambda: (
-            state(), f"changes the trace by {-margin:.6g} on a state"),
-            f"max |u(T(s)) - u(s)| found {-margin:.3g}")
-    if mode != "non-increasing":
-        raise ValueError(f"unknown mode {mode!r}; use 'preserving' or 'non-increasing'")
-    deficit = GptVector(t.domain, u_dom - t.matrix.T @ u_cod)
-    margin, conclusive, state = _state_min(deficit, cfg)
-    return _verdict(margin, conclusive, cfg.tol, lambda: (
-        state(), f"trace increases by {-margin:.6g} on a state"))
+        exact = exact or float(np.max(np.abs(residual))) <= cfg.tol
+        # the candidates alternate between r and -r: every r one goes first
+        return _verdict(found[0::2] + found[1::2], exact, cfg.tol,
+                        lambda m: f"max |u(T(s)) - u(s)| found {-m:.3g}",
+                        lambda m: f"changes the trace by {-m:.6g} on a state")
+    found, conclusive = _state_min(GptVector(t.domain, u_dom - tu), cfg)
+    return _verdict(found, conclusive, cfg.tol,
+                    why=lambda m: f"trace increases by {-m:.6g} on a state")
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from witworld import (
     SearchConfig,
     builtin_map,
     builtin_state,
+    composite_effect_check,
     composite_state_check,
     hermitian_basis,
     hermitian_tensor_to_vector,
@@ -31,6 +32,7 @@ from witworld import (
     pr_state,
     system,
     tensor,
+    trace_condition_check,
     transpose_map,
     unot_map,
     vector_to_hermitian_tensor,
@@ -111,7 +113,8 @@ def test_ppt_domain_map_needs_both_conditions(dims):
     phi = hermitian_tensor_to_vector(np.outer(amp, amp), dims)
     sigma = hermitian_to_vector(np.diag([0.7, 0.3]).astype(complex))
     t = LinearMap(phi.system, sigma.system, np.outer(sigma.coeffs, phi.coeffs))
-    assert transforms._positivity_bound(t) < -0.1
+    assert compose.certificate_bound(t.matrix.reshape(-1), t.codomain.atoms,
+                                     t.domain.atoms) < -0.1
     res = positivity_check(t, CFG)
     assert not res.accepted, res.describe()
     if dims == (2, 2):
@@ -191,7 +194,56 @@ def test_certified_maps_and_their_margins():
     assert positivity_check(cases[0], CFG).margin <= found + 1e-12
 
 
-# --- the exact paths never call it ------------------------------------------------
+# --- where the gate runs ------------------------------------------------------------
+
+Q2, Q3, C2, B22 = Quantum(2), Quantum(3), Classical(2), Boxworld(2, 2)
+
+# (check, system or map domain, map codomain, the dims that the gate hands to
+# spectral_bound, or None where it does not run): all-quantum states and maps
+# whose search is not exact, and maps from a PPT domain into quantum atoms
+_GATE_TABLE = (
+    ("state", (Q2,), None, None),
+    ("state", (C2, Q2), None, None),
+    ("state", (B22, Q2), None, None),
+    ("state", (B22, B22), None, None),
+    ("state", (Q2, Q2), None, None),
+    ("state", (Q2, Q3), None, (2, 3)),
+    ("state", (Q3, Q2), None, (3, 2)),
+    ("state", (Q3, Q3), None, (3, 3)),
+    ("state", (Q2, Q2, Q2), None, (2, 2, 2)),
+    ("state", (Q2, Q2, Q3), None, (2, 2, 3)),
+    ("state", (C2, Q2, Q2), None, None),
+    ("state", (B22, B22, Q2), None, None),
+    ("positivity", (Q2,), (Q2,), None),
+    ("positivity", (Q2,), (), None),
+    ("positivity", (Q3,), (), None),
+    ("positivity", (Q3,), (Q3,), (3, 3)),
+    ("positivity", (Q2,), (Q3,), (3, 2)),
+    ("positivity", (Q3,), (Q2,), (2, 3)),
+    ("positivity", (Q2,), (Q2, Q2), (2, 2, 2)),
+    ("positivity", (Q2, Q2), (), (4,)),
+    ("positivity", (), (Q3, Q3), (3, 3)),
+    ("positivity", (Q2, Q2), (Q2,), (2, 4)),
+    ("positivity", (Q2, Q3), (Q2,), (2, 6)),
+    ("positivity", (Q3, Q3), (), None),
+    ("positivity", (Q2, Q2, Q2), (), None),
+    ("positivity", (Q2, Q2), (C2,), None),
+    ("positivity", (Q2,), (C2,), None),
+    ("positivity", (C2, Q2), (Q2,), None),
+    ("positivity", (B22,), (B22,), None),
+    ("positivity", (B22, B22), (C2,), None),
+    ("effect", (Q2, Q2), None, None),
+    ("effect", (Q2, Q3), None, None),
+    ("effect", (Q3, Q3), None, None),
+    ("effect", (Q2, Q2, Q2), None, None),
+    ("effect", (B22, B22), None, None),
+    ("preserving", (Q2, Q2), (Q2,), None),
+    ("preserving", (Q3,), (Q3,), None),
+    ("preserving", (Q2, Q2, Q2), (), None),
+    ("non-increasing", (Q2, Q2), (Q2,), None),
+    ("non-increasing", (Q3,), (Q3,), None),
+    ("non-increasing", (Q3, Q3), (), None),
+)
 
 
 def test_certificate_stays_off_the_exact_paths(monkeypatch):
@@ -203,10 +255,24 @@ def test_certificate_stays_off_the_exact_paths(monkeypatch):
 
     bound = compose.spectral_bound
     monkeypatch.setattr(compose, "spectral_bound", spy)
-    monkeypatch.setattr(transforms, "spectral_bound", spy)
+    cfg = SearchConfig(restarts=5)
     rng = np.random.default_rng(3)
+    for check, first, second, dims in _GATE_TABLE:
+        calls.clear()
+        if second is None:
+            v = GptVector(system(*first), rng.normal(size=system(*first).dim))
+            (composite_state_check(v, cfg) if check == "state"
+             else composite_effect_check(v, cfg=cfg))
+        else:
+            dom, cod = system(*first), system(*second)
+            t = LinearMap(dom, cod, rng.normal(size=(cod.dim, dom.dim)))
+            (positivity_check(t, cfg) if check == "positivity"
+             else trace_condition_check(t, check, cfg))
+        assert calls == ([] if dims is None else [dims]), (check, first, second)
+    # inputs the exact paths decide: built-in states and maps, boxes, classical factors
     q2 = hermitian_to_vector(random_density(rng, 2))
     c2q2 = tensor(GptVector(system(Classical(2)), [0.3, 1.0]), q2)
+    calls.clear()
     for v in (random_decomposable_witness(rng), builtin_state("singlet-pt"),
               builtin_state("swap2"), hermitian_to_vector(random_density(rng, 3)), q2,
               pr_state(), c2q2, GptVector(c2q2.system, -c2q2.coeffs)):

@@ -351,6 +351,18 @@ def _local_assemblage_doc(parties, seed):
             "settings": [2] * parties, "d": 2, "elements": elements}
 
 
+def test_tol_near_the_float_maximum_is_not_an_internal_error(capsys, tmp_path):
+    # at unit size the tolerance overflowed and the verb exited 70; an
+    # infinite tolerance passes every margin
+    path = tmp_path / "zz.json"
+    path.write_text(json.dumps({"system": ["Q2", "Q2"], "coeffs": [0.0] * 15 + [1.0]}))
+    for argv in (["check-state", str(path)],
+                 ["check-map", "builtin:transpose3", "--test", "positivity"]):
+        code, out, err = run(capsys, *argv, "--tol", "8.98846567431158e+307", "--json")
+        assert code == 0 and err == "", argv
+        assert json.loads(out)["status"] == "accepted"
+
+
 def test_json_determinism_across_verbs(capsys, tmp_path):
     two_party = tmp_path / "prbox.json"
     run(capsys, "assemblage", "pr-box", "--emit", str(two_party))
@@ -373,6 +385,7 @@ def test_json_determinism_across_verbs(capsys, tmp_path):
          "--verify-lhs", "--json"],
         ["check-effect", "builtin:swap2", "--json"],
         ["check-map", "builtin:ctranspose2", "--test", "trace-nonincreasing", "--json"],
+        ["check-map", "builtin:unot2", "--test", "trace-preserving", "--json"],
     ):
         a = run(capsys, *argv)
         b = run(capsys, *argv)

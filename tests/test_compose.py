@@ -531,6 +531,24 @@ def test_scaled_product_effect_rejected():
     assert pair(e, res.witness) == pytest.approx(1.5, abs=1e-12)
 
 
+def test_product_effects_with_factors_of_different_sizes_get_the_certificate():
+    # the split scales every factor but the last to a largest value of 1 on
+    # states; an even split left a factor above the unit effect
+    def scaled(atom, c):
+        return GptVector(system(atom), c * unit_effect(system(atom)).coeffs)
+
+    for e in (tensor(scaled(B22, 1.0), scaled(Q2, 0.9)), unit_effect(system(Q2, Q2, Q2)),
+              unit_effect(system(B22, B22, Q2))):
+        res = composite_effect_check(e)
+        assert (res.status, res.margin, res.detail) == (
+            "accepted", 0.0, "product-effect certificate"), e.system
+    for e, over in ((tensor(scaled(B22, 1.0), scaled(Q2, 1.1)), 0.1),
+                    (tensor_all([scaled(Q2, 1.0), scaled(Q2, 1.0), scaled(Q2, 1.01)]), 0.01)):
+        res = composite_effect_check(e)
+        assert res.rejected, e.system
+        assert res.margin == pytest.approx(-over, abs=1e-12)
+
+
 def test_separable_mixture_inconclusive_without_certificate_then_certified():
     rays = effect_cone_rays(B22)
     terms = [(0.5, [rays[0], rays[0]]), (0.5, [rays[3], rays[3]])]

@@ -162,9 +162,10 @@ def test_singlet_covariance_at_state_vector_level():
 
 
 def _reference_map_from_matrix_action(action, d_in, d_out=None):
-    """One image at a time, each through :func:`hermitian_to_vector`."""
+    """One image at a time, each through :func:`hermitian_tensor_to_vector`."""
     d_out = d_in if d_out is None else d_out
-    cols = [hermitian_to_vector(action(b), eps_herm=1e-8).coeffs for b in hermitian_basis(d_in)]
+    cols = [hermitian_tensor_to_vector(action(b), (d_out,)).coeffs
+            for b in hermitian_basis(d_in)]
     return LinearMap(system(Quantum(d_in)), system(Quantum(d_out)), np.column_stack(cols))
 
 
@@ -303,6 +304,20 @@ def test_doubling_fails_both_trace_conditions():
     assert trace_condition_check(t, "non-increasing").rejected
     with pytest.raises(ValueError):
         trace_condition_check(t, "bogus")
+
+
+@pytest.mark.parametrize("atoms", [(Quantum(3), Quantum(3)), (Quantum(2),) * 3,
+                                   (Boxworld(2, 2), Boxworld(2, 2), Quantum(2))],
+                         ids=["Q3*Q3", "Q2*Q2*Q2", "B2,2*B2,2*Q2"])
+def test_identity_meets_both_trace_conditions_without_a_search(atoms, monkeypatch):
+    # a zero deficit is nonnegative on every state: no search, so no
+    # inconclusive acceptance where the search is heuristic
+    import witworld.compose as compose
+
+    monkeypatch.setattr(compose, "minimize_product_form", None)
+    for mode, detail in (("preserving", "u(T(s)) = u(s) identically"), ("non-increasing", "")):
+        res = trace_condition_check(identity_map(system(*atoms)), mode)
+        assert (res.status, res.margin, res.detail) == ("accepted", 0.0, detail), mode
 
 
 def test_quantum_trace_nonincreasing_via_sphere_minimum():
