@@ -365,12 +365,12 @@ def _cmd_lhs(args) -> int:
     payload = {
         "status": "feasible",
         "detail": verdict.detail,
-        "strategies": len(model.strategies),
+        "strategies": len(model.weights),
     }
     if args.json:
         print(dump_json(payload))
     else:
-        print(f"feasible with {len(model.strategies)} strategies; {verdict.detail}")
+        print(f"feasible with {len(model.weights)} strategies; {verdict.detail}")
     return EXIT_OK
 
 

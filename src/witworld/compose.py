@@ -798,19 +798,21 @@ def _rank_one_effect_factors(e: GptVector) -> list | None:
 
     Every factor but the last is scaled to a largest value of 1 over
     states, and the last carries the scales, so a valid product effect
-    splits into valid factors whatever the sizes of its factors.
+    splits into valid factors whatever the sizes of its factors.  The
+    cut-offs are relative to the effect's and the factor's unit size.
     """
     dims = e.system.atom_dims
     factors = []
     rest = e.coeffs
+    zero = 1e-14 * math.ldexp(1.0, unit_exponent(e.coeffs))
     for i in range(len(dims) - 1):
         m = rest.reshape(dims[i], -1)
         u, s, vt = np.linalg.svd(m, full_matrices=False)
-        if s[0] < 1e-14 or (s.size > 1 and s[1] > 1e-10 * s[0]):
+        if s[0] < zero or (s.size > 1 and s[1] > 1e-10 * s[0]):
             return None
         f = u[:, 0] * np.sqrt(s[0])
         rest = vt[0] * np.sqrt(s[0])
-        ref = float(f @ _mixed_state_coeffs(e.atoms[i]))
+        ref = float(u[:, 0] @ _mixed_state_coeffs(e.atoms[i]))
         if abs(ref) < 1e-12:
             return None
         if ref < 0:

@@ -21,6 +21,7 @@ from .steering import (
     MULTIPARTITE,
     Assemblage,
     SteeringInequality,
+    _element_rows,
 )
 from .systems import (
     Boxworld,
@@ -28,10 +29,9 @@ from .systems import (
     GptVector,
     Quantum,
     SystemType,
+    coeffs_to_hermitian,
     hermitian_to_coeffs,
     not_hermitian,
-    system,
-    vector_to_hermitian,
 )
 from .transforms import LinearMap
 
@@ -207,14 +207,15 @@ def _parse_element_key(scenario: str, s: str):
 
 
 def assemblage_to_json(asm: Assemblage) -> dict:
+    mats = coeffs_to_hermitian(asm.coeffs, (asm.d,))
     out = {
         "scenario": asm.scenario,
         "outcomes": list(asm.outcomes),
         "settings": list(asm.settings),
         "d": asm.d,
         "elements": {
-            _element_key_to_str(asm.scenario, key): _matrix_to_json(vector_to_hermitian(el))
-            for key, el in sorted(asm.elements.items())
+            _element_key_to_str(asm.scenario, asm.key_at(index)): _matrix_to_json(mats[index])
+            for index in np.ndindex(asm.coeffs.shape[:-1])
         },
     }
     if asm.bob_inputs is not None:
@@ -228,7 +229,7 @@ def assemblage_from_json(obj) -> Assemblage:
     Keys and element forms are read in file order.  All matrix-form
     ``{"re", "im"}`` parts then go into one array, with one finiteness
     test; only when that fails are they read one by one, so the error
-    names the first bad element.
+    names the first bad element.  No per-element vector is built.
     """
     if not isinstance(obj, dict) or "scenario" not in obj or "elements" not in obj:
         raise MalformedInputError("assemblage must carry 'scenario' and 'elements'")
@@ -246,9 +247,9 @@ def assemblage_from_json(obj) -> Assemblage:
     d = obj.get("d")
     if "d" in obj and (not isinstance(d, int) or isinstance(d, bool) or d < 1):
         raise MalformedInputError(f"assemblage 'd' must be a positive integer, got {d!r}")
-    elements = _read_elements(scenario, obj["elements"])
+    keys, rows = _read_elements(scenario, obj["elements"])
     try:
-        asm = Assemblage(scenario, outcomes, settings, elements, bob_inputs=bob_inputs)
+        asm = Assemblage.from_rows(scenario, outcomes, settings, keys, rows, bob_inputs=bob_inputs)
     except ValueError as exc:
         raise MalformedInputError(str(exc)) from exc
     if d is not None and d != asm.d:
@@ -256,8 +257,8 @@ def assemblage_from_json(obj) -> Assemblage:
     return asm
 
 
-def _read_elements(scenario: str, items: dict) -> dict:
-    """The elements ``{key: vector}`` in file order.
+def _read_elements(scenario: str, items: dict) -> tuple:
+    """The element keys in file order, and their coefficient rows.
 
     A key spelled twice keeps its first place and takes its later element.
     """
@@ -273,17 +274,26 @@ def _read_elements(scenario: str, items: dict) -> dict:
             elements[key] = gptvector_from_json(val)
         else:
             raise MalformedInputError(f"element {key_str} needs 'matrix' re/im or a vector")
-    if not matrices:
-        return elements
-    stack = _matrix_stack(key_strs, matrices)
-    bad = np.flatnonzero(not_hermitian(stack, 1e-8))  # the test of hermitian_tensor_to_vector
-    if bad.size:
-        raise MalformedInputError(
-            f"element {key_strs[bad[0]]} matrix is not Hermitian within tolerance"
-        )
-    sys = system(Quantum(stack.shape[1]))
-    vectors = [GptVector(sys, row) for row in hermitian_to_coeffs(stack, (stack.shape[1],))]
-    return {key: vectors[v] if isinstance(v, int) else v for key, v in elements.items()}
+    vectors = {key: v for key, v in elements.items() if not isinstance(v, int)}
+    try:
+        rows = _element_rows(vectors)
+    except ValueError as exc:
+        raise MalformedInputError(str(exc)) from exc
+    if matrices:
+        stack = _matrix_stack(key_strs, matrices)
+        bad = np.flatnonzero(not_hermitian(stack, 1e-8))  # the test of hermitian_tensor_to_vector
+        if bad.size:
+            raise MalformedInputError(
+                f"element {key_strs[bad[0]]} matrix is not Hermitian within tolerance"
+            )
+        d = stack.shape[1]
+        if vectors and rows.shape[1] != d * d:
+            raise MalformedInputError("elements live on different systems")
+        # the vector rows follow the matrix rows, in file order
+        at = dict(zip(vectors, range(len(matrices), len(matrices) + len(vectors))))
+        rows = np.concatenate([hermitian_to_coeffs(stack, (d,)), rows.reshape(-1, d * d)])
+        rows = rows[[at.get(key, v) for key, v in elements.items()]]
+    return list(elements), rows
 
 
 def _matrix_stack(key_strs: list, matrices: list) -> np.ndarray:

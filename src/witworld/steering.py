@@ -61,7 +61,7 @@ from .transforms import (
     PAULI_Y,
     PAULI_Z,
 )
-from .verdict import ACCEPTED, INCONCLUSIVE_ACCEPT, REJECTED, UNSUPPORTED, MembershipVerdict
+from .verdict import ACCEPTED, REJECTED, UNSUPPORTED, MembershipVerdict
 
 BIPARTITE = "bipartite"
 MULTIPARTITE = "multipartite"
@@ -73,7 +73,7 @@ _SCENARIOS = (BIPARTITE, MULTIPARTITE, BOB_WITH_INPUT, INSTRUMENTAL)
 ELEMENT_PSD_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Assemblage:
     """Indexed family of subnormalized quantum states.
 
@@ -83,22 +83,38 @@ class Assemblage:
     * multipartite: ``(a_tuple, x_tuple)``
     * bob-with-input: ``(a, x, y)``
 
-    ``coeffs`` holds every element's coefficients in one read-only array
-    indexed ``(*outcomes, *settings[, y], d**2)``.
+    ``coeffs``, the only element store, holds every element's coefficients in
+    one read-only array indexed ``(*outcomes, *settings[, y], d**2)``;
+    ``keys`` keeps the order the keys came in.  The constructor converts
+    ``{key: GptVector}`` to the rows :meth:`from_rows` takes, and both
+    validate once, on the array.  ``elements``, ``element()`` and
+    ``matrix()`` build vectors from ``coeffs`` on demand.
     """
 
     scenario: str
     outcomes: tuple
     settings: tuple
-    elements: dict
+    coeffs: np.ndarray = field(repr=False)
+    keys: tuple = field(repr=False)
     bob_inputs: int | None = None
-    coeffs: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __init__(self, scenario, outcomes, settings, elements: dict, bob_inputs=None):
+        self._set(scenario, outcomes, settings, list(elements), _element_rows(elements),
+                  bob_inputs)
+
+    @classmethod
+    def from_rows(cls, scenario, outcomes, settings, keys, rows, bob_inputs=None) -> Assemblage:
+        """The assemblage with coefficients ``rows[i]``, over ``Q<d>`` for rows of
+        ``d**2``, at ``keys[i]``."""
+        asm = cls.__new__(cls)
+        asm._set(scenario, outcomes, settings, list(keys), rows, bob_inputs)
+        return asm
+
+    def _set(self, scenario, outcomes, settings, keys, rows, bob_inputs):
+        vars(self).update(scenario=scenario, outcomes=tuple(outcomes), settings=tuple(settings),
+                          bob_inputs=bob_inputs)
         if self.scenario not in _SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        object.__setattr__(self, "settings", tuple(self.settings))
         if self.scenario == BOB_WITH_INPUT and not self.bob_inputs:
             raise ValueError("bob-with-input assemblages need bob_inputs")
         if self.scenario != BOB_WITH_INPUT and self.bob_inputs is not None:
@@ -117,59 +133,39 @@ class Assemblage:
                    for c in counts):
             raise ValueError(f"outcome, setting and input counts must be positive integers, "
                              f"got {counts}")
-        expected = set(self._expected_keys())
-        got = set(self.elements)
-        if got != expected:
-            missing = sorted(expected - got)[:3]
-            extra = sorted(got - expected)[:3]
-            raise ValueError(f"incomplete element index: missing {missing}, extra {extra}")
-        sys = None
-        for key, el in self.elements.items():
-            if len(el.atoms) != 1 or not isinstance(el.atoms[0], Quantum):
-                raise ValueError(f"element {key} is not over a single quantum atom")
-            sys = sys or el.system
-            if el.system != sys:
-                raise ValueError("elements live on different systems")
-        keys = list(self.elements)
-        # the grid position of each key, in dict order
-        flat = np.ravel_multi_index(np.array(
-            [k[0] + k[1] if self.scenario == MULTIPARTITE else k for k in keys]).T, counts)
-        coeffs = np.empty((flat.size, sys.dim))
-        coeffs[flat] = [el.coeffs for el in self.elements.values()]
-        failing = np.flatnonzero(_lowest_eigenvalues(coeffs, sys.atoms[0].d)[flat]
-                                 < -ELEMENT_PSD_TOL)
+        grid = list(itertools.product(*map(range, counts)))  # every key, in grid order
+        if self.scenario == MULTIPARTITE:
+            grid = [(k[:parties], k[parties:]) for k in grid]
+        # the grid position of each key, in key order
+        flat = list(map(dict(zip(grid, range(len(grid)))).get, keys))
+        if len(keys) != len(grid) or None in flat or len(set(flat)) != len(flat):
+            expected, got = set(grid), set(keys)
+            raise ValueError(f"incomplete element index: missing {sorted(expected - got)[:3]}, "
+                             f"extra {sorted(got - expected)[:3]}")
+        rows = np.asarray(rows, dtype=float)
+        d = math.isqrt(rows.shape[-1])
+        if rows.shape != (len(keys), d * d) or not np.isfinite(rows).all():
+            raise ValueError(f"need one finite row of d**2 coefficients per key, got {rows.shape}")
+        coeffs = np.empty((len(flat), d * d))
+        coeffs[flat] = rows
+        failing = np.flatnonzero(_lowest_eigenvalues(coeffs, d)[flat] < -ELEMENT_PSD_TOL)
         if failing.size:
-            key = keys[failing[0]]
-            check = atomic_state_check(self.elements[key], ELEMENT_PSD_TOL)
-            raise ValueError(f"element {key} is not positive: {check.describe()}")
+            i = failing[0]
+            check = atomic_state_check(GptVector(system(Quantum(d)), rows[i]), ELEMENT_PSD_TOL)
+            raise ValueError(f"element {keys[i]} is not positive: {check.describe()}")
         coeffs = coeffs.reshape(counts + (-1,))
         coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def _expected_keys(self):
-        if self.scenario == MULTIPARTITE:
-            return [
-                (a, x)
-                for x in itertools.product(*(range(s) for s in self.settings))
-                for a in itertools.product(*(range(o) for o in self.outcomes))
-            ]
-        if self.scenario == BOB_WITH_INPUT:
-            return [
-                (a, x, y)
-                for a in range(self.outcomes[0])
-                for x in range(self.settings[0])
-                for y in range(self.bob_inputs)
-            ]
-        return [
-            (a, x)
-            for a in range(self.outcomes[0])
-            for x in range(self.settings[0])
-        ]
+        vars(self).update(coeffs=coeffs, keys=tuple(keys))
 
     @property
     def d(self) -> int:
-        el = next(iter(self.elements.values()))
-        return el.atoms[0].d
+        return math.isqrt(self.coeffs.shape[-1])
+
+    @functools.cached_property
+    def elements(self) -> dict:
+        """``{key: GptVector}`` in key order, built from ``coeffs`` on first read."""
+        sys, multi = system(Quantum(self.d)), self.scenario == MULTIPARTITE
+        return {k: GptVector(sys, self.coeffs[k[0] + k[1] if multi else k]) for k in self.keys}
 
     def element(self, *key) -> GptVector:
         return self.elements[key if len(key) > 1 else key[0]]
@@ -192,6 +188,16 @@ class Assemblage:
             els = {((a,), (x,)): v for (a, x), v in self.elements.items()}
             return (self.outcomes[0],), (self.settings[0],), els
         raise ValueError(f"cannot flatten a {self.scenario} assemblage to parties")
+
+
+def _element_rows(elements: dict) -> np.ndarray:
+    """The coefficients of ``{key: GptVector}`` in dict order, all on one quantum atom."""
+    for key, el in elements.items():
+        if len(el.atoms) != 1 or not isinstance(el.atoms[0], Quantum):
+            raise ValueError(f"element {key} is not over a single quantum atom")
+    if len({el.system for el in elements.values()}) > 1:
+        raise ValueError("elements live on different systems")
+    return np.array([el.coeffs for el in elements.values()])
 
 
 def _lowest_eigenvalues(coeffs: np.ndarray, d: int) -> np.ndarray:
@@ -282,12 +288,11 @@ def wire_instrumental(bwi: Assemblage, tol: float = 1e-9) -> Assemblage:
     check = ns_check(bwi, tol)
     if not check.passed:
         raise ValueError(f"assemblage is signalling: {check.detail}")
-    els = {
-        (a, x): bwi.element(a, x, a)
-        for a in range(bwi.outcomes[0])
-        for x in range(bwi.settings[0])
-    }
-    return Assemblage(INSTRUMENTAL, bwi.outcomes, bwi.settings, els)
+    a = np.arange(bwi.outcomes[0])
+    keys = [(int(i), x) for i in a for x in range(bwi.settings[0])]
+    wired = bwi.coeffs[a, :, a]  # (a, x, d**2): the elements with y = a
+    return Assemblage.from_rows(INSTRUMENTAL, bwi.outcomes, bwi.settings, keys,
+                                wired.reshape(len(keys), -1))
 
 
 # ---------------------------------------------------------------------------
@@ -374,27 +379,24 @@ def assemblage_from_realization(
     def steered(x_vec, bob_matrix):
         mat = kron_all([slices[i][x] for i, x in enumerate(x_vec)] + [bob_matrix])
         out = _apply_matrix(mat, shared.coeffs).reshape(tuple(outcomes) + (-1,))
-        return [GptVector(bob_cod, np.tensordot(out, e, axes=(axes, axes))) for e in effects]
+        return [np.tensordot(out, e, axes=(axes, axes)) for e in effects]
 
+    keys, rows = [], []
     if bob_input is not None:
         if n != 1:
             raise ValueError("bob-with-input realizations support one black-box party")
         bob_slices = [_classical_slice(bob_transform, y)[1] for y in range(bob_input)]
-        els = {}
         for x in range(settings[0]):
             for y in range(bob_input):
-                for a_vec, sigma in zip(a_vecs, steered((x,), bob_slices[y])):
-                    els[(a_vec[0], x, y)] = sigma
-        return Assemblage(BOB_WITH_INPUT, tuple(outcomes), tuple(settings), els,
-                          bob_inputs=bob_input)
-    els = {}
+                rows += steered((x,), bob_slices[y])
+                keys += [(a_vec[0], x, y) for a_vec in a_vecs]
+        return Assemblage.from_rows(BOB_WITH_INPUT, outcomes, settings, keys, rows,
+                                    bob_inputs=bob_input)
     for x_vec in itertools.product(*(range(s) for s in settings)):
-        for a_vec, sigma in zip(a_vecs, steered(x_vec, bob_transform.matrix)):
-            els[(a_vec, x_vec)] = sigma
-    if n == 1:
-        flat = {(a[0], x[0]): v for (a, x), v in els.items()}
-        return Assemblage(BIPARTITE, tuple(outcomes), tuple(settings), flat)
-    return Assemblage(MULTIPARTITE, tuple(outcomes), tuple(settings), els)
+        rows += steered(x_vec, bob_transform.matrix)
+        keys += [(a_vec[0], x_vec[0]) if n == 1 else (a_vec, x_vec) for a_vec in a_vecs]
+    return Assemblage.from_rows(BIPARTITE if n == 1 else MULTIPARTITE, outcomes, settings,
+                                keys, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -408,47 +410,52 @@ class LhsConfig:
     strategy_cap: int = 10 ** 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LhsModel:
-    """Shared-randomness model: response functions with subnormalized states.
+    """Shared-randomness model: deterministic strategies with subnormalized states.
 
-    ``strategies[i]`` is a tuple of per-party response functions (each a
-    tuple mapping setting to outcome); ``local_states[i]`` is the matching
-    subnormalized state, whose trace is the strategy weight.  ``system``
-    holds the states and ``parties`` counts the parties, so a model with
-    no strategies still has its (zero) elements.
+    It uses the strategy ``columns`` of the per-party response ``tables``
+    of :func:`_party_responses`; row ``i`` of ``states`` holds, over
+    ``system``, the subnormalized state of strategy ``columns[i]``, whose
+    trace is ``weights[i]``.  A model with no strategies still has its zero
+    elements.  ``strategies`` (see :func:`_strategies`) and
+    ``local_states`` are derived when read.
     """
 
-    strategies: tuple
+    tables: tuple
+    columns: np.ndarray
     weights: tuple
-    local_states: tuple
+    states: np.ndarray
     system: SystemType
-    parties: int
+
+    @property
+    def strategies(self) -> tuple:
+        return tuple(_strategies(self.columns, self.tables))
+
+    @property
+    def local_states(self) -> tuple:
+        return tuple(GptVector(self.system, row) for row in self.states)
 
     def element(self, a_vec, x_vec) -> GptVector:
-        if len(a_vec) != self.parties or len(x_vec) != self.parties:
-            raise ValueError(f"element key {tuple(a_vec)}, {tuple(x_vec)} does not have "
-                             f"one outcome and one setting for each of {self.parties} parties")
-        out = None
-        for lam, state in zip(self.strategies, self.local_states):
-            if all(f[x] == a for f, a, x in zip(lam, a_vec, x_vec)):
-                out = state.coeffs if out is None else out + state.coeffs
-        return GptVector(self.system, out if out is not None else np.zeros(self.system.dim))
+        if not len(a_vec) == len(x_vec) == len(self.tables):
+            raise ValueError(f"element key {tuple(a_vec)}, {tuple(x_vec)} does not have one "
+                             f"outcome and one setting for each of {len(self.tables)} parties")
+        return GptVector(self.system, self._rebuild(np.array([*a_vec, *x_vec])[:, None])[0])
 
     def max_error(self, asm: Assemblage) -> float:
         """Largest coefficient deviation of the rebuilt elements from ``asm``."""
-        target = asm.coeffs.reshape(-1, asm.coeffs.shape[-1])
-        index = _grid_index(asm.outcomes, asm.settings)
-        n = len(asm.outcomes)
-        # hit[row, i]: strategy i answers a_vec to x_vec on every party
-        hit = np.ones((len(target), len(self.strategies)), dtype=bool)
-        for p, s in enumerate(asm.settings):
-            table = np.array([lam[p] for lam in self.strategies], dtype=int)
-            hit &= table.reshape(-1, s).T[index[n + p]] == index[p][:, None]
-        # a sum over axis 1 adds the hit states in strategy order, as a loop would
-        states = np.array([s.coeffs for s in self.local_states]).reshape(-1, target.shape[1])
-        rebuilt = np.where(hit[:, :, None], states, 0.0).sum(axis=1)
-        return float(np.max(np.abs(rebuilt - target)))
+        rebuilt = self._rebuild(_grid_index(asm.outcomes, asm.settings))
+        return float(np.max(np.abs(rebuilt - asm.coeffs.reshape(rebuilt.shape))))
+
+    def _rebuild(self, index: np.ndarray) -> np.ndarray:
+        """Each column ``(*a_vec, *x_vec)`` of ``index`` rebuilt: the states of the
+        strategies answering ``a_vec`` to ``x_vec``, summed over axis 1 in order."""
+        n = len(self.tables)
+        picks = np.unravel_index(self.columns, [t.shape[1] for t in self.tables])
+        hit = np.ones((index.shape[1], len(self.columns)), dtype=bool)
+        for p, (table, j) in enumerate(zip(self.tables, picks)):
+            hit &= table[:, j][index[n + p]] == index[p][:, None]
+        return np.where(hit[:, :, None], self.states, 0.0).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -475,10 +482,12 @@ def _common_eigenbasis(stack, tol, scale):
     """A unitary diagonalizing every matrix of ``stack``, and the rotated stack.
 
     ``scale`` is the stack's unit size, a power of two: commutators are
-    compared with ``max(tol, 1e-10) * scale**2`` and the rotated
-    off-diagonal entries with ``max(tol, 1e-9) * scale``.  Returns
-    ``(None, None)`` when two matrices fail to commute or no trial
-    combination separates the joint eigenspaces.
+    compared with ``max(tol, 1e-10) * scale**2``, and a rotation is taken
+    when dropping the rotated off-diagonal parts moves no coefficient by
+    more than ``tol * scale``, the rebuild bound of :func:`lhs_check` (their
+    Frobenius norm, which bounds every coefficient, is tried first).
+    Returns ``(None, None)`` when two matrices fail to commute or no trial
+    rotation passes.
 
     Every product comes from one ``tensordot``, whose entry ``[i, :, j, :]``
     is ``A_i A_j``; the matrices are Hermitian, so ``A_j A_i`` is its
@@ -496,10 +505,10 @@ def _common_eigenbasis(stack, tol, scale):
         h = (w[:, None, None] * stack).sum(axis=0)
         _, u = np.linalg.eigh(h)
         rotated = u.conj().T @ stack @ u
-        off = np.abs(rotated)
-        diag = np.arange(d)
-        off[:, diag, diag] = 0.0
-        if float(np.max(off)) <= max(tol, 1e-9) * scale:
+        off = rotated.copy()
+        off[:, np.arange(d), np.arange(d)] = 0.0
+        if np.sqrt(np.max(np.sum(np.abs(off) ** 2, axis=(1, 2)))) <= tol * scale or np.max(
+                np.abs(hermitian_to_coeffs(u @ off @ u.conj().T, (d,)))) <= tol * scale:
             return u, rotated
     return None, None
 
@@ -569,9 +578,9 @@ def lhs_check(asm: Assemblage, solver_cfg: LhsConfig | None = None):
     outcomes are checked before a verdict is given: a certificate ``y``
     must score at most ``tol * max(1, |y|)`` on every deterministic
     strategy and more than that times ``unit`` on the eigenvalue table,
-    and a model must rebuild every element within ``tol * unit``.  A
-    certificate that fails is reported as unsupported, a model that
-    fails as inconclusive-accept.
+    and a model must rebuild every element within ``tol * unit``, the
+    bound the common eigenbasis already meets (:func:`_common_eigenbasis`).
+    Without a checked model or certificate the verdict is unsupported.
     """
     cfg = solver_cfg or LhsConfig()
     if asm.scenario not in (BIPARTITE, MULTIPARTITE):
@@ -582,10 +591,8 @@ def lhs_check(asm: Assemblage, solver_cfg: LhsConfig | None = None):
     unit = math.ldexp(1.0, exp)
     u, rotated = _common_eigenbasis(stack, cfg.tol, unit)
     if u is None:
-        return (
-            MembershipVerdict(UNSUPPORTED, detail="elements do not commute within tolerance"),
-            None,
-        )
+        return MembershipVerdict(UNSUPPORTED,
+                                 detail="elements do not commute within tolerance"), None
     d = stack.shape[1]
     responses = _party_responses(outcomes, settings, cfg.strategy_cap)
     dmat = _response_matrix(outcomes, settings, responses)
@@ -601,54 +608,32 @@ def lhs_check(asm: Assemblage, solver_cfg: LhsConfig | None = None):
             worst = float(np.max(y @ dmat))
             ytol = cfg.tol * max(1.0, float(np.max(np.abs(y))))
             if worst > ytol or not value > ytol * unit:
-                return (
-                    MembershipVerdict(
-                        UNSUPPORTED,
-                        detail=(f"the LP certificate fails its check (strategy score "
-                                f"{worst:.3g}, value {value:.3g})"),
-                    ),
-                    None,
-                )
-            coeffs = {asm.key_at(np.unravel_index(row, asm.coeffs.shape[:-1])): float(y[row])
-                      for row in np.flatnonzero(np.abs(y) > 1e-13)}
+                return MembershipVerdict(UNSUPPORTED, detail=(
+                    f"the LP certificate fails its check (strategy score {worst:.3g}, "
+                    f"value {value:.3g})")), None
+            rows = np.flatnonzero(np.abs(y) > 1e-13)
+            index = np.unravel_index(rows, asm.coeffs.shape[:-1])
+            coeffs = dict(zip(map(asm.key_at, zip(*index)), y[rows].tolist()))
             cert = SteeringInequality(coeffs, u[:, k].copy(), value)
-            return (
-                MembershipVerdict(
-                    REJECTED,
-                    margin=-cert.value,
-                    witness=cert,
-                    detail="no shared-randomness model reproduces the eigenvalue table",
-                ),
-                None,
-            )
+            return MembershipVerdict(
+                REJECTED, margin=-cert.value, witness=cert,
+                detail="no shared-randomness model reproduces the eigenvalue table"), None
         weights[:, k] = res.x
     weights = np.ldexp(weights, exp)
     totals = weights.sum(axis=1)
     used = np.flatnonzero(totals > 1e-13 * unit)
     # u diag(w) u^dagger for every used strategy, as one stacked product
     mats = (u * weights[used, None, :]) @ u.conj().T
-    rows = hermitian_to_coeffs((mats + mats.conj().transpose(0, 2, 1)) / 2, (d,))
-    sys = system(Quantum(d))
-    model = LhsModel(
-        tuple(_strategies(used, responses)),
-        tuple(totals[used].tolist()),
-        tuple(GptVector(sys, row) for row in rows),
-        sys,
-        len(settings),
-    )
+    states = hermitian_to_coeffs((mats + mats.conj().transpose(0, 2, 1)) / 2, (d,))
+    states.flags.writeable = False
+    model = LhsModel(tuple(responses), used, tuple(totals[used].tolist()), states,
+                     system(Quantum(d)))
     err = model.max_error(asm)
     if err > cfg.tol * unit:
-        return (
-            MembershipVerdict(
-                INCONCLUSIVE_ACCEPT, margin=-err,
-                detail=f"the LP model reconstructs only within {err:.3g}",
-            ),
-            None,
-        )
-    return (
-        MembershipVerdict(ACCEPTED, margin=-err, detail=f"model reconstructs within {err:.3g}"),
-        model,
-    )
+        return MembershipVerdict(UNSUPPORTED, margin=-err,
+                                 detail=f"the LP model reconstructs only within {err:.3g}"), None
+    return MembershipVerdict(ACCEPTED, margin=-err,
+                             detail=f"model reconstructs within {err:.3g}"), model
 
 
 # ---------------------------------------------------------------------------

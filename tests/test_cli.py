@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from witworld import cli, steering
 from witworld.cli import main
@@ -701,7 +701,19 @@ def _run_quietly(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# unit size 2 (a coefficient in [1, 2)), where tol at unit size is 2 tol: an overflow for
+# the largest finite --tol, which must read as an infinite tol
+_UNIT_TWO_STATE = json.dumps({"system": ["Q2", "Q2"], "coeffs": [1.5] + [0.0] * 15})
+
+
+# derandomized, so each run draws the same examples and a failure repeats
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow],
+          derandomize=True)
+@example(doc=("check-state", (_UNIT_TWO_STATE, False)),
+         flags=(["--tol", "8.98846567431158e+307"], False))
+@example(doc=("check-state", (_UNIT_TWO_STATE, False)), flags=(["--tol", "5e-324"], False))
+@example(doc=("positivity", (json.dumps({"domain": ["Q2"], "codomain": ["Q2"], "matrix": np.diag(
+    [1.5, 1.0, 1.0, 1.0]).tolist()}), False)), flags=(["--tol", "8.98846567431158e+307"], False))
 @given(
     doc=st.one_of(
         st.tuples(st.sampled_from(["check-state", "check-effect"]), _state_doc()),
@@ -798,7 +810,8 @@ def _assemblage_doc(draw):
             kind in ("non-hermitian", "mixed-size", "bad-d"))
 
 
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow],
+          derandomize=True)
 @given(doc=_assemblage_doc(), as_json=st.booleans())
 def test_generated_lhs_files_exit_with_documented_codes(tmp_path_factory, doc, as_json):
     text, bad_doc, decided, malformed = doc

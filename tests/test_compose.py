@@ -46,6 +46,7 @@ from witworld.compose import (
     _min_qubit_pair,
     _sphere_angles,
     _state_side_specs,
+    _rank_one_effect_factors,
     minimize_product_form,
     ppt_dims,
 )
@@ -547,6 +548,15 @@ def test_product_effects_with_factors_of_different_sizes_get_the_certificate():
         res = composite_effect_check(e)
         assert res.rejected, e.system
         assert res.margin == pytest.approx(-over, abs=1e-12)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-13, 1e-15, 1e-100])
+def test_product_effect_certificate_does_not_depend_on_the_effect_size(c):
+    # the split's cut-offs are relative to the effect's unit size
+    e = GptVector(system(Q2, Q2, Q2), c * unit_effect(system(Q2, Q2, Q2)).coeffs)
+    res = composite_effect_check(e)
+    assert (res.status, res.margin, res.detail) == ("accepted", 0.0, "product-effect certificate")
+    assert _rank_one_effect_factors(GptVector(e.system, np.zeros(e.system.dim))) is None
 
 
 def test_separable_mixture_inconclusive_without_certificate_then_certified():

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import re
@@ -14,6 +15,7 @@ import pytest
 from witworld import (
     Boxworld,
     Classical,
+    GptVector,
     Quantum,
     SearchConfig,
     hermitian_tensor_to_vector,
@@ -402,3 +404,60 @@ def test_malformed_assemblage_files_exit_65_naming_the_element(tmp_path, kind):
     assert code == 65
     assert out.getvalue() == ""
     assert key in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+def _three_party_doc(rng):
+    """A 64-element three-party file, keys in a shuffled order."""
+    keys = [f"a={a}|x={x}" for a, x in itertools.product(
+        map(",".join, itertools.product("01", repeat=3)), repeat=2)]
+    order = rng.permutation(len(keys))
+    return {"scenario": "multipartite", "outcomes": [2, 2, 2], "settings": [2, 2, 2],
+            "elements": {keys[i]: _random_psd_json(rng, 2) for i in order}}
+
+
+def _per_element_reference(scenario, items):
+    """``{key: GptVector}`` read one element at a time, in file order: a key
+    spelled twice keeps its first place and takes its later element."""
+    els = {}
+    for key_str, val in items.items():
+        key = serialize._element_key_from_str(scenario, key_str)
+        els[key] = gptvector_from_json(
+            val if "coeffs" in val else {"system": [f"Q{len(val['re'])}"], "matrix": val})
+    return els
+
+
+def test_loading_builds_no_vector_until_elements_are_read(monkeypatch):
+    doc = _three_party_doc(np.random.default_rng(21))
+    built = []
+    init = GptVector.__post_init__
+    monkeypatch.setattr(GptVector, "__post_init__", lambda v: (built.append(v), init(v))[1])
+    asm = assemblage_from_json(doc)
+    assert built == []
+    assert lhs_check(asm)[0].status in ("accepted", "rejected", "unsupported")
+    assert built == []  # the check works on the array too
+    els = asm.elements
+    assert len(built) == 64 and asm.elements is els
+
+
+def test_elements_match_the_per_element_reference_bit_for_bit():
+    rng = np.random.default_rng(22)
+    doc = _three_party_doc(rng)
+    items = list(doc["elements"].items())
+    vector = {"system": ["Q2"], "coeffs": hermitian_to_vector(np.eye(2) / 4).coeffs.tolist()}
+    def spelled_twice(i, first, later):
+        # key i spelled with a leading zero in its place, then as usual at the end
+        return (items[:i] + [(items[i][0].replace("a=", "a=0"), first)] + items[i + 1:]
+                + [(items[i][0], later)])
+
+    twice = [spelled_twice(5, items[5][1], items[9][1]),
+             spelled_twice(3, vector, items[7][1]), spelled_twice(3, items[7][1], vector)]
+    for pairs in [items] + twice:
+        elements = dict(pairs)
+        ref = _per_element_reference("multipartite", elements)
+        assert len(ref) == 64
+        asm = assemblage_from_json(dict(doc, elements=elements))
+        assert list(asm.elements) == list(ref) == list(asm.keys)
+        for key, el in asm.elements.items():
+            assert el.system == ref[key].system
+            assert el.coeffs.tobytes() == ref[key].coeffs.tobytes()
+            assert el.coeffs.tobytes() == asm.coeffs[key[0] + key[1]].tobytes()

@@ -39,7 +39,7 @@ from witworld import (
     wire_instrumental,
 )
 from witworld import lp, steering, systems
-from witworld.systems import atomic_state_check, classical_outcome_effect
+from witworld.systems import atomic_state_check, classical_outcome_effect, coeffs_to_hermitian
 from witworld.steering import (
     BIPARTITE,
     BOB_WITH_INPUT,
@@ -888,7 +888,7 @@ def test_model_that_misses_the_elements_is_not_accepted(monkeypatch):
 
     monkeypatch.setattr(steering, "solve_feasibility", sloppy)
     verdict, model = lhs_check(_local_bipartite())
-    assert verdict.status == "inconclusive-accept"
+    assert verdict.status == "unsupported"
     assert verdict.margin < -1e-9
     assert model is None
 
@@ -902,7 +902,7 @@ def test_model_that_misses_small_elements_is_not_accepted(monkeypatch):
 
     monkeypatch.setattr(steering, "solve_feasibility", sloppy)
     verdict, model = lhs_check(_scaled(_local_bipartite(), 1e-10))
-    assert verdict.status == "inconclusive-accept"
+    assert verdict.status == "unsupported"
     assert model is None
 
 
@@ -943,7 +943,9 @@ def test_response_matrix_matches_nested_loops(outcomes, settings):
 def _pairwise_eigenbasis(mats, tol, scale):
     """Pair-by-pair commutation check and per-matrix rotation: the reference.
 
-    ``scale`` is the unit size: commutators are compared with tol * scale**2.
+    ``scale`` is the unit size: commutators are compared with tol * scale**2,
+    and a rotation passes when dropping each rotated matrix's off-diagonal
+    part moves none of its coefficients by more than tol * scale.
     """
     ctol = max(tol, 1e-10) * scale * scale
     for a, b in itertools.combinations(mats, 2):
@@ -956,8 +958,9 @@ def _pairwise_eigenbasis(mats, tol, scale):
         off = 0.0
         for m in mats:
             r = u.conj().T @ m @ u
-            off = max(off, float(np.max(np.abs(r - np.diag(np.diag(r))))))
-        if off <= max(tol, 1e-9) * scale:
+            dropped = hermitian_to_vector(u @ (r - np.diag(np.diag(r))) @ u.conj().T)
+            off = max(off, float(np.max(np.abs(dropped.coeffs))))
+        if off <= tol * scale:
             return u, np.array([np.real(np.diag(u.conj().T @ m @ u)) for m in mats])
     return None, None
 
@@ -1210,3 +1213,57 @@ def test_lhs_verdicts_do_not_depend_on_scale(factor):
         assert verdict.accepted and scaled.accepted
         assert len(scaled_model.strategies) == len(model.strategies)
         assert scaled_model.max_error(_scaled(asm, factor)) <= 1e-9 * factor
+
+
+# --- one tolerance for the eigenbasis and the model -------------------------------------
+
+
+def _noisy_one_setting_q3(rng, noise=1e-10):
+    """Two outcomes, one setting on Q3: commuting elements plus opposite
+    off-diagonal noise, so the elements still sum to one state."""
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    lam, p = rng.dirichlet(np.ones(3)), rng.uniform(size=3)
+    e = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    e = noise * (e + e.conj().T) / 2
+    np.fill_diagonal(e, 0.0)
+    mats = [q @ np.diag(lam * w) @ q.conj().T for w in (p, 1 - p)]
+    return Assemblage(BIPARTITE, (2,), (1,), {(0, 0): _vec(mats[0] + e), (1, 0): _vec(mats[1] - e)})
+
+
+def test_near_commuting_assemblages_get_a_model_or_are_unsupported():
+    # every one-setting assemblage has a model; with the noise the elements
+    # commute only within 1e-10, and each accepted eigenbasis must yield a
+    # model that passes the rebuild check
+    rng = np.random.default_rng(37)
+    seen = set()
+    for _ in range(120):
+        asm = _noisy_one_setting_q3(rng)
+        stack = coeffs_to_hermitian(asm.coeffs.reshape(-1, 9), (3,))
+        u, _ = _common_eigenbasis(stack, 1e-9, _unit(stack))
+        verdict, model = lhs_check(asm)
+        seen.add(verdict.status)
+        if u is None:
+            assert verdict.status == "unsupported" and model is None
+        else:
+            assert verdict.accepted, verdict.detail
+            assert model.max_error(asm) <= 1e-9 * _unit(stack)
+    assert seen == {"accepted", "unsupported"}
+
+
+def test_model_rebuilds_each_element_the_same_way_for_element_and_max_error():
+    rng = np.random.default_rng(38)
+    asms = [_local_bipartite(), _unequal_local_assemblage(rng), _three_party_local_assemblage(rng),
+            _bipartite({(a, x): _vec(np.zeros((2, 2))) for a in range(2) for x in range(2)})]
+    for asm in asms:
+        verdict, model = lhs_check(asm)
+        assert verdict.accepted
+        n = len(asm.outcomes)
+        rebuilt = np.array([model.element(i[:n], i[n:]).coeffs
+                            for i in np.ndindex(asm.coeffs.shape[:-1])])
+        assert rebuilt.tobytes() == model._rebuild(
+            steering._grid_index(asm.outcomes, asm.settings)).tobytes()
+        assert model.max_error(asm) == float(np.max(np.abs(rebuilt - asm.coeffs.reshape(
+            rebuilt.shape))))
+        assert len(model.local_states) == len(model.weights) == model.states.shape[0]
+        for state, row in zip(model.local_states, model.states):
+            assert state.coeffs.tobytes() == row.tobytes()
