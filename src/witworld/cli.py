@@ -6,10 +6,10 @@ certificate is printed), 2 inconclusive, unsupported or not applicable
 (``lhs`` on a scenario it does not take), 64 usage error,
 65 malformed input file, 70 internal error (the traceback goes to
 standard error), 74 standard output closed before the result was
-written.  Every verb has a ``--json`` mode; diagnostics go to standard
-error.  The environment variable ``WITWORLD_SEED`` supplies
-the default search seed; a value that is not an integer, like an
-out-of-range search flag, is a usage error.
+written, or an ``--emit`` file that could not be written.  Every verb has
+a ``--json`` mode; diagnostics go to standard error.  The environment
+variable ``WITWORLD_SEED`` supplies the default search seed; a value that
+is not an integer, like an out-of-range search flag, is a usage error.
 """
 
 from __future__ import annotations
@@ -322,7 +322,11 @@ def _cmd_assemblage(args) -> int:
             messages.append("lhs: not applicable to this scenario")
             payload["lhs"] = {"status": "not-applicable"}
     if args.emit:
-        dump_json(assemblage_to_json(asm), args.emit)
+        try:
+            dump_json(assemblage_to_json(asm), args.emit)
+        except OSError as exc:
+            print(f"error: cannot write {args.emit}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_IOERR
         messages.append(f"wrote {args.emit}")
     if args.json:
         print(dump_json(payload))

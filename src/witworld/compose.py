@@ -7,16 +7,13 @@ product of local effects.  So every check here and in
 generators: effect-side ones (outcome effects of classical and box atoms,
 rank-1 projectors of quantum atoms) for states, state-side ones (vertices,
 projectors) for effects and trace conditions, and both for positivity.
-All of them take one path.  :func:`certificate_bound` is the one gate: on
-all-quantum forms whose search would not be exact, or whose states are
-P + Q^Γ, a partial transpose maps product projectors to product
-projectors, so a lowest eigenvalue of at least -tol accepts with that
-certified margin and no search.  :func:`_generator_min` is the one
-minimum: the engine :func:`minimize_product_form`, optionally on the side
-``offset u - form`` too, then the known non-product probe states, and
-whether all that is conclusive.  Where separable equals PPT (Q2*Q2, Q2*Q3,
-Q3*Q2) :func:`ppt_min` replaces it with exact eigenvalues.
-:func:`_verdict` is the one merge: the first lowest candidate decides.
+All of them take one path.  :func:`plan` alone decides, per check and
+shape, which methods run and whether they are exact: exact PPT
+eigenvalues, the spectral certificate :func:`certificate_bound`, the
+zero- and product-effect certificates, the engine
+:func:`minimize_product_form` and the known non-product probe states.
+:func:`_form_verdict` is the one runner: it runs a plan's methods in
+order, and the first lowest candidate decides.
 
 In the engine, two or more quantum factors go through one stacked
 alternating descent, which takes a qubit or qutrit factor's ground state
@@ -24,9 +21,8 @@ in closed form and a larger factor's from a batched ``eigh``.  It runs on
 the input scaled exactly to unit size, so it cannot overflow and its
 thresholds are relative.  A qubit pair starts it once, from the best
 direction of a scan over one Bloch sphere (the other has a closed-form
-minimum), exact for the systems of interest.  More or larger quantum
-factors start it from seeded random restarts and report only
-inconclusive acceptance.  State and positivity verdicts take tol at the
+minimum); more or larger quantum factors start it from seeded random
+restarts.  State and positivity verdicts take tol at the
 input's unit size (:func:`unit_tol`), so scaling an input scales its
 threshold with its margin.
 """
@@ -55,7 +51,6 @@ from .systems import (
     hermitian_to_coeffs,
     kron_all,
     not_hermitian,
-    pair,
     ray_table,
     state_vertices,
     system,
@@ -82,6 +77,9 @@ class SearchConfig:
     ``grid`` sets the polar divisions of the Bloch scan seeding the qubit-pair
     descent (twice as many azimuthal), ``restarts`` the random starts beyond
     a qubit pair.  All searches are deterministic given (grid, restarts, seed).
+    ``grid``, ``restarts`` and ``seed`` must be integers (numpy ones too)
+    and ``tol`` a real number, none of them a bool, or ``ValueError`` is
+    raised.
     """
 
     grid: int = 180
@@ -90,14 +88,16 @@ class SearchConfig:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if self.grid < 1:
-            raise ValueError(f"grid must be >= 1, got {self.grid}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (np.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
+        for name, low in (("grid", 1), ("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        tol = self.tol
+        if (isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating))
+                or not (np.isfinite(tol) and tol >= 0)):
+            raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def tensor(v1: GptVector, v2: GptVector) -> GptVector:
@@ -497,13 +497,14 @@ def _min_quantum_general(red: np.ndarray, qdims: Sequence[int], cfg: SearchConfi
     return _descent(red, rows)
 
 
-def search_is_exact(qdims: Sequence[int]) -> bool:
-    """Is the engine's minimum over these quantum factors exact?
+def _engine(qdims: Sequence[int]) -> str:
+    """The engine's method, as a :class:`Plan` names it, over quantum factors of ``qdims``.
 
-    It is for at most one quantum factor (an eigenvalue) and for two qubit
-    factors (a scan-seeded descent); otherwise it is a random-restart search.
+    "enumeration" (no quantum factor, or one: an eigenvalue per row) and
+    "qubit-pair" (a scan-seeded descent) are exact; "restart" is not.
     """
-    return len(qdims) <= 1 or tuple(qdims) == (2, 2)
+    return ("enumeration" if len(qdims) <= 1 else "qubit-pair" if tuple(qdims) == (2, 2)
+            else "restart")
 
 
 def unit_exponent(values) -> int:
@@ -535,10 +536,8 @@ def minimize_product_form(coeffs: np.ndarray, specs: Sequence, cfg: SearchConfig
 
     ``specs[i]`` is either :class:`FiniteGenerators` (polytopic factor) or
     :class:`QuantumGenerators` (rank-1 projectors of a quantum factor).
-    The result is exact whenever at most one quantum factor is present
-    (eigenvalue computation) or exactly two qubit factors are (a
-    scan-seeded descent); otherwise it is a seeded heuristic and
-    ``conclusive`` is False.  Non-finite ``coeffs`` raise ``ValueError``.
+    ``conclusive`` is False where :func:`_engine` names the seeded restart
+    search.  Non-finite ``coeffs`` raise ``ValueError``.
 
     Each finite factor's generator table is contracted in, leaving one row
     per combination of finite generators; one quantum factor is minimized on
@@ -563,9 +562,10 @@ def minimize_product_form(coeffs: np.ndarray, specs: Sequence, cfg: SearchConfig
     for k, ax in enumerate(reversed(finite_axes)):
         t = np.tensordot(specs[ax].vectors, t, axes=([1], [ax + k]))
     rows = t.reshape(-1, math.prod(d * d for d in qdims))
-    if len(qdims) > 1:
+    method = _engine(qdims)
+    if method != "enumeration":
         # a qubit pair starts from its scan; only the restart search draws
-        rng = None if qdims == [2, 2] else np.random.default_rng(cfg.seed)
+        rng = None if method == "qubit-pair" else np.random.default_rng(cfg.seed)
         best_val = np.inf
         for r, red in enumerate(rows):
             val, qf = (_min_qubit_pair(red.reshape(4, 4), cfg) if rng is None else
@@ -586,7 +586,7 @@ def minimize_product_form(coeffs: np.ndarray, specs: Sequence, cfg: SearchConfig
     qs = iter(qfactors)
     factors = tuple(s.vectors[next(picks)] if isinstance(s, FiniteGenerators) else next(qs)
                     for s in specs)
-    return ProductMin(math.ldexp(best_val, exp), factors, search_is_exact(qdims))
+    return ProductMin(math.ldexp(best_val, exp), factors, method != "restart")
 
 
 def _effect_side_specs(atoms: Sequence) -> list:
@@ -611,107 +611,171 @@ def _product(sys: SystemType, factors: Sequence[np.ndarray]) -> GptVector:
 
 
 # ---------------------------------------------------------------------------
-# One verdict path: certificate gate, generator minimum, merge
+# One plan per check and shape, one runner
 # ---------------------------------------------------------------------------
 
-_SCALAR = SystemType()
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Plan:
+    """How :func:`plan` settles one check on one shape: ``methods`` in order,
+    and whether they are ``exact``, deciding every input.  ``specs`` are the
+    engine's, and ``dims`` the atoms' dimensions where all are quantum."""
+
+    methods: tuple
+    exact: bool
+    effect_sys: SystemType
+    state_sys: SystemType
+    specs: tuple
+    dims: tuple | None
 
 
-def certificate_bound(coeffs: np.ndarray, effect_atoms: Sequence,
-                      state_atoms: Sequence) -> float | None:
-    """The one certificate gate: a :func:`spectral_bound` on a form's minimum, or None.
+@functools.lru_cache(maxsize=256)
+def plan(check: str, effect_atoms: tuple, state_atoms: tuple) -> Plan:
+    """The methods that settle ``check`` on a form over ``effect_atoms`` and ``state_atoms``.
 
-    On quantum atoms the form is tr(X (R ⊗ S)) over effects R of
-    ``effect_atoms`` and states S of ``state_atoms``.  With at most one
-    state atom the states are pure, so the bound is taken on X, where the
-    engine's search would not be exact.  On two state atoms where
-    :func:`ppt_dims` holds every state is P + Q^Γ, so it is the lower of
-    those on X and on X with the last atom transposed, the pair as one
-    factor.  Any other atom, or shape, gets None.
+    A "state" or "positivity" form must be at least -tol on products of
+    generators (a state check is positivity from the scalar system), an
+    "effect" or "trace" form on the normalized states of the state side.
+    Separable equals PPT on a state side of two quantum atoms with d1 d2
+    <= 6 (Peres 1996; Horodecki, Horodecki and Horodecki 1996).  Products
+    of generators with the :func:`probe_states` generate the state cone
+    where at most one state atom is not classical (classical atoms only
+    grade the composite into independent slots) or the probes say so.
+    The methods, in order: "ppt" alone, exact eigenvalues where separable
+    equals PPT on an effect or trace check; the gate
+    :func:`certificate_bound` on quantum atoms only, "spectral" where the
+    states are pure and the engine inexact, "spectral-ppt" where
+    separable equals PPT; "effect-certificates" where an effect check's
+    generators are not complete; the :func:`_engine`; "probes" where
+    there are any.  Exact where "ppt" runs, or the engine is exact and the
+    generators complete.
     """
-    atoms = tuple(effect_atoms) + tuple(state_atoms)
-    if not all(isinstance(a, Quantum) for a in atoms):
-        return None
-    dims = tuple(a.d for a in atoms)
-    pair_dims = ppt_dims(SystemType(tuple(state_atoms))) if len(state_atoms) == 2 else None
-    if pair_dims is not None:
+    if check not in ("state", "positivity", "effect", "trace"):
+        raise ValueError(f"unknown check {check!r}")
+    effect_sys, state_sys = SystemType(effect_atoms), SystemType(state_atoms)
+    specs = tuple(_effect_side_specs(effect_atoms) + _state_side_specs(state_atoms))
+    atoms = effect_atoms + state_atoms
+    dims = tuple(a.d for a in atoms) if all(isinstance(a, Quantum) for a in atoms) else None
+    engine = _engine([s.d for s in specs if isinstance(s, QuantumGenerators)])
+    ppt = (len(state_atoms) == 2 and all(isinstance(a, Quantum) for a in state_atoms)
+           and state_atoms[0].d * state_atoms[1].d <= 6)
+    if check in ("effect", "trace") and ppt:
+        return Plan(("ppt",), True, effect_sys, state_sys, specs, dims)
+    probes, marked = _PROBES.get(state_atoms, ((), False))
+    complete = marked or sum(not isinstance(a, Classical) for a in state_atoms) <= 1
+    methods = []
+    if check in ("state", "positivity") and dims is not None:
+        if ppt:
+            methods.append("spectral-ppt")
+        elif len(state_atoms) <= 1 and engine == "restart":
+            methods.append("spectral")
+    if check == "effect" and not complete:
+        methods.append("effect-certificates")
+    methods += [engine] + (["probes"] if probes else [])
+    return Plan(tuple(methods), engine != "restart" and complete, effect_sys, state_sys, specs,
+                dims)
+
+
+def certificate_bound(coeffs: np.ndarray, steps: Plan) -> float | None:
+    """The gate of ``steps``: a :func:`spectral_bound` on the form's minimum, or None.
+
+    The form is tr(X (R ⊗ S)) over effects R and states S.  "spectral"
+    bounds X, as the states are pure; "spectral-ppt", where every state
+    is P + Q^Γ, the lower of X and X with the last atom transposed, the
+    state pair as one factor.
+    """
+    dims = steps.dims
+    if "spectral-ppt" in steps.methods:
         x = coeffs_to_hermitian(coeffs, dims)
         return spectral_bound(np.stack([x, _partial_transpose(x, dims)]),
-                              dims[:-2] + (pair_dims[0] * pair_dims[1],))
-    if len(state_atoms) > 1 or search_is_exact(dims):
-        return None
-    return spectral_bound(coeffs_to_hermitian(coeffs, dims)[None], dims)
+                              dims[:-2] + (dims[-2] * dims[-1],))
+    if "spectral" in steps.methods:
+        return spectral_bound(coeffs_to_hermitian(coeffs, dims)[None], dims)
+    return None
 
 
-def _generator_min(coeffs: np.ndarray, effect_sys: SystemType, state_sys: SystemType,
-                   cfg: SearchConfig, witness: Callable, probe: Callable | None,
-                   offset: float | None = None) -> tuple[list, bool]:
-    """The one generator minimum: (value, build) candidates, and whether they are conclusive.
+def _form_verdict(coeffs: np.ndarray, steps: Plan, cfg: SearchConfig | None, tol: float,
+                  witness: Callable, detail="", why="", probe: Callable | None = None,
+                  offset: float | None = None, form_first=False,
+                  settled=False) -> MembershipVerdict:
+    """Is a form at least -tol?  The one runner: the methods of ``steps``, then one merge.
 
-    The form pairs effect-side generators of ``effect_sys`` with state-side
-    ones of ``state_sys``.  The engine's minimum comes first; with
-    ``offset`` the side ``offset u - form`` follows at ``offset +
-    min(-form)`` (``u - e``; ``0 u - r = -r``).  Then each probe state p
-    of ``state_sys`` adds ``probe(p) = (value, effect, conclusive)``, and
-    with ``offset`` ``offset - value``.  ``build()`` returns
-    ``witness(effect, state, value)``.  Conclusive when the engine is
-    exact, :func:`product_generators_complete` holds for ``state_sys`` and
-    every probe is.
+    A certificate accepts at once, the gate with its bound as the margin.
+    The other methods add (value, pick) candidates, with ``offset`` each
+    followed by its complement on ``offset u - form`` (``u - e``; ``0 u -
+    r = -r``): :func:`_ppt_min`'s, the engine's minimum and ``offset +
+    min(-form)``, and per probe state p ``probe(p) = (value, effect)``
+    (default: the form's value on p) and ``offset - value``.  With
+    ``form_first`` all the form's candidates precede its complement's.
+    The first lowest decides: at value >= -tol ``accepted`` with
+    ``detail`` where the plan is exact (a probe's own check is exact
+    there too) or the caller ``settled`` it, else ``inconclusive-accept``;
+    below, ``rejected`` with ``why`` and ``witness(*pick(), value)``, built
+    only then from ``pick() = (effect, state)``.  ``detail`` and ``why``
+    may be functions of the margin.  A missing ``cfg`` is built only if the
+    engine runs.
     """
-    n = len(effect_sys.atoms)
-    specs = _effect_side_specs(effect_sys.atoms) + _state_side_specs(state_sys.atoms)
+    n, state_sys = len(steps.effect_sys.atoms), steps.state_sys
 
-    def engine(res, value):
-        return value, lambda: witness(_product(effect_sys, res.factors[:n]),
-                                      _product(state_sys, res.factors[n:]), value)
+    def split(factors):
+        return _product(steps.effect_sys, factors[:n]), _product(state_sys, factors[n:])
 
-    def probed(p, effect, value):
-        return value, lambda: witness(effect, p, value)
-
-    lo = minimize_product_form(coeffs, specs, cfg)
-    found = [engine(lo, lo.value)]
-    if offset is not None:
-        hi = minimize_product_form(-coeffs, specs, cfg)
-        found.append(engine(hi, offset + hi.value))
-    conclusive = lo.conclusive and product_generators_complete(state_sys)
-    for p in probe_states(state_sys):
-        value, effect, settled = probe(p)
-        conclusive = conclusive and settled
-        found.append(probed(p, effect, value))
-        if offset is not None:
-            found.append(probed(p, effect, offset - value))
-    return found, conclusive
-
-
-def _form_verdict(coeffs: np.ndarray, effect_sys: SystemType, state_sys: SystemType,
-                  cfg: SearchConfig, tol: float, witness: Callable, why: str,
-                  probe: Callable | None = None) -> MembershipVerdict:
-    """Is a form at least -tol on products of generators?  Gate, minimum, merge.
-
-    A :func:`certificate_bound` of at least -tol accepts with the bound as
-    the margin; otherwise :func:`_generator_min` and :func:`_verdict` decide.
-    """
-    bound = certificate_bound(coeffs, effect_sys.atoms, state_sys.atoms)
-    if bound is not None and bound >= -tol:
-        return MembershipVerdict(ACCEPTED, margin=bound, detail=_CERTIFIED)
-    found, conclusive = _generator_min(coeffs, effect_sys, state_sys, cfg, witness, probe)
-    return _verdict(found, conclusive, tol, why=why)
-
-
-def _verdict(found: Sequence, conclusive: bool, tol: float, detail="", why="") -> MembershipVerdict:
-    """The verdict on the first lowest of the (value, build) candidates ``found``.
-
-    At value >= -tol it is ``accepted`` with ``detail`` when the minimum is
-    ``conclusive`` and ``inconclusive-accept`` otherwise.  Below that it is
-    ``rejected`` with the witness ``build()`` returns, built only then, and
-    ``why``.  ``detail`` and ``why`` may be functions of the margin.
-    """
-    value, build = min(found, key=lambda c: c[0])
+    found = []
+    for method in steps.methods:
+        if method == "ppt":
+            found += _ppt_min(coeffs, steps.dims, offset)
+        elif method.startswith("spectral"):
+            bound = certificate_bound(coeffs, steps)
+            if bound >= -tol:
+                return MembershipVerdict(ACCEPTED, margin=bound, detail=_CERTIFIED)
+        elif method == "effect-certificates":
+            if not coeffs.any():
+                return MembershipVerdict(ACCEPTED, margin=0.0, detail="zero effect")
+            e = GptVector(state_sys, coeffs)
+            factors = _rank_one_effect_factors(e)
+            if factors is not None and _validate_certificate(e, [(1.0, factors)], tol)[0]:
+                return MembershipVerdict(ACCEPTED, margin=0.0, detail="product-effect certificate")
+        elif method == "probes":
+            for p in probe_states(state_sys):
+                value, effect = probe(p) if probe else (float(np.dot(coeffs, p.coeffs)), None)
+                found.append((value, lambda p=p, effect=effect: (effect, p)))
+                if offset is not None:
+                    found.append((offset - value, found[-1][1]))
+        else:
+            cfg = cfg or SearchConfig()
+            lo = minimize_product_form(coeffs, steps.specs, cfg)
+            found.append((lo.value, lambda: split(lo.factors)))
+            if offset is not None:
+                hi = minimize_product_form(-coeffs, steps.specs, cfg)
+                found.append((offset + hi.value, lambda: split(hi.factors)))
+    if form_first:
+        found = found[0::2] + found[1::2]
+    value, pick = min(found, key=lambda c: c[0])
     if value >= -tol:
-        return MembershipVerdict(ACCEPTED if conclusive else INCONCLUSIVE_ACCEPT, margin=value,
-                                 detail=detail(value) if callable(detail) else detail)
-    return MembershipVerdict(REJECTED, margin=value, witness=build(),
+        return MembershipVerdict(ACCEPTED if steps.exact or settled else INCONCLUSIVE_ACCEPT,
+                                 margin=value, detail=detail(value) if callable(detail) else detail)
+    return MembershipVerdict(REJECTED, margin=value, witness=witness(*pick(), value),
                              detail=why(value) if callable(why) else why)
+
+
+def _ppt_min(coeffs: np.ndarray, dims: tuple, offset: float | None) -> list:
+    """The "ppt" candidates: exact minima of tr(M W) over normalized states W.
+
+    M is the form, with ``offset`` then offset I - form, then their partial
+    transposes.  Where separable equals PPT every state is P + Q^Γ with
+    P, Q PSD (Størmer 1963; Woronowicz 1976), so each minimum is a lowest
+    eigenvalue, from one ``eigh``, attained on vv† or (vv†)^Γ.
+    """
+    mat = coeffs_to_hermitian(coeffs, dims)
+    mats = mat[None] if offset is None else np.stack([mat, offset * np.eye(len(mat)) - mat])
+    vals, vecs = np.linalg.eigh(np.concatenate([mats, _partial_transpose(mats, dims)]))
+
+    def pick(i):
+        w = np.outer(vecs[i, :, 0], vecs[i, :, 0].conj())
+        w = _partial_transpose(w, dims) if i >= len(mats) else w
+        return None, hermitian_tensor_to_vector(w, dims)
+
+    return [(float(vals[i, 0]), lambda i=i: pick(i)) for i in range(len(vals))]
 
 
 # ---------------------------------------------------------------------------
@@ -722,17 +786,17 @@ def _verdict(found: Sequence, conclusive: bool, tol: float, detail="", why="") -
 def composite_state_check(v: GptVector, cfg: SearchConfig | None = None) -> MembershipVerdict:
     """Max-tensor cone membership: nonnegative against all product effects.
 
-    A single atom has its exact test; a composite goes through
-    :func:`_form_verdict` over product effects, and a rejection carries
-    the product effect attaining the margin.  The tolerance is ``cfg.tol``
-    at the unit size of ``v`` (:func:`unit_tol`).
+    A single atom has its exact test; a composite runs its "state"
+    :func:`plan` over product effects, and a rejection carries the product
+    effect attaining the margin.  The tolerance is ``cfg.tol`` at the unit
+    size of ``v`` (:func:`unit_tol`).
     """
     cfg = cfg or SearchConfig()
     tol = unit_tol(cfg.tol, v.coeffs)
     if len(v.atoms) == 1:
         return atomic_state_check(v, tol)
-    return _form_verdict(v.coeffs, v.system, _SCALAR, cfg, tol,
-                         lambda effect, state, value: effect, _NEGATIVE_EFFECT)
+    return _form_verdict(v.coeffs, plan("state", v.atoms, ()), cfg, tol,
+                         lambda effect, state, value: effect, why=_NEGATIVE_EFFECT)
 
 
 def steer(v: GptVector, e: GptVector, on: int | Sequence[int] | None = None) -> GptVector:
@@ -853,19 +917,6 @@ def _validate_certificate(e: GptVector, decomposition, tol: float):
     return True, f"separable certificate with weight sum {total:.6g}"
 
 
-def ppt_dims(sys: SystemType) -> tuple | None:
-    """Local dimensions of a system on which separable equals PPT, else None.
-
-    That holds for two quantum atoms with d1 * d2 <= 6 (Peres 1996;
-    Horodecki, Horodecki and Horodecki 1996): Q2*Q2, Q2*Q3 and Q3*Q2.
-    """
-    atoms = sys.atoms
-    if (len(atoms) == 2 and all(isinstance(a, Quantum) for a in atoms)
-            and atoms[0].d * atoms[1].d <= 6):
-        return atoms[0].d, atoms[1].d
-    return None
-
-
 def _partial_transpose(m: np.ndarray, dims: tuple, on: Sequence[int] = (-1,)) -> np.ndarray:
     """Transpose the tensor factors ``on`` of ``dims`` (default: the last).
 
@@ -907,46 +958,6 @@ _NEGATIVE_EFFECT = "a product effect evaluates to the margin"
 _OUTSIDE_ON_STATE = "evaluates outside [0, 1] on a state, by the margin"
 
 
-def ppt_min(mats: np.ndarray, dims: tuple) -> list:
-    """Exact minima of tr(M W) over the normalized states W, one per M in a stack and per M^Γ.
-
-    On a system where :func:`ppt_dims` holds, every state is P + Q^Γ with
-    P, Q PSD (Størmer 1963; Woronowicz 1976), so the minimum over
-    unit-trace states is the lowest eigenvalue of any M or M^Γ, from one
-    batched ``eigh``.  Returns (value, build) candidates, the stack first,
-    then its partial transposes; ``build()`` gives the state attaining the
-    value: vv† for an eigenvector v of M, (vv†)^Γ for one of M^Γ.
-    """
-    vals, vecs = np.linalg.eigh(np.concatenate([mats, _partial_transpose(mats, dims)]))
-
-    def state(i) -> GptVector:
-        w = np.outer(vecs[i, :, 0], vecs[i, :, 0].conj())
-        return hermitian_tensor_to_vector(_partial_transpose(w, dims) if i >= len(mats) else w,
-                                          dims)
-
-    return [(float(vals[i, 0]), lambda i=i: state(i)) for i in range(len(vals))]
-
-
-def _state_min(f: GptVector, cfg: SearchConfig | None, offset: float | None = None):
-    """Candidates for the minimum of <f, s> over states s, and of <offset u - f, s> with ``offset``.
-
-    The states are the normalized members of the state cone of ``f``'s
-    system.  Where :func:`ppt_dims` holds the candidates are exact
-    (:func:`ppt_min` of f and offset I - f).  Elsewhere they are the
-    state-side :func:`_generator_min`: products of atomic vertices and
-    projectors, then the probe states.  With ``offset`` the candidates
-    alternate between the two forms.  Returns (candidates, conclusive).
-    """
-    dims = ppt_dims(f.system)
-    if dims is not None:
-        mat = vector_to_hermitian_tensor(f)
-        return ppt_min(mat[None] if offset is None
-                       else np.stack([mat, offset * np.eye(len(mat)) - mat]), dims), True
-    return _generator_min(f.coeffs, _SCALAR, f.system, cfg or SearchConfig(),
-                          lambda effect, state, value: state,
-                          lambda p: (pair(f, p), None, True), offset)
-
-
 def composite_effect_check(
     e: GptVector,
     certified_separable=None,
@@ -956,13 +967,11 @@ def composite_effect_check(
 
     A supplied separable decomposition ``[(weight, [factor, ...]), ...]``
     with valid factors and sub-unit weight sum certifies validity exactly.
-    Otherwise the margin is the lowest of <e, s> and <u - e, s> over the
-    candidates of one :func:`_state_min` call, and a rejection carries the
-    state attaining it.  That is exact on Q2*Q2, Q2*Q3 and Q3*Q2 and where
-    the generators are complete.  Elsewhere the zero effect and product
-    effects with valid factors are accepted first, and finding no
-    violation only reports inconclusive acceptance.  The tolerance is
-    ``cfg.tol``; a configuration is only built when the search runs.
+    Otherwise the "effect" :func:`plan` runs with its complement ``u -
+    e``: the margin is the lowest of <e, s> and <u - e, s> found over
+    normalized states s, and a rejection carries the state attaining it.
+    The tolerance is ``cfg.tol``; a configuration is only built when the
+    search runs.
     """
     tol = cfg.tol if cfg is not None else DEFAULT_TOL
     if len(e.atoms) == 1:
@@ -973,18 +982,12 @@ def composite_effect_check(
         if ok:
             return MembershipVerdict(ACCEPTED, margin=0.0, detail=detail)
         detail = f"certificate rejected ({detail}); "
-    dims = ppt_dims(e.system)
-    if dims is None and not product_generators_complete(e.system):
-        if not e.coeffs.any():
-            return MembershipVerdict(ACCEPTED, margin=0.0, detail="zero effect")
-        factors = _rank_one_effect_factors(e)
-        if factors is not None and _validate_certificate(e, [(1.0, factors)], tol)[0]:
-            return MembershipVerdict(ACCEPTED, margin=0.0, detail="product-effect certificate")
-    found, conclusive = _state_min(e, cfg, 1.0)
-    how = ("e and u - e are PPT" if dims is not None
-           else "no violation on the cone generators" if conclusive
+    steps = plan("effect", (), e.atoms)
+    how = ("e and u - e are PPT" if steps.methods == ("ppt",)
+           else "no violation on the cone generators" if steps.exact
            else "no violation found (heuristic search)")
-    return _verdict(found, conclusive, tol, detail + how, detail + _OUTSIDE_ON_STATE)
+    return _form_verdict(e.coeffs, steps, cfg, tol, lambda effect, state, value: state,
+                         detail + how, detail + _OUTSIDE_ON_STATE, offset=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -995,18 +998,6 @@ def composite_effect_check(
 def probe_states(sys: SystemType) -> tuple:
     """The known non-product extreme states of a composite cone (see :data:`_PROBES`)."""
     return _PROBES.get(sys.atoms, ((), False))[0]
-
-
-def product_generators_complete(sys: SystemType) -> bool:
-    """Do atomic-generator products (plus probes) generate the whole cone?
-
-    Classical atoms have simplicial cones, so they only grade the composite
-    into independent slots: with at most one non-classical atom every
-    extreme ray is a product.  Otherwise completeness holds only for
-    systems whose probes are marked complete.
-    """
-    non_classical = sum(1 for a in sys.atoms if not isinstance(a, Classical))
-    return non_classical <= 1 or _PROBES.get(sys.atoms, ((), False))[1]
 
 
 def cone_generators(sys: SystemType) -> list:
@@ -1070,8 +1061,7 @@ def _two_qubit_probes() -> list:
     # Bell states and their partial transposes: non-product members of the
     # two-qubit composite cone.  Not a complete generator list (the witness
     # cone has a continuum of extreme rays); positivity checks of maps on
-    # Q2*Q2 probe their images.  Effects and trace conditions on Q2*Q2 are
-    # decided by the exact PPT test instead.
+    # Q2*Q2 probe their images.
     bells = [
         np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0),
         np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0),

@@ -153,10 +153,9 @@ def search_config_to_json(cfg: SearchConfig) -> dict:
 def search_config_from_json(obj) -> SearchConfig:
     if not isinstance(obj, dict):
         raise MalformedInputError("search configuration must be an object")
-    casts = {"grid": int, "restarts": int, "seed": int, "tol": float}
     try:
-        return SearchConfig(**{k: cast(obj[k]) for k, cast in casts.items() if k in obj})
-    except (TypeError, ValueError) as exc:
+        return SearchConfig(**{k: obj[k] for k in ("grid", "restarts", "seed", "tol") if k in obj})
+    except ValueError as exc:
         raise MalformedInputError(f"bad search configuration: {exc}") from exc
 
 

@@ -43,7 +43,6 @@ from .systems import (
     kron_all,
     system,
     unit_effect,
-    vector_to_hermitian,
 )
 from .transforms import (
     LinearMap,
@@ -87,8 +86,8 @@ class Assemblage:
     one read-only array indexed ``(*outcomes, *settings[, y], d**2)``;
     ``keys`` keeps the order the keys came in.  The constructor converts
     ``{key: GptVector}`` to the rows :meth:`from_rows` takes, and both
-    validate once, on the array.  ``elements``, ``element()`` and
-    ``matrix()`` build vectors from ``coeffs`` on demand.
+    validate once, on the array.  ``elements`` builds every vector from
+    ``coeffs`` on first read; ``element()`` and ``matrix()`` read one row.
     """
 
     scenario: str
@@ -162,16 +161,25 @@ class Assemblage:
         return math.isqrt(self.coeffs.shape[-1])
 
     @functools.cached_property
+    def _index(self) -> dict:
+        """``{key: index of its row in coeffs}`` in key order; a key off the grid is missing."""
+        multi = self.scenario == MULTIPARTITE
+        return {k: k[0] + k[1] if multi else k for k in self.keys}
+
+    @functools.cached_property
     def elements(self) -> dict:
         """``{key: GptVector}`` in key order, built from ``coeffs`` on first read."""
-        sys, multi = system(Quantum(self.d)), self.scenario == MULTIPARTITE
-        return {k: GptVector(sys, self.coeffs[k[0] + k[1] if multi else k]) for k in self.keys}
+        return {k: self.element(k) for k in self.keys}
 
     def element(self, *key) -> GptVector:
-        return self.elements[key if len(key) > 1 else key[0]]
+        """The element at ``key``, built from its row alone; ``KeyError`` off the grid."""
+        return GptVector(system(Quantum(self.d)),
+                         self.coeffs[self._index[key if len(key) > 1 else key[0]]])
 
     def matrix(self, *key) -> np.ndarray:
-        return vector_to_hermitian(self.elements[key if len(key) > 1 else key[0]])
+        """:meth:`element` as a matrix, read from its row alone."""
+        return coeffs_to_hermitian(self.coeffs[self._index[key if len(key) > 1 else key[0]]],
+                                   (self.d,))
 
     def key_at(self, index) -> tuple:
         """The element key at a grid index of :attr:`coeffs`."""

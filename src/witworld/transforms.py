@@ -22,11 +22,10 @@ from .compose import (
     SearchConfig,
     composite_effect_check,
     composite_state_check,
+    plan,
     tensor_all,
     unit_tol,
     _form_verdict,
-    _state_min,
-    _verdict,
 )
 from .systems import (
     DEFAULT_TOL,
@@ -46,7 +45,7 @@ from .systems import (
     unit_effect,
     vector_to_hermitian,
 )
-from .verdict import ACCEPTED, INCONCLUSIVE_ACCEPT, REJECTED, MembershipVerdict
+from .verdict import ACCEPTED, REJECTED, MembershipVerdict
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -286,7 +285,7 @@ def positivity_check(t: LinearMap, cfg: SearchConfig | None = None) -> Membershi
     """Does ``t`` map the domain cone into the codomain cone?
 
     The minimum of <r, t(g)> over codomain effect generators r and domain
-    generators g, on :func:`witworld.compose._form_verdict`'s path; the
+    generators g, by the "positivity" :func:`witworld.compose.plan`; the
     domain's probe states count through :func:`composite_state_check` of
     their images, and replace the engine's witness only when strictly
     lower.  A rejection carries a :class:`PositivityViolation`.  The
@@ -297,12 +296,12 @@ def positivity_check(t: LinearMap, cfg: SearchConfig | None = None) -> Membershi
 
     def probe(p):
         check = composite_state_check(apply(t, p), cfg)
-        return check.margin, check.witness, check.status != INCONCLUSIVE_ACCEPT
+        return check.margin, check.witness
 
-    return _form_verdict(t.matrix.reshape(-1), t.codomain, t.domain, cfg,
-                         unit_tol(cfg.tol, t.matrix),
+    steps = plan("positivity", t.codomain.atoms, t.domain.atoms)
+    return _form_verdict(t.matrix.reshape(-1), steps, cfg, unit_tol(cfg.tol, t.matrix),
                          lambda effect, state, value: PositivityViolation(state, effect, value),
-                         _OUTSIDE_CODOMAIN, probe)
+                         why=_OUTSIDE_CODOMAIN, probe=probe)
 
 
 # the detail of every positivity rejection; the margin carries the number
@@ -358,11 +357,11 @@ def trace_condition_check(t: LinearMap, mode: str,
     """Check ``u(T(s)) = u(s)`` (preserving) or ``<=`` (non-increasing).
 
     Both are conditions on normalized states s.  A map with ``T^T u = u``
-    exactly meets both, with margin 0 and no search.  Otherwise one
-    :func:`witworld.compose._state_min` call decides, and a rejection
+    exactly meets both, with margin 0 and no search.  Otherwise one run of
+    the "trace" :func:`witworld.compose.plan` decides, and a rejection
     carries the state attaining the margin.  Preserving asks that ``r =
     T^T u - u`` vanish: its margin is the lowest of <r, s> and <-r, s>,
-    ties to the r side, and it is conclusive where the search is exact or
+    ties to the r side, and it is conclusive where the plan is exact or
     every coefficient of r is within tol.  Non-increasing asks that the
     deficit ``u - T^T u`` be nonnegative.
     """
@@ -375,17 +374,16 @@ def trace_condition_check(t: LinearMap, mode: str,
     if not residual.any():
         return MembershipVerdict(ACCEPTED, margin=0.0, detail="u(T(s)) = u(s) identically"
                                  if mode == "preserving" else "")
+    steps = plan("trace", (), t.domain.atoms)
     if mode == "preserving":
-        found, exact = _state_min(GptVector(t.domain, residual), cfg, 0.0)
         # within tol on a basis the identity holds, whatever a search found
-        exact = exact or float(np.max(np.abs(residual))) <= cfg.tol
-        # the candidates alternate between r and -r: every r one goes first
-        return _verdict(found[0::2] + found[1::2], exact, cfg.tol,
-                        lambda m: f"max |u(T(s)) - u(s)| found {-m:.3g}",
-                        lambda m: f"changes the trace by {-m:.6g} on a state")
-    found, conclusive = _state_min(GptVector(t.domain, u_dom - tu), cfg)
-    return _verdict(found, conclusive, cfg.tol,
-                    why=lambda m: f"trace increases by {-m:.6g} on a state")
+        return _form_verdict(residual, steps, cfg, cfg.tol, lambda effect, state, value: state,
+                             lambda m: f"max |u(T(s)) - u(s)| found {-m:.3g}",
+                             lambda m: f"changes the trace by {-m:.6g} on a state",
+                             offset=0.0, form_first=True,
+                             settled=float(np.max(np.abs(residual))) <= cfg.tol)
+    return _form_verdict(u_dom - tu, steps, cfg, cfg.tol, lambda effect, state, value: state,
+                         why=lambda m: f"trace increases by {-m:.6g} on a state")
 
 
 # ---------------------------------------------------------------------------

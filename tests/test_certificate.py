@@ -113,8 +113,8 @@ def test_ppt_domain_map_needs_both_conditions(dims):
     phi = hermitian_tensor_to_vector(np.outer(amp, amp), dims)
     sigma = hermitian_to_vector(np.diag([0.7, 0.3]).astype(complex))
     t = LinearMap(phi.system, sigma.system, np.outer(sigma.coeffs, phi.coeffs))
-    assert compose.certificate_bound(t.matrix.reshape(-1), t.codomain.atoms,
-                                     t.domain.atoms) < -0.1
+    steps = compose.plan("positivity", t.codomain.atoms, t.domain.atoms)
+    assert compose.certificate_bound(t.matrix.reshape(-1), steps) < -0.1
     res = positivity_check(t, CFG)
     assert not res.accepted, res.describe()
     if dims == (2, 2):

@@ -603,6 +603,16 @@ def test_closed_stdout_in_process_leaves_file_descriptors_alone(monkeypatch):
     assert err.getvalue() == "" and dup2_calls == []
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_unwritable_emit_file_exits_74_without_traceback(capsys, tmp_path, json_flag):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, "assemblage", "pr-box", "--emit", str(target), *json_flag)
+    assert code == cli.EXIT_IOERR == 74
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
+    assert not target.parent.exists()
+
+
 @pytest.mark.parametrize("scale", [1e100, 1e155, 1e300])
 def test_scaled_planted_inputs_rejected_with_exit_1(capsys, tmp_path, scale):
     rng = np.random.default_rng(13)

@@ -48,7 +48,7 @@ from witworld.compose import (
     _state_side_specs,
     _rank_one_effect_factors,
     minimize_product_form,
-    ppt_dims,
+    plan,
 )
 from witworld.transforms import map_from_matrix_action
 
@@ -724,12 +724,12 @@ def test_ppt_effect_margin_is_the_lowest_eigenvalue():
 
 def test_ppt_gate_covers_only_small_quantum_pairs():
     Q3 = Quantum(3)
-    assert ppt_dims(system(Q2, Q2)) == (2, 2)
-    assert ppt_dims(system(Q2, Q3)) == (2, 3)
-    assert ppt_dims(system(Q3, Q2)) == (3, 2)
-    for sys in (system(Q3, Q3), system(Q2, Quantum(4)), system(Q2, Q2, Q2),
-                system(Classical(2), Q2), system(B22, Q2), system(Q2)):
-        assert ppt_dims(sys) is None
+    for check in ("effect", "trace"):
+        for atoms in ((Q2, Q2), (Q2, Q3), (Q3, Q2)):
+            assert plan(check, (), atoms).methods == ("ppt",)
+        for atoms in ((Q3, Q3), (Q2, Quantum(4)), (Q2, Q2, Q2), (Classical(2), Q2), (B22, Q2),
+                      (Q2,)):
+            assert "ppt" not in plan(check, (), atoms).methods
 
 
 def test_tiles_bound_entangled_effect_is_never_accepted():
@@ -1291,7 +1291,7 @@ def _reference_minimize_product_form(coeffs, specs, cfg):
                     factors[i] = next(it)
             best_val, best_factors = val, tuple(factors)
     return compose.ProductMin(math.ldexp(best_val, exp), best_factors,
-                              compose.search_is_exact(qdims))
+                              len(qdims) <= 1 or qdims == [2, 2])
 
 
 _ENGINE_SHAPES = {
@@ -1400,3 +1400,15 @@ def test_search_config_rejects_bad_ranges():
         with pytest.raises(ValueError):
             SearchConfig(**kwargs)
     assert SearchConfig(grid=1, restarts=1, tol=0.0).restarts == 1
+
+
+def test_search_config_rejects_non_integral_and_boolean_values():
+    for kwargs in ({"restarts": 2.5}, {"grid": 2.5}, {"seed": 1.0}, {"grid": True},
+                   {"restarts": False}, {"seed": True}, {"restarts": np.bool_(True)},
+                   {"grid": "180"}, {"tol": True}, {"tol": "1e-3"}, {"tol": None}):
+        with pytest.raises(ValueError):
+            SearchConfig(**kwargs)
+    cfg = SearchConfig(grid=np.int64(9), restarts=np.int32(3), seed=np.uint8(4),
+                       tol=np.float32(1e-6))
+    assert (cfg.grid, cfg.restarts, cfg.seed) == (9, 3, 4)
+    assert SearchConfig(tol=0).tol == 0

@@ -18,6 +18,7 @@ from witworld import (
     GptVector,
     Quantum,
     SearchConfig,
+    SteeringInequality,
     hermitian_tensor_to_vector,
     hermitian_to_vector,
     lhs_check,
@@ -25,6 +26,7 @@ from witworld import (
     pr_state,
     system,
     transpose_map,
+    vector_to_hermitian,
 )
 from witworld import serialize
 from witworld.cli import main
@@ -113,7 +115,9 @@ def test_search_config_round_trip_and_defaults():
     assert search_config_from_json(search_config_to_json(cfg)) == cfg
     partial = search_config_from_json({"grid": 60})
     assert partial.grid == 60 and partial.restarts == SearchConfig().restarts
-    for bad in ({"grid": "many"}, {"grid": 0}, {"tol": -1.0}):
+    # no value is cast: 2.7 is not read as 2, true as 1, or "1e-3" as a number
+    for bad in ({"grid": "many"}, {"grid": 0}, {"tol": -1.0}, {"grid": 2.7},
+                {"restarts": True}, {"tol": "1e-3"}, {"seed": 1.0}, {"tol": False}):
         with pytest.raises(MalformedInputError):
             search_config_from_json(bad)
 
@@ -437,6 +441,42 @@ def test_loading_builds_no_vector_until_elements_are_read(monkeypatch):
     assert built == []  # the check works on the array too
     els = asm.elements
     assert len(built) == 64 and asm.elements is els
+
+
+def test_element_reads_build_only_the_rows_they_read(monkeypatch):
+    asm = assemblage_from_json(_three_party_doc(np.random.default_rng(23)))
+    built = []
+    init = GptVector.__post_init__
+    monkeypatch.setattr(GptVector, "__post_init__", lambda v: (built.append(v), init(v))[1])
+    keys = [((0, 1, 0), (1, 1, 0)), ((1, 1, 1), (0, 0, 0))]
+    ineq = SteeringInequality({keys[0]: 1.0, keys[1]: -0.5},
+                              np.array([1.0, 1j]) / np.sqrt(2.0), 0.0)
+    value = ineq.evaluate(asm)
+    assert built == []
+    el = asm.element(*keys[0])
+    assert len(built) == 1
+    for bad in (((0, 1, 0), (1, 1, 2)), ((0, 1, 0), (1, 1, -1)), ((0, -1, 0), (1, 1, 0)),
+                ((0, 1), (1, 1, 0)), (0, 1)):
+        with pytest.raises(KeyError):
+            asm.element(*bad)
+        with pytest.raises(KeyError):
+            asm.matrix(*bad)
+    assert len(built) == 1
+    els = asm.elements
+    assert len(built) == 65
+    assert el.coeffs.tobytes() == els[keys[0]].coeffs.tobytes()
+    for key, v in els.items():
+        assert asm.matrix(*key).tobytes() == vector_to_hermitian(v).tobytes()
+    k = ineq.eigenvector
+    assert value == float(sum(c * np.real(k.conj() @ vector_to_hermitian(els[key]) @ k)
+                              for key, c in ineq.coefficients.items()))
+    # a bipartite key off the grid, a negative index among them, is missing too
+    pr = paper_assemblage("pr-box")
+    for bad in ((-1, 0), (0, -1), (2, 0), (0, 2)):
+        with pytest.raises(KeyError):
+            pr.element(*bad)
+        with pytest.raises(KeyError):
+            pr.matrix(*bad)
 
 
 def test_elements_match_the_per_element_reference_bit_for_bit():
