@@ -100,6 +100,19 @@ class SearchConfig:
             raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
+def default_config() -> SearchConfig:
+    """``SearchConfig()``, built once per value of ``WITWORLD_SEED``.
+
+    Nothing is kept for an invalid value, so it raises on every call.
+    """
+    return _config_for_seed(os.environ.get("WITWORLD_SEED", "0"))
+
+
+@functools.lru_cache(maxsize=8)
+def _config_for_seed(raw: str) -> SearchConfig:
+    return SearchConfig()  # whose seed is read from the same WITWORLD_SEED
+
+
 def tensor(v1: GptVector, v2: GptVector) -> GptVector:
     """Kronecker product; the composite system concatenates the atom lists."""
     return GptVector(v1.system * v2.system, np.kron(v1.coeffs, v2.coeffs))
@@ -661,7 +674,7 @@ def plan(check: str, effect_atoms: tuple, state_atoms: tuple) -> Plan:
            and state_atoms[0].d * state_atoms[1].d <= 6)
     if check in ("effect", "trace") and ppt:
         return Plan(("ppt",), True, effect_sys, state_sys, specs, dims)
-    probes, marked = _PROBES.get(state_atoms, ((), False))
+    probes, marked = _probes(state_atoms)
     complete = marked or sum(not isinstance(a, Classical) for a in state_atoms) <= 1
     methods = []
     if check in ("state", "positivity") and dims is not None:
@@ -742,7 +755,7 @@ def _form_verdict(coeffs: np.ndarray, steps: Plan, cfg: SearchConfig | None, tol
                 if offset is not None:
                     found.append((offset - value, found[-1][1]))
         else:
-            cfg = cfg or SearchConfig()
+            cfg = cfg or default_config()
             lo = minimize_product_form(coeffs, steps.specs, cfg)
             found.append((lo.value, lambda: split(lo.factors)))
             if offset is not None:
@@ -791,7 +804,7 @@ def composite_state_check(v: GptVector, cfg: SearchConfig | None = None) -> Memb
     effect attaining the margin.  The tolerance is ``cfg.tol`` at the unit
     size of ``v`` (:func:`unit_tol`).
     """
-    cfg = cfg or SearchConfig()
+    cfg = cfg or default_config()
     tol = unit_tol(cfg.tol, v.coeffs)
     if len(v.atoms) == 1:
         return atomic_state_check(v, tol)
@@ -962,6 +975,8 @@ def composite_effect_check(
     e: GptVector,
     certified_separable=None,
     cfg: SearchConfig | None = None,
+    *,
+    tol: float | None = None,
 ) -> MembershipVerdict:
     """Effect validity on a composite system: 0 <= <e, s> <= 1 on all states.
 
@@ -970,10 +985,11 @@ def composite_effect_check(
     Otherwise the "effect" :func:`plan` runs with its complement ``u -
     e``: the margin is the lowest of <e, s> and <u - e, s> found over
     normalized states s, and a rejection carries the state attaining it.
-    The tolerance is ``cfg.tol``; a configuration is only built when the
-    search runs.
+    The tolerance is ``tol``, else ``cfg.tol``, else the default; a
+    configuration is only built when the search runs.
     """
-    tol = cfg.tol if cfg is not None else DEFAULT_TOL
+    if tol is None:
+        tol = cfg.tol if cfg is not None else DEFAULT_TOL
     if len(e.atoms) == 1:
         return atomic_effect_check(e, tol)
     detail = ""
@@ -997,7 +1013,26 @@ def composite_effect_check(
 
 def probe_states(sys: SystemType) -> tuple:
     """The known non-product extreme states of a composite cone (see :data:`_PROBES`)."""
-    return _PROBES.get(sys.atoms, ((), False))[0]
+    return _probes(sys.atoms)[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _probes(atoms: tuple) -> tuple:
+    """(probes, complete) of a state side: :data:`_PROBES` of its atoms that are
+    not classical.  A classical atom only grades the composite into independent
+    slots, so each probe is taken times every vertex of the classical atoms, in
+    atom order."""
+    classical = [i for i, a in enumerate(atoms) if isinstance(a, Classical)]
+    others = [i for i, a in enumerate(atoms) if not isinstance(a, Classical)]
+    probes, complete = _PROBES.get(tuple(atoms[i] for i in others), ((), False))
+    if not classical or not probes:
+        return probes, complete
+    sys = SystemType(atoms)
+    shape = [atoms[i].dim for i in others + classical]
+    order = np.argsort(others + classical)  # those axes back in atom order
+    points = list(itertools.product(*(vertex_table(atoms[i]) for i in classical)))
+    return tuple(GptVector(sys, kron_all([p.coeffs, *pt]).reshape(shape).transpose(order)
+                           .ravel()) for p in probes for pt in points), complete
 
 
 def cone_generators(sys: SystemType) -> list:
@@ -1081,7 +1116,8 @@ def _two_qubit_probes() -> list:
 # they complete the products of vertices to a generator set of the cone.
 # The 16 products of local vertices plus the 8 PR-family box states are
 # exactly the extreme points of the bipartite B2,2 state space, so
-# generator-based checks on that system are exact.
+# generator-based checks on that system, and beside classical atoms
+# (:func:`_probes`), are exact.
 _PROBES = {
     (Boxworld(2, 2), Boxworld(2, 2)): (_PR_STATES, True),
     (Quantum(2), Quantum(2)): (tuple(_two_qubit_probes()), False),

@@ -1,10 +1,19 @@
 """Small dense linear feasibility solver.
 
-Solves "find x >= 0 with A x = b" by a phase-1 simplex with Bland's rule
-(anti-cycling).  On infeasibility a Farkas certificate y is produced,
-satisfying y^T A <= 0 and y^T b > 0, which the steering layer turns into
-a violated inequality.  Problem sizes here are dozens of variables, so a
-plain dense tableau is appropriate.
+Solves "find x >= 0 with A x = b" by a phase-1 simplex on a dense
+tableau.  Each pivot enters the column with the most negative reduced
+cost (Dantzig's rule), leaves by the minimum-ratio test with exact ties
+to the lowest row, and eliminates with one rank-1 update of the whole
+tableau.  That pricing can cycle through degenerate bases (Beale 1955),
+so after m degenerate pivots in a row the loop follows Bland's rule
+(Bland 1977), which cannot cycle, until a pivot moves.  A row may leave
+only where its entering entry exceeds _PIVOT_TOL times the column's
+largest entry (at least 1), so rounding dust in a near-zero row is never
+a pivot; and phase 1 stops once the artificial variables sum to at most
+tol * max(1, max |b|).  On infeasibility a Farkas certificate y is
+produced, satisfying y^T A <= 0 and y^T b > 0, which the steering layer
+turns into a violated inequality.  Problem sizes here are dozens of
+variables, so a plain dense tableau is appropriate.
 """
 
 from __future__ import annotations
@@ -74,34 +83,45 @@ def solve_feasibility(A, b, tol: float = 1e-9, max_iter: int | None = None) -> L
     tab[m, -1] = -b1.sum()
     basis = np.arange(n, n + m)
 
-    iterations = 0
-    while m and iterations < max_iter:  # with no rows there is nothing to pivot
-        # Bland: entering variable is the lowest index with negative reduced cost.
-        negative = tab[m, :n + m] < -_PIVOT_TOL
-        enter = int(negative.argmax())
-        if not negative[enter]:
+    # Phase 1 is done once the artificial variables sum to at most `goal`;
+    # with no rows they sum to 0 from the start.
+    goal = tol * max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
+    iterations = degenerate = 0
+    while iterations < max_iter and -tab[m, -1] > goal:
+        # Dantzig: the most negative reduced cost enters.  After m degenerate
+        # pivots in a row (the leaving row's right-hand side is 0, to within
+        # _PIVOT_TOL), Bland until a pivot moves: the lowest index with a
+        # negative reduced cost.
+        dantzig = degenerate < m
+        costs = tab[m, :n + m]
+        enter = int(costs.argmin() if dantzig else (costs < -_PIVOT_TOL).argmax())
+        if costs[enter] >= -_PIVOT_TOL:
             break
         col = tab[:m, enter]
-        rows = (col > _PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
-            # Phase-1 objective is bounded below by 0, so this cannot happen
-            # with artificial variables present; treat defensively.
-            break
-        leave = _leaving_row(rows, tab[rows, -1] / col[rows], basis)
-        piv = tab[leave, enter]
-        tab[leave, :] /= piv
-        # One rank-1 update over the rows with a nonzero entering entry;
-        # rows with a zero entry are left alone, as a row-by-row update would.
+        # Phase 1 is bounded below by 0, so while artificial variables are
+        # basic an entering column has an eligible row; the breaks are defensive.
+        eligible = col > _PIVOT_TOL * max(1.0, col.max())
+        if dantzig:
+            # the lowest ratio leaves, exact ties to the lowest row
+            ratios = np.divide(tab[:m, -1], col, out=np.full(m, np.inf), where=eligible)
+            leave = int(ratios.argmin())
+            if ratios[leave] == np.inf:
+                break
+        else:
+            rows = eligible.nonzero()[0]
+            if rows.size == 0:
+                break
+            leave = _leaving_row(rows, tab[rows, -1] / col[rows], basis)
+        degenerate = degenerate + 1 if tab[leave, -1] <= _PIVOT_TOL else 0
+        # one rank-1 update over the whole tableau
+        tab[leave] /= tab[leave, enter]
         factors = tab[:, enter].copy()
         factors[leave] = 0.0
-        hit = factors.nonzero()[0]
-        tab[hit] -= factors[hit, None] * tab[leave]
+        tab -= np.outer(factors, tab[leave])
         basis[leave] = enter
         iterations += 1
 
-    objective = -tab[m, -1]
-    scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-    if objective <= tol * scale:
+    if -tab[m, -1] <= goal:
         x = np.zeros(n)
         for i, j in enumerate(basis):
             if j < n:

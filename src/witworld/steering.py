@@ -22,6 +22,7 @@ import numpy as np
 from .compose import (
     SearchConfig,
     composite_state_check,
+    default_config,
     hermitian_tensor_to_vector,
     pr_state,
     tensor_all,
@@ -335,7 +336,7 @@ def assemblage_from_realization(
     per-element :func:`partial_apply_classical`, :func:`parallel`,
     :func:`apply` and :func:`steer` calls, so every element has their bits.
     """
-    cfg = cfg or SearchConfig()
+    cfg = cfg or default_config()
     n = len(measurements)
     if n < 1:
         raise ValueError("need at least one black-box party")
@@ -710,7 +711,7 @@ def paper_assemblage(
     The first three realizations' states and maps are built, and their
     shared states checked, once per process (:func:`_named_realization`).
     """
-    cfg = cfg or SearchConfig()
+    cfg = cfg or default_config()
     if name in ("pr-box", "bwi-star", "bwi-star-star"):
         shared, meas, device, inputs = _named_realization(name)
         return assemblage_from_realization(shared, meas, bob_transform=device,

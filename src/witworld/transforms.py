@@ -22,6 +22,7 @@ from .compose import (
     SearchConfig,
     composite_effect_check,
     composite_state_check,
+    default_config,
     plan,
     tensor_all,
     unit_tol,
@@ -33,7 +34,6 @@ from .systems import (
     GptVector,
     Quantum,
     SystemType,
-    atomic_effect_check,
     classical_point,
     hermitian_basis,
     hermitian_to_coeffs,
@@ -181,11 +181,11 @@ def measurement_map(effects: Sequence[GptVector], tol: float = DEFAULT_TOL) -> L
     if v < 1:
         raise ValueError("a measurement needs at least one outcome")
     dom = effects[0].system
+    cfg = SearchConfig(tol=tol) if len(dom) > 1 else None  # only a search needs one
     for e in effects:
         if e.system != dom:
             raise ValueError("all outcome effects must share one system")
-        check = (atomic_effect_check(e, tol) if len(dom) == 1
-                 else composite_effect_check(e, cfg=SearchConfig(tol=tol)))
+        check = composite_effect_check(e, cfg=cfg, tol=tol)
         if not check.passed:
             raise ValueError(f"invalid outcome effect: {check.describe()}")
     total = np.sum([e.coeffs for e in effects], axis=0)
@@ -292,7 +292,7 @@ def positivity_check(t: LinearMap, cfg: SearchConfig | None = None) -> Membershi
     tolerance is ``cfg.tol`` at the unit size of the map's matrix
     (:func:`witworld.compose.unit_tol`).
     """
-    cfg = cfg or SearchConfig()
+    cfg = cfg or default_config()
 
     def probe(p):
         check = composite_state_check(apply(t, p), cfg)
@@ -367,7 +367,7 @@ def trace_condition_check(t: LinearMap, mode: str,
     """
     if mode not in ("preserving", "non-increasing"):
         raise ValueError(f"unknown mode {mode!r}; use 'preserving' or 'non-increasing'")
-    cfg = cfg or SearchConfig()
+    cfg = cfg or default_config()
     u_dom = unit_effect(t.domain).coeffs
     tu = t.matrix.T @ unit_effect(t.codomain).coeffs
     residual = tu - u_dom

@@ -1412,3 +1412,33 @@ def test_search_config_rejects_non_integral_and_boolean_values():
                        tol=np.float32(1e-6))
     assert (cfg.grid, cfg.restarts, cfg.seed) == (9, 3, 4)
     assert SearchConfig(tol=0).tol == 0
+
+
+def test_default_config_follows_the_seed_variable_between_calls(monkeypatch):
+    import witworld.compose as compose
+    from witworld import trace_condition_check
+
+    seeds = []
+    engine = compose.minimize_product_form
+
+    def spy(coeffs, specs, cfg):
+        seeds.append(cfg.seed)
+        return engine(coeffs, specs, cfg)
+
+    monkeypatch.setattr(compose, "minimize_product_form", spy)
+    sys = system(Classical(2), B22)
+    state = GptVector(sys, np.kron([1.0, 1.0], [1.0, 1.0, 1.0]))
+    half = LinearMap(sys, sys, 0.5 * np.eye(sys.dim))
+    checks = (lambda: composite_state_check(state), lambda: positivity_check(half),
+              lambda: trace_condition_check(half, "non-increasing"))
+    for raw in ("7", "11", "7"):
+        monkeypatch.setenv("WITWORLD_SEED", raw)
+        assert compose.default_config() is compose.default_config()
+        for check in checks:
+            seeds.clear()
+            assert check().passed
+            assert seeds and set(seeds) == {int(raw)}
+    monkeypatch.setenv("WITWORLD_SEED", "abc")
+    for check in checks * 2:
+        with pytest.raises(ValueError, match="WITWORLD_SEED"):
+            check()

@@ -1,4 +1,4 @@
-"""Phase-1 simplex: feasibility, certificates, agreement with scipy."""
+"""Phase-1 simplex: feasibility, certificates, agreement with scipy, anti-cycling."""
 
 import itertools
 
@@ -101,73 +101,7 @@ def test_shape_mismatch():
         solve_feasibility(np.eye(2), np.zeros(3))
 
 
-# --- parity with the row-by-row simplex ----------------------------------------------
-
-
-def _row_loop_solve(A, b, tol=1e-9, max_iter=None):
-    """The simplex with per-row Python loops: the reference for the vectorized pivots."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float).reshape(-1)
-    m, n = A.shape
-    if max_iter is None:
-        max_iter = 200 * (n + m + 1)
-    flip = np.where(b < 0, -1.0, 1.0)
-    A1 = A * flip[:, None]
-    b1 = b * flip
-    tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :n] = A1
-    tab[:m, n:n + m] = np.eye(m)
-    tab[:m, -1] = b1
-    tab[m, :n] = -A1.sum(axis=0)
-    tab[m, -1] = -b1.sum()
-    basis = list(range(n, n + m))
-    iterations = 0
-    while iterations < max_iter:
-        enter = -1
-        for j in range(n + m):
-            if tab[m, j] < -_PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
-            break
-        leave, best_ratio = -1, np.inf
-        for i in range(m):
-            if tab[i, enter] > _PIVOT_TOL:
-                ratio = tab[i, -1] / tab[i, enter]
-                if ratio < best_ratio - _PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= _PIVOT_TOL
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio, leave = ratio, i
-        if leave < 0:
-            break
-        piv = tab[leave, enter]
-        tab[leave, :] /= piv
-        for i in range(m + 1):
-            if i != leave and tab[i, enter] != 0.0:
-                tab[i, :] -= tab[i, enter] * tab[leave, :]
-        basis[leave] = enter
-        iterations += 1
-
-    objective = -tab[m, -1]
-    scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-    if objective <= tol * scale:
-        x = np.zeros(n)
-        for i, j in enumerate(basis):
-            if j < n:
-                x[j] = max(tab[i, -1], 0.0)
-        return True, x, None, iterations
-    cols = np.empty((m, m))
-    c_b = np.empty(m)
-    for i, j in enumerate(basis):
-        if j < n:
-            cols[:, i] = A1[:, j]
-            c_b[i] = 0.0
-        else:
-            cols[:, i] = np.eye(m)[:, j - n]
-            c_b[i] = 1.0
-    y1, *_ = np.linalg.lstsq(cols.T, c_b, rcond=None)
-    return False, None, y1 * flip, iterations
+# --- agreement with scipy on pivot-heavy instances -----------------------------------
 
 
 def _parity_instances():
@@ -228,19 +162,43 @@ def _three_party_dmat():
     return np.array(rows, dtype=float)
 
 
-def test_vectorized_pivots_match_row_loop_bit_for_bit():
+def _assert_valid(A, b, res, tol=1e-9):
+    """A solution is nonnegative and solves A x = b; a certificate separates b from the cone."""
+    scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
+    if res.feasible:
+        assert np.min(res.x) >= 0
+        assert np.max(np.abs(A @ res.x - b), initial=0.0) <= tol * scale
+    else:
+        y = res.certificate
+        bound = tol * max(1.0, float(np.max(np.abs(y))))
+        assert np.max(y @ A) <= bound
+        assert y @ b > bound
+
+
+def _near_zero_rows():
+    """A row of entries near 1e-12 with a zero right-hand side: eliminations
+    leave rounding there, which must never become a pivot, before phase 1
+    reaches a zero sum of artificial variables or after."""
+    rng = np.random.default_rng(3)
+    for _ in range(150):
+        m, n = int(rng.integers(2, 9)), int(rng.integers(2, 14))
+        A = rng.normal(size=(m, n))
+        A[0] = np.abs(A[0]) * 1e-12
+        b = A @ rng.uniform(0, 1, size=n)
+        b[0] = 0.0
+        yield A, b
+
+
+def test_parity_instances_agree_with_scipy():
     checked = {True: 0, False: 0}
-    for A, b in _parity_instances():
-        for max_iter in (None, 1, 3):
-            res = solve_feasibility(A, b, max_iter=max_iter)
-            feasible, x, y, iterations = _row_loop_solve(A, b, max_iter=max_iter)
-            assert res.feasible == feasible
-            assert res.iterations == iterations
-            if feasible:
-                assert np.array_equal(res.x, x)
-            else:
-                assert np.array_equal(res.certificate, y)
-            checked[feasible] += 1
+    for A, b in itertools.chain(_parity_instances(), _near_zero_rows()):
+        res = solve_feasibility(A, b)
+        n = A.shape[1]
+        ref = scipy_linprog(np.zeros(n), A_eq=A, b_eq=b, bounds=[(0, None)] * n,
+                            method="highs")
+        assert res.feasible == ref.success
+        _assert_valid(A, b, res)
+        checked[res.feasible] += 1
     assert min(checked.values()) > 50
 
 
@@ -272,17 +230,49 @@ def test_ratio_test_matches_the_scan_on_near_ties():
     assert 500 < scanned < 2500  # both the array path and the scan are exercised
 
 
-def test_parity_instances_reach_both_ratio_paths(monkeypatch):
-    calls = {"array": 0, "scan": 0}
+def test_three_party_lps_take_fewer_pivots_than_blands_rule():
+    # Bland's rule on every pivot took 55.0 pivots on average on these LPs
+    pivots = [solve_feasibility(A, b).iterations
+              for A, b in _parity_instances() if A.shape == (64, 64)]
+    assert len(pivots) == 18 and np.mean(pivots) <= 55.0
+
+
+# Beale's cycling example (Beale 1955) as a phase-1 problem: his two
+# degenerate rows, and a third row that makes the phase-1 reduced costs of
+# the four columns his costs (-3/4, 20, -1/2, 6).  Phase 1 prices column j
+# at -sum_i A_ij, with the artificial variables in the role of his slacks,
+# and the third row's right-hand side of 1 never ties the others' 0.
+_BEALE_A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 2.0, -18.0]])
+_BEALE_B = np.array([0.0, 0.0, 1.0])
+
+
+def _dantzig_bases(A, b, pivots):
+    """The bases that largest-coefficient pricing alone visits, without the Bland fallback."""
+    m, n = A.shape
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n], tab[:m, n:n + m], tab[:m, -1] = A, np.eye(m), b
+    tab[m, :n], tab[m, -1] = -A.sum(axis=0), -b.sum()
+    basis, seen = list(range(n, n + m)), []
+    for _ in range(pivots):
+        seen.append(frozenset(basis))
+        enter = int(tab[m, :n + m].argmin())
+        assert tab[m, enter] < -_PIVOT_TOL
+        leave = min((tab[i, -1] / tab[i, enter], i) for i in range(m)
+                    if tab[i, enter] > _PIVOT_TOL)[1]
+        tab[leave] /= tab[leave, enter]
+        for i in range(m + 1):
+            if i != leave:
+                tab[i] -= tab[i, enter] * tab[leave]
+        basis[leave] = enter
+    return seen
+
+
+def test_largest_coefficient_pricing_cycles_and_the_fallback_ends_it(monkeypatch):
+    seen = _dantzig_bases(_BEALE_A, _BEALE_B, 12)
+    assert seen[6] == seen[0] and len(set(seen)) == 6  # the six-pivot cycle, twice
+    bland = []
     original = lp._leaving_row
-
-    def spy(rows, ratios, basis):
-        above = ratios - ratios.min()
-        near = np.any((above > _PIVOT_TOL / 2) & (above <= 3 * _PIVOT_TOL))
-        calls["scan" if near else "array"] += 1
-        return original(rows, ratios, basis)
-
-    monkeypatch.setattr(lp, "_leaving_row", spy)
-    for A, b in _parity_instances():
-        solve_feasibility(A, b)
-    assert calls["scan"] > 10 and calls["array"] > 1000
+    monkeypatch.setattr(lp, "_leaving_row", lambda *args: bland.append(1) or original(*args))
+    res = solve_feasibility(_BEALE_A, _BEALE_B)
+    assert bland and res.iterations < 12
+    _assert_valid(_BEALE_A, _BEALE_B, res)

@@ -29,6 +29,7 @@ from witworld import (
     SystemType,
     composite_effect_check,
     composite_state_check,
+    effect_cone_rays,
     hermitian_to_vector,
     positivity_check,
     trace_condition_check,
@@ -36,7 +37,7 @@ from witworld import (
 )
 from witworld.compose import kron_all, plan
 from witworld.systems import ray_table, vertex_table
-from witworld.verdict import INCONCLUSIVE_ACCEPT
+from witworld.verdict import ACCEPTED, INCONCLUSIVE_ACCEPT, REJECTED
 
 C2, B22, Q2, Q3 = Classical(2), Boxworld(2, 2), Quantum(2), Quantum(3)
 ATOMS = (C2, B22, Q2, Q3)
@@ -48,13 +49,13 @@ def _readme_exact(check, effect_atoms, state_atoms):
     Q2*Q2, Q2*Q3 or Q3*Q2 (separable equals PPT).  Otherwise a check is exact
     where the engine is (at most one quantum atom in the whole form, or exactly
     two, both Q2) and the generators of the state side are complete (at most one
-    of its atoms not classical, or B2,2*B2,2)."""
+    of its atoms not classical, or those atoms are B2,2*B2,2)."""
     if check in ("effect", "trace") and state_atoms in ((Q2, Q2), (Q2, Q3), (Q3, Q2)):
         return True
     dims = [a.d for a in effect_atoms + state_atoms if isinstance(a, Quantum)]
     non_classical = [a for a in state_atoms if not isinstance(a, Classical)]
     return ((len(dims) <= 1 or dims == [2, 2])
-            and (len(non_classical) <= 1 or state_atoms == (B22, B22)))
+            and (len(non_classical) <= 1 or non_classical == [B22, B22]))
 
 
 def _shapes():
@@ -147,6 +148,37 @@ def test_valid_inputs_on_exact_shapes_are_never_inconclusive():
             assert v.passed, (shape, v.describe())
             assert v.status != INCONCLUSIVE_ACCEPT, (shape, v.describe())
     assert len(seen) > 100
+
+
+def _box_pair_functional(k):
+    """The C2 effect of outcome 0 at position ``k`` of C2 and two B2,2 atoms,
+    times (2u - CHSH)/4 on the boxes: at least 0 on every product of
+    vertices, -1/2 on a PR box in slot 0, so only the probes reach it."""
+    rays = effect_cone_rays(B22)
+    diff = [rays[0].coeffs - rays[1].coeffs, rays[2].coeffs - rays[3].coeffs]
+    u = unit_effect(SystemType((B22,))).coeffs
+    terms = [(2.0, u, u)] + [(-(-1.0) ** (x * y), diff[x], diff[y])
+                             for x, y in itertools.product(range(2), repeat=2)]
+    point = ray_table(C2)[0]
+    return sum(c / 4.0 * kron_all([f, g][:k] + [point] + [f, g][k:]) for c, f, g in terms)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_a_classical_atom_beside_a_box_pair_keeps_the_plan_exact(k):
+    atoms = (B22, B22)[:k] + (C2,) + (B22, B22)[k:]
+    sys = SystemType(atoms)
+    assert plan("positivity", atoms, atoms).exact and plan("trace", (), atoms).exact
+    identity = LinearMap(sys, sys, np.eye(sys.dim))
+    assert positivity_check(identity, CFG).status == ACCEPTED
+    half = LinearMap(sys, sys, 0.5 * np.eye(sys.dim))
+    assert trace_condition_check(half, "non-increasing", CFG).status == ACCEPTED
+    # planted: positive on every product of vertices, not on a PR box in slot 0
+    g = _box_pair_functional(k)
+    planted = positivity_check(LinearMap(sys, SystemType(), g[None]), CFG)
+    assert planted.status == REJECTED and planted.margin == pytest.approx(-0.5)
+    more = LinearMap(sys, SystemType(), (unit_effect(sys).coeffs - g)[None])
+    increasing = trace_condition_check(more, "non-increasing", CFG)
+    assert increasing.status == REJECTED and increasing.margin == pytest.approx(-0.5)
 
 
 # --- the engine stays reachable through module attributes ---------------------------------

@@ -517,3 +517,19 @@ def test_positive_box_maps_extend_to_composites():
         ext = compose_par(t, identity_map(system(Boxworld(2, 2))))
         for g in gens:
             assert composite_state_check(apply(ext, g)).accepted
+
+
+def test_measurement_map_builds_a_config_only_for_a_composite_domain(monkeypatch):
+    rays = effect_cone_rays(Classical(2))
+    single = [rays[0], rays[1]]
+    pairs = [tensor(a, b) for a in rays for b in rays]
+    monkeypatch.setenv("WITWORLD_SEED", "abc")
+    assert measurement_map(single).matrix.shape == (2, 2)  # no search, no configuration
+    with pytest.raises(ValueError, match="WITWORLD_SEED"):
+        measurement_map(pairs)
+    monkeypatch.setenv("WITWORLD_SEED", "0")
+    assert measurement_map(pairs).matrix.shape == (4, 4)
+    with pytest.raises(ValueError, match="tol"):
+        measurement_map(pairs, tol=-1.0)
+    with pytest.raises(ValueError, match="invalid outcome effect"):
+        measurement_map(single, tol=-1.0)  # the atomic test at that tolerance
