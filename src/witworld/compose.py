@@ -699,8 +699,7 @@ def certificate_bound(coeffs: np.ndarray, steps: Plan) -> float | None:
     """
     dims = steps.dims
     if "spectral-ppt" in steps.methods:
-        x = coeffs_to_hermitian(coeffs, dims)
-        return spectral_bound(np.stack([x, _partial_transpose(x, dims)]),
+        return spectral_bound(_with_last_transposed(coeffs_to_hermitian(coeffs, dims)[None], dims),
                               dims[:-2] + (dims[-2] * dims[-1],))
     if "spectral" in steps.methods:
         return spectral_bound(coeffs_to_hermitian(coeffs, dims)[None], dims)
@@ -781,11 +780,11 @@ def _ppt_min(coeffs: np.ndarray, dims: tuple, offset: float | None) -> list:
     """
     mat = coeffs_to_hermitian(coeffs, dims)
     mats = mat[None] if offset is None else np.stack([mat, offset * np.eye(len(mat)) - mat])
-    vals, vecs = np.linalg.eigh(np.concatenate([mats, _partial_transpose(mats, dims)]))
+    vals, vecs = np.linalg.eigh(_with_last_transposed(mats, dims))
 
     def pick(i):
         w = np.outer(vecs[i, :, 0], vecs[i, :, 0].conj())
-        w = _partial_transpose(w, dims) if i >= len(mats) else w
+        w = _with_last_transposed(w[None], dims)[1] if i >= len(mats) else w
         return None, hermitian_tensor_to_vector(w, dims)
 
     return [(float(vals[i, 0]), lambda i=i: pick(i)) for i in range(len(vals))]
@@ -943,6 +942,29 @@ def _partial_transpose(m: np.ndarray, dims: tuple, on: Sequence[int] = (-1,)) ->
     return t.reshape(m.shape)
 
 
+@functools.lru_cache(maxsize=64)
+def _transposes(dims: tuple) -> np.ndarray:
+    """Every partial transpose :func:`spectral_bound` takes on ``dims``, as one
+    read-only integer array: row s holds, for each entry of M^{Γ_S}
+    flattened, the flat index of M it reads.  The sets S leave out factor
+    0 and run by size, then in order, so row 0 is the identity and, on two
+    or more factors, row ``len(dims) - 1`` the last factor alone."""
+    n, total = len(dims), math.prod(dims)
+    index = np.arange(total * total).reshape(total, total)
+    out = np.stack([_partial_transpose(index, dims, s).reshape(-1)
+                    for k in range(n) for s in itertools.combinations(range(1, n), k)])
+    out.flags.writeable = False
+    return out
+
+
+def _with_last_transposed(mats: np.ndarray, dims: tuple) -> np.ndarray:
+    """The stack ``mats`` (two or more factors), then each matrix transposed
+    on the last factor, in that order: one take from :func:`_transposes`."""
+    total = mats.shape[-1]
+    rows = _transposes(dims)[[0, len(dims) - 1]]
+    return np.swapaxes(mats.reshape(len(mats), -1)[:, rows], 0, 1).reshape(-1, total, total)
+
+
 def spectral_bound(mats: np.ndarray, dims: tuple) -> float:
     """Certified lower bound of tr(M P) over products P of unit-trace rank-1 projectors.
 
@@ -951,16 +973,17 @@ def spectral_bound(mats: np.ndarray, dims: tuple) -> float:
     projectors into another such product, so for every set S of factors
     the lowest eigenvalue of M^{Γ_S} bounds tr(M P) from below; S and its
     complement give transposed matrices, so only sets without factor 0 are
-    taken.  The bound is the best of these per M and the lowest of those
-    over the stack, from one stacked ``eigvalsh``.  It is at least -tol
-    whenever each M is PSD or PPT across some cut, and it is never above
-    the minimum any search over products can reach.
+    taken.  All of them come from one take of the cached layout
+    :func:`_transposes`, and the bound is the best of them per M and the
+    lowest of those over the stack, from one stacked ``eigvalsh``.  It is
+    at least -tol whenever each M is PSD or PPT across some cut, and it is
+    never above the minimum any search over products can reach.
     """
-    n = len(dims)
-    subsets = [s for k in range(n) for s in itertools.combinations(range(1, n), k)]
-    stack = np.concatenate([_partial_transpose(mats, dims, s) for s in subsets])
-    lows = np.linalg.eigvalsh(stack)[:, 0].reshape(len(subsets), len(mats))
-    return float(lows.max(axis=0).min())
+    layout = _transposes(tuple(dims))
+    total = mats.shape[-1]
+    stack = mats.reshape(len(mats), -1)[:, layout].reshape(-1, total, total)
+    lows = np.linalg.eigvalsh(stack)[:, 0].reshape(len(mats), len(layout))
+    return float(lows.max(axis=1).min())
 
 
 _CERTIFIED = "spectral certificate: partial-transpose eigenvalues >= -tol"

@@ -8,8 +8,12 @@ are ``{"domain": [...], "codomain": [...], "matrix": [[...]]}``.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
+import math
 import re
+from types import MappingProxyType
 
 import numpy as np
 
@@ -182,6 +186,24 @@ def _element_key_from_str(scenario: str, s: str):
     return key
 
 
+@functools.lru_cache(maxsize=32)
+def _spelled_keys(scenario: str, outcomes: tuple, settings: tuple, bob_inputs,
+                  size: int) -> MappingProxyType:
+    """A read-only ``{spelling: key}`` for every key of the declared element
+    grid, as :func:`_element_key_to_str` spells it; empty where the counts
+    do not describe ``size`` elements of ``scenario`` (the
+    :class:`Assemblage` then names the fault)."""
+    parties = len(outcomes)
+    counts = outcomes + settings + (() if bob_inputs is None else (bob_inputs,))
+    if (len(settings) != parties or (scenario != MULTIPARTITE and parties != 1)
+            or (bob_inputs is None) == (scenario == BOB_WITH_INPUT) or math.prod(counts) != size):
+        return MappingProxyType({})
+    grid = itertools.product(*map(range, counts))
+    if scenario == MULTIPARTITE:
+        grid = ((k[:parties], k[parties:]) for k in grid)
+    return MappingProxyType({_element_key_to_str(scenario, k): k for k in grid})
+
+
 def _parse_element_key(scenario: str, s: str):
     """The key that ``s`` spells, or None: ``a=<n>|x=<n>``, ``a=<n>,..|x=<n>,..``
     (multipartite) or ``a=<n>|x=<n>;y=<n>`` (bob-with-input), with decimal digits."""
@@ -246,7 +268,8 @@ def assemblage_from_json(obj) -> Assemblage:
     d = obj.get("d")
     if "d" in obj and (not isinstance(d, int) or isinstance(d, bool) or d < 1):
         raise MalformedInputError(f"assemblage 'd' must be a positive integer, got {d!r}")
-    keys, rows = _read_elements(scenario, obj["elements"])
+    keys, rows = _read_elements(scenario, obj["elements"], _spelled_keys(
+        scenario, outcomes, settings, bob_inputs, len(obj["elements"])))
     try:
         asm = Assemblage.from_rows(scenario, outcomes, settings, keys, rows, bob_inputs=bob_inputs)
     except ValueError as exc:
@@ -256,15 +279,19 @@ def assemblage_from_json(obj) -> Assemblage:
     return asm
 
 
-def _read_elements(scenario: str, items: dict) -> tuple:
+def _read_elements(scenario: str, items: dict, spelled) -> tuple:
     """The element keys in file order, and their coefficient rows.
 
-    A key spelled twice keeps its first place and takes its later element.
+    A key is looked up in ``spelled`` (:func:`_spelled_keys`), and parsed
+    only when it is not there.  A key spelled twice keeps its first place
+    and takes its later element.
     """
     # a matrix-form element waits as its row in `matrices`
     elements, key_strs, matrices = {}, [], []
     for key_str, val in items.items():
-        key = _element_key_from_str(scenario, key_str)
+        key = spelled.get(key_str)
+        if key is None:
+            key = _element_key_from_str(scenario, key_str)
         if isinstance(val, dict) and "re" in val:
             elements[key] = len(matrices)
             key_strs.append(key_str)
@@ -299,13 +326,15 @@ def _matrix_stack(key_strs: list, matrices: list) -> np.ndarray:
     """The matrix-form elements as one complex ``(n, d, d)`` array."""
     try:
         # a missing 'im' reads as 're' here and is zeroed below
-        parts = np.array([(m["re"], m.get("im", m["re"])) for m in matrices], dtype=float)
+        re_part = np.asarray([m["re"] for m in matrices], dtype=float)
+        im_part = np.asarray([m.get("im", m["re"]) for m in matrices], dtype=float)
     except (TypeError, ValueError):
-        parts = None
-    if parts is not None and parts.ndim == 4 and parts.shape[2] == parts.shape[3]:
-        parts[[i for i, m in enumerate(matrices) if "im" not in m], 1] = 0.0
-        if np.isfinite(parts).all():
-            return parts[:, 0] + 1j * parts[:, 1]
+        re_part = im_part = None
+    if (re_part is not None and re_part.ndim == 3 and re_part.shape == im_part.shape
+            and re_part.shape[1] == re_part.shape[2]):
+        im_part[[i for i, m in enumerate(matrices) if "im" not in m]] = 0.0
+        if np.isfinite(re_part).all() and np.isfinite(im_part).all():
+            return re_part + 1j * im_part
     # name the first bad element
     mats = []
     for key_str, obj in zip(key_strs, matrices):

@@ -225,8 +225,8 @@ def not_hermitian(m: np.ndarray, eps: float):
 
 @functools.lru_cache(maxsize=None)
 def _conversion_scripts(n: int) -> tuple:
-    """The einsum scripts of :func:`hermitian_to_coeffs` and
-    :func:`coeffs_to_hermitian` on ``n`` factors."""
+    """The einsum scripts of :func:`hermitian_to_coeffs` and of the
+    single-factor :func:`coeffs_to_hermitian`, on ``n`` factors."""
     k, p, q = (string.ascii_letters[i * n:(i + 1) * n] for i in range(3))
     bases = ",".join(map("".join, zip(k, p, q)))
     return f"{bases},...{q}{p}->...{k}", f"...{k},{bases}->...{p}{q}"
@@ -238,9 +238,9 @@ def hermitian_to_coeffs(mats: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     ``mats`` has shape ``(..., D, D)`` with ``D`` the product of ``dims``;
     the result has shape ``(..., prod(d**2))``, against products of the
     local bases of :func:`hermitian_basis` (entry ``k`` is ``tr(B_k M)``).
-    One unoptimized einsum, unlike ``matmul`` or ``tensordot``, so each
-    matrix of a stack converts bit for bit as it would alone.  The caller
-    checks Hermiticity.
+    One unoptimized einsum over every factor at once, unlike ``matmul`` or
+    ``tensordot``, so each matrix of a stack converts bit for bit as it
+    would alone.  The caller checks Hermiticity.
     """
     dims = tuple(dims)
     lead = mats.shape[:-2]
@@ -249,13 +249,63 @@ def hermitian_to_coeffs(mats: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     return coeffs.reshape(lead + (math.prod(d * d for d in dims),))
 
 
+# A basis-change matrix has D**4 complex entries for D x D matrices; it is
+# cached up to this many (256 KiB: Q3*Q3 and Q2*Q2*Q2 are under, Q2**4 and
+# Q2*Q2*Q3 over).  Larger shapes convert one factor at a time.
+_CACHED_ENTRIES = 1 << 14
+
+
+@functools.lru_cache(maxsize=32)
+def _basis_change(dims: tuple) -> np.ndarray:
+    """Row k is the product basis element k on ``dims``, flattened, as
+    re, im pairs: one read-only ``(prod(d**2), 2 D**2)`` real array."""
+    products = functools.reduce(
+        lambda a, b: np.einsum("apq,brs->abprqs", a, b).reshape(
+            len(a) * len(b), a.shape[1] * b.shape[1], -1),
+        map(hermitian_basis, dims), np.ones((1, 1, 1), dtype=complex))
+    out = np.ascontiguousarray(products).reshape(len(products), -1).view(float)
+    out.flags.writeable = False
+    return out
+
+
+def _factor_by_factor(coeffs: np.ndarray, dims: tuple) -> np.ndarray:
+    """:func:`coeffs_to_hermitian` through one einsum per factor: shape
+    ``(..., D, D)`` once reshaped."""
+    lead, n = coeffs.shape[:-1], len(dims)
+    m = len(lead)
+    t = coeffs.reshape(lead + tuple(d * d for d in dims))
+    # axis labels: the stack, the factors' coefficient indices, then each
+    # factor's row and column index, appended as the factor is converted
+    stack, done = list(range(m)), []
+    for i, d in enumerate(dims):
+        k, p, q = m + i, m + n + 2 * i, m + n + 2 * i + 1
+        t = np.einsum(t, stack + list(range(k, m + n)) + done, hermitian_basis(d), [k, p, q],
+                      stack + list(range(k + 1, m + n)) + done + [p, q])
+        done += [p, q]
+    return t.transpose(stack + [m + 2 * i for i in range(n)] + [m + 2 * i + 1 for i in range(n)])
+
+
 def coeffs_to_hermitian(coeffs: np.ndarray, dims: Sequence[int]) -> np.ndarray:
-    """Inverse of :func:`hermitian_to_coeffs`: shape ``(..., D, D)``."""
+    """Inverse of :func:`hermitian_to_coeffs`: shape ``(..., D, D)``.
+
+    One factor: the one einsum of :func:`hermitian_to_coeffs`.  More
+    factors: one product with the cached :func:`_basis_change` matrix
+    where it has at most ``_CACHED_ENTRIES`` entries, else one product per
+    factor, so memory stays O(sum d**4).  Each is an unoptimized einsum
+    over C-ordered coefficients, summing in coefficient order, so each
+    matrix of a stack converts bit for bit as it would alone.
+    """
     dims = tuple(dims)
     lead = coeffs.shape[:-1]
-    mats = np.einsum(_conversion_scripts(len(dims))[1],
-                     coeffs.reshape(lead + tuple(d * d for d in dims)), *map(hermitian_basis, dims))
     total = math.prod(dims)
+    if len(dims) == 1:
+        mats = np.einsum(_conversion_scripts(1)[1], coeffs.reshape(lead + (total * total,)),
+                         hermitian_basis(total))
+    elif total ** 4 <= _CACHED_ENTRIES:
+        mats = np.einsum("...k,kj->...j", np.ascontiguousarray(coeffs, dtype=float),
+                         _basis_change(dims)).view(complex)
+    else:
+        mats = _factor_by_factor(np.ascontiguousarray(coeffs, dtype=float), dims)
     return mats.reshape(lead + (total, total))
 
 

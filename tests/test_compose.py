@@ -1,6 +1,7 @@
 """Composite systems: tensoring, max-tensor membership, effects, steering."""
 
 import itertools
+import math
 import pickle
 import tracemalloc
 
@@ -40,6 +41,7 @@ from witworld import (
     vector_to_hermitian,
     vector_to_hermitian_tensor,
 )
+from witworld import compose
 from witworld.compose import (
     _bloch_scan,
     _effect_side_specs,
@@ -50,6 +52,7 @@ from witworld.compose import (
     minimize_product_form,
     plan,
 )
+from witworld.systems import coeffs_to_hermitian, hermitian_to_coeffs
 from witworld.transforms import map_from_matrix_action
 
 from conftest import (
@@ -61,6 +64,7 @@ from conftest import (
     random_decomposable_witness,
     random_density,
     random_hermitian,
+    random_psd,
     random_box_effect,
     partial_transpose,
 )
@@ -880,6 +884,60 @@ def test_partial_transpose_of_singlet_accepted_but_not_psd():
     # sanity for the helper itself
     m = vector_to_hermitian_tensor(builtin_state("singlet"))
     assert np.max(np.abs(partial_transpose(m) - vector_to_hermitian_tensor(pt))) < 1e-12
+
+
+# --- partial transposes from one layout ----------------------------------------------
+
+
+def _subsets(n):
+    return [s for k in range(n) for s in itertools.combinations(range(1, n), k)]
+
+
+def _reference_spectral_bound(mats, dims):
+    """spectral_bound from one _partial_transpose per subset, concatenated."""
+    subsets = _subsets(len(dims))
+    stack = np.concatenate([compose._partial_transpose(mats, dims, s) for s in subsets])
+    lows = np.linalg.eigvalsh(stack)[:, 0].reshape(len(subsets), len(mats))
+    return float(lows.max(axis=0).min())
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 2, 2), (2, 2, 4), (2, 2, 2, 2)])
+def test_spectral_bound_through_the_layout_matches_per_subset_transposes(dims, count):
+    rng = np.random.default_rng(math.prod(dims) * 10 + len(dims) + count)
+    total, n = math.prod(dims), len(dims)
+    layout = compose._transposes(dims)
+    assert compose._transposes(dims) is layout and not layout.flags.writeable
+    m = random_hermitian(rng, total)
+    for row, s in zip(layout, _subsets(n), strict=True):
+        assert m.reshape(-1)[row].tobytes() == compose._partial_transpose(m, dims, s).tobytes()
+    psd = [random_psd(rng, total) for _ in range(4)]
+    kinds = [random_hermitian(rng, total), psd[0],
+             psd[1] + compose._partial_transpose(psd[2], dims, (n - 1,)),
+             compose._partial_transpose(psd[3], dims, (1,)) + 0.01 * np.eye(total)]
+    for picks in itertools.combinations(range(len(kinds)), count):
+        mats = np.stack([kinds[i] for i in picks])
+        assert compose.spectral_bound(mats, dims) == _reference_spectral_bound(mats, dims)
+
+
+@pytest.mark.parametrize("offset", [None, 1.0])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 2, 2)])
+def test_ppt_candidates_keep_their_order_and_values(dims, offset):
+    rng = np.random.default_rng(sum(dims) + len(dims))
+    total = math.prod(dims)
+    for m in (random_hermitian(rng, total), random_density(rng, total)):
+        coeffs = hermitian_to_coeffs(m, dims)
+        found = compose._ppt_min(coeffs, dims, offset)
+        mat = coeffs_to_hermitian(coeffs, dims)
+        mats = mat[None] if offset is None else np.stack([mat, offset * np.eye(total) - mat])
+        vals, vecs = np.linalg.eigh(np.concatenate([mats, compose._partial_transpose(mats, dims)]))
+        assert [value for value, _ in found] == [float(v) for v in vals[:, 0]]
+        for i, (_, pick) in enumerate(found):
+            w = np.outer(vecs[i, :, 0], vecs[i, :, 0].conj())
+            w = compose._partial_transpose(w, dims) if i >= len(mats) else w
+            effect, state = pick()
+            assert effect is None
+            assert state.coeffs.tobytes() == hermitian_tensor_to_vector(w, dims).coeffs.tobytes()
 
 
 # --- stacked restart descent --------------------------------------------------------

@@ -501,3 +501,67 @@ def test_elements_match_the_per_element_reference_bit_for_bit():
             assert el.system == ref[key].system
             assert el.coeffs.tobytes() == ref[key].coeffs.tobytes()
             assert el.coeffs.tobytes() == asm.coeffs[key[0] + key[1]].tobytes()
+
+
+def test_canonical_keys_resolve_without_parsing(monkeypatch):
+    doc = _three_party_doc(np.random.default_rng(24))
+    want = assemblage_from_json(doc)
+    parsed = []
+    parse = serialize._parse_element_key
+    monkeypatch.setattr(serialize, "_parse_element_key",
+                        lambda scenario, s: parsed.append(s) or parse(scenario, s))
+    asm = assemblage_from_json(doc)
+    assert parsed == []
+    assert asm.keys == want.keys and asm.coeffs.tobytes() == want.coeffs.tobytes()
+    # another spelling of a key, or the keys of another grid, are parsed
+    items = dict(doc["elements"])
+    items["a=0,1,01|x=1,0,0"] = items.pop("a=0,1,1|x=1,0,0")
+    assert list(map(len, assemblage_from_json(dict(doc, elements=items)).keys)) == [2] * 64
+    assert parsed == ["a=0,1,01|x=1,0,0"]
+    with pytest.raises(MalformedInputError, match="incomplete element index"):
+        assemblage_from_json(dict(doc, outcomes=[2, 2, 2, 1], settings=[2, 2, 2, 1]))
+    assert len(parsed) == 65
+
+
+def _uniform_three_party_doc():
+    keys = [f"a={a}|x={x}" for a, x in itertools.product(
+        map(",".join, itertools.product("01", repeat=3)), repeat=2)]
+    return {"scenario": "multipartite", "outcomes": [2, 2, 2], "settings": [2, 2, 2],
+            "elements": {k: {"re": [[0.125, 0.0], [0.0, 0.125]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+                         for k in keys}}
+
+
+def _renamed(doc, old, new):
+    return dict(doc, elements={new if k == old else k: v for k, v in doc["elements"].items()})
+
+
+def _ragged_message():
+    try:
+        np.asarray([[0.125, 0.0], [0.0]], dtype=float)
+    except ValueError as exc:
+        return f"matrix 're' must be numbers: {exc}"
+
+
+@pytest.mark.parametrize("kind", ["bad-key", "duplicate-key", "ragged", "non-finite"])
+def test_malformed_three_party_files_keep_their_exit_code_and_message(tmp_path, kind):
+    doc = _uniform_three_party_doc()
+    bad = "a=1,0,1|x=0,1,1"
+    if kind == "bad-key":
+        doc = _renamed(doc, "a=0,1,0|x=1,0,0", "a=0,1,0|y=1,0,0")
+        message = "bad element key 'a=0,1,0|y=1,0,0' for scenario multipartite"
+    elif kind == "duplicate-key":
+        doc = _renamed(doc, "a=1,1,1|x=1,1,1", "a=0,0,0|x=00,0,0")
+        message = "incomplete element index: missing [((1, 1, 1), (1, 1, 1))], extra []"
+    elif kind == "ragged":
+        doc["elements"][bad] = {"re": [[0.125, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        message = f"element {bad}: {_ragged_message()}"
+    else:
+        doc["elements"][bad] = {"re": [[0.125, 0.0], [0.0, 0.125]],
+                                "im": [[0.0, 0.0], [math.nan, 0.0]]}
+        message = f"element {bad}: matrix 're' and 'im' entries must be finite"
+    path = tmp_path / "assemblage.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["lhs", str(path), "--json"])
+    assert (code, out.getvalue(), err.getvalue()) == (65, "", f"malformed input: {message}\n")

@@ -1,6 +1,8 @@
 """Atomic systems: dimensions, vectorization, cones, vertices, dual rays."""
 
 import itertools
+import math
+import string
 
 import numpy as np
 import pytest
@@ -24,9 +26,12 @@ from witworld import (
     vector_to_hermitian,
 )
 from witworld.lp import solve_feasibility
+from witworld import systems
 from witworld.systems import (
     boxworld_to_classical,
     classical_point,
+    coeffs_to_hermitian,
+    hermitian_to_coeffs,
     kron_all,
     ray_table,
     vertex_table,
@@ -120,6 +125,93 @@ def test_non_hermitian_rejected():
         hermitian_to_vector(np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValueError):
         vector_to_hermitian(GptVector(system(Classical(4)), np.zeros(4)))
+
+
+def _scripts(n):
+    k, p, q = (string.ascii_letters[i * n:(i + 1) * n] for i in range(3))
+    bases = ",".join(map("".join, zip(k, p, q)))
+    return f"{bases},...{q}{p}->...{k}", f"...{k},{bases}->...{p}{q}"
+
+
+def _all_factor_matrices(coeffs, dims):
+    """coeffs_to_hermitian as one unoptimized einsum over every factor at once: the reference."""
+    lead, total = coeffs.shape[:-1], math.prod(dims)
+    mats = np.einsum(_scripts(len(dims))[1], coeffs.reshape(lead + tuple(d * d for d in dims)),
+                     *map(hermitian_basis, dims))
+    return mats.reshape(lead + (total, total))
+
+
+def _all_factor_coeffs(mats, dims):
+    """hermitian_to_coeffs as one unoptimized einsum over every factor at once: the reference."""
+    lead = mats.shape[:-2]
+    coeffs = np.real(np.einsum(_scripts(len(dims))[0], *map(hermitian_basis, dims),
+                               mats.reshape(lead + tuple(dims) * 2)))
+    return coeffs.reshape(lead + (-1,))
+
+
+_MULTI_FACTOR = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (2, 2, 2, 2), (3, 3, 3)]
+
+
+@pytest.mark.parametrize("dims", _MULTI_FACTOR)
+def test_multi_factor_conversion_stays_within_4_ulps_of_the_all_factor_einsum(dims):
+    rng = np.random.default_rng(len(dims) * 10 + sum(dims))
+    n = math.prod(d * d for d in dims)
+    rows = rng.normal(size=(6, n)) * np.array([1.0, 1.0, 1e-9, 1e9, 3.0, 0.5])[:, None]
+    rows[4, 1:] = 0.0  # a multiple of the identity
+    for got, want in zip(coeffs_to_hermitian(rows, dims), _all_factor_matrices(rows, dims)):
+        assert got.dtype == complex and got.shape == want.shape
+        assert np.abs(got - want).max() <= 4 * np.spacing(np.abs(want).max())
+    back = hermitian_to_coeffs(coeffs_to_hermitian(rows, dims), dims)
+    assert (np.abs(back - rows).max(axis=1) <= 1e-12 * np.abs(rows).max(axis=1)).all()
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (2, 2, 2, 2),
+                                  (3, 3, 3)])
+def test_each_multi_factor_row_of_a_stack_converts_as_it_would_alone(dims):
+    rng = np.random.default_rng(sum(dims) + len(dims))
+    n = math.prod(d * d for d in dims)
+    rows = rng.normal(size=(3, 4, n))
+    stack = coeffs_to_hermitian(rows, dims)
+    flat = stack.reshape((12,) + stack.shape[2:])
+    for i, j in np.ndindex(3, 4):
+        assert stack[i, j].tobytes() == coeffs_to_hermitian(rows[i, j], dims).tobytes()
+        assert stack[i, j].tobytes() == coeffs_to_hermitian(rows[i, j:j + 1], dims)[0].tobytes()
+    for layout in (np.asfortranarray(rows.reshape(12, n)), rows.reshape(12, n)[::-1][::-1],
+                   np.ascontiguousarray(rows.reshape(12, n).T).T):
+        assert coeffs_to_hermitian(layout, dims).tobytes() == flat.tobytes()
+
+
+def test_small_shapes_convert_through_one_cached_matrix_and_large_ones_factor_by_factor():
+    systems._basis_change.cache_clear()
+    rng = np.random.default_rng(3)
+    for dims in ((2, 2, 2, 2), (2, 2, 3), (3, 3, 3)):
+        coeffs_to_hermitian(rng.normal(size=math.prod(d * d for d in dims)), dims)
+    assert systems._basis_change.cache_info().currsize == 0
+    for dims in ((2, 3), (3, 2), (3, 3), (3, 3)):
+        coeffs_to_hermitian(rng.normal(size=math.prod(d * d for d in dims)), dims)
+    assert systems._basis_change.cache_info()[:2] == (1, 3)
+    matrix = systems._basis_change((3, 3))
+    assert matrix.shape == (81, 2 * 81) and not matrix.flags.writeable
+    assert 16 ** 4 > systems._CACHED_ENTRIES >= 9 ** 4
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_single_factor_conversions_are_the_one_einsum_bit_for_bit(d):
+    rng = np.random.default_rng(40 + d)
+    rows = rng.normal(size=(5, d * d)) * 10.0 ** rng.uniform(-6, 6, size=(5, 1))
+    mats = coeffs_to_hermitian(rows, (d,))
+    assert mats.tobytes() == _all_factor_matrices(rows, (d,)).tobytes()
+    assert coeffs_to_hermitian(rows[2], (d,)).tobytes() == mats[2].tobytes()
+    herm = np.stack([random_hermitian(rng, d) for _ in range(5)])
+    assert hermitian_to_coeffs(herm, (d,)).tobytes() == _all_factor_coeffs(herm, (d,)).tobytes()
+
+
+@pytest.mark.parametrize("dims", _MULTI_FACTOR)
+def test_hermitian_to_coeffs_stays_the_all_factor_einsum_bit_for_bit(dims):
+    rng = np.random.default_rng(60 + sum(dims))
+    total = math.prod(dims)
+    herm = np.stack([random_hermitian(rng, total) for _ in range(3)])
+    assert hermitian_to_coeffs(herm, dims).tobytes() == _all_factor_coeffs(herm, dims).tobytes()
 
 
 def test_hermiticity_test_is_relative_to_the_entries():
