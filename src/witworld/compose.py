@@ -13,7 +13,13 @@ eigenvalues, the spectral certificate :func:`certificate_bound`, the
 zero- and product-effect certificates, the engine
 :func:`minimize_product_form` and the known non-product probe states.
 :func:`_form_verdict` is the one runner: it runs a plan's methods in
-order, and the first lowest candidate decides.
+order, and the first lowest candidate decides.  The PPT eigenvalues and
+the certificate read every matrix they need, each partial transpose
+included, off one product of the form's coefficients with a real
+operator cached per shape and gate (:func:`_gate_operator`, up to
+``Q3*Q3`` and ``Q2*Q2*Q2``).  A check called without a
+:class:`SearchConfig` takes ``DEFAULT_TOL`` and reads ``WITWORLD_SEED``
+(:func:`default_config`) only where a search runs.
 
 In the engine, two or more quantum factors go through one stacked
 alternating descent, which takes a qubit or qutrit factor's ground state
@@ -38,6 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .systems import (
+    _CACHED_ENTRIES,
     DEFAULT_TOL,
     Boxworld,
     Classical,
@@ -56,6 +63,7 @@ from .systems import (
     system,
     unit_effect,
     vertex_table,
+    _basis_change,
 )
 from .verdict import ACCEPTED, INCONCLUSIVE_ACCEPT, REJECTED, MembershipVerdict
 
@@ -525,8 +533,10 @@ def unit_exponent(values) -> int:
 
     Scaling by ``2^-e`` brings an input to unit size exactly: its largest
     entry lies in [1/2, 1).  It is 0 for inputs of that size and for zeros.
+    The maximum is one ``ndarray.max`` of ``np.abs(values)``, without the
+    dispatch of ``np.max``.
     """
-    return math.frexp(float(np.max(np.abs(values))))[1]
+    return math.frexp(float(np.abs(values).max()))[1]
 
 
 def unit_tol(tol: float, values) -> float:
@@ -695,15 +705,25 @@ def certificate_bound(coeffs: np.ndarray, steps: Plan) -> float | None:
     The form is tr(X (R ⊗ S)) over effects R and states S.  "spectral"
     bounds X, as the states are pure; "spectral-ppt", where every state
     is P + Q^Γ, the lower of X and X with the last atom transposed, the
-    state pair as one factor.
+    state pair as one factor.  Up to ``Q3*Q3`` and ``Q2*Q2*Q2`` every
+    matrix the gate reads comes from one product of ``coeffs`` with the
+    cached :func:`_gate_operator`, then one ``eigvalsh`` and one max and
+    min; larger shapes convert with :func:`coeffs_to_hermitian` and take
+    :func:`spectral_bound`.  Both give the same bits.
     """
-    dims = steps.dims
-    if "spectral-ppt" in steps.methods:
+    methods, dims = steps.methods, steps.dims
+    gate = ("spectral" if "spectral" in methods else "spectral-ppt" if "spectral-ppt" in methods
+            else None)
+    if gate is None:
+        return None
+    operator = _gate_operator(dims, gate)
+    if operator is not None:
+        lows = np.linalg.eigvalsh(_gate_matrices(coeffs, operator))[..., 0]
+        return float(lows.max(axis=1).min())
+    if gate == "spectral-ppt":
         return spectral_bound(_with_last_transposed(coeffs_to_hermitian(coeffs, dims)[None], dims),
                               dims[:-2] + (dims[-2] * dims[-1],))
-    if "spectral" in steps.methods:
-        return spectral_bound(coeffs_to_hermitian(coeffs, dims)[None], dims)
-    return None
+    return spectral_bound(coeffs_to_hermitian(coeffs, dims)[None], dims)
 
 
 def _form_verdict(coeffs: np.ndarray, steps: Plan, cfg: SearchConfig | None, tol: float,
@@ -776,15 +796,19 @@ def _ppt_min(coeffs: np.ndarray, dims: tuple, offset: float | None) -> list:
     M is the form, with ``offset`` then offset I - form, then their partial
     transposes.  Where separable equals PPT every state is P + Q^Γ with
     P, Q PSD (Størmer 1963; Woronowicz 1976), so each minimum is a lowest
-    eigenvalue, from one ``eigh``, attained on vv† or (vv†)^Γ.
+    eigenvalue, from one ``eigh``, attained on vv† or (vv†)^Γ.  M and M^Γ
+    come from one product with the cached :func:`_gate_operator`; as
+    I^Γ = I, the complement of M^Γ is offset I - M^Γ, bit for bit.
     """
-    mat = coeffs_to_hermitian(coeffs, dims)
-    mats = mat[None] if offset is None else np.stack([mat, offset * np.eye(len(mat)) - mat])
-    vals, vecs = np.linalg.eigh(_with_last_transposed(mats, dims))
+    mats = _gate_matrices(coeffs, _gate_operator(dims, "ppt"))[:, 0]
+    if offset is not None:
+        mats = np.stack([mats, offset * np.eye(mats.shape[-1]) - mats], axis=1)
+        mats = mats.reshape(-1, *mats.shape[-2:])
+    vals, vecs = np.linalg.eigh(mats)
 
     def pick(i):
         w = np.outer(vecs[i, :, 0], vecs[i, :, 0].conj())
-        w = _with_last_transposed(w[None], dims)[1] if i >= len(mats) else w
+        w = _with_last_transposed(w[None], dims)[1] if 2 * i >= len(mats) else w
         return None, hermitian_tensor_to_vector(w, dims)
 
     return [(float(vals[i, 0]), lambda i=i: pick(i)) for i in range(len(vals))]
@@ -800,11 +824,12 @@ def composite_state_check(v: GptVector, cfg: SearchConfig | None = None) -> Memb
 
     A single atom has its exact test; a composite runs its "state"
     :func:`plan` over product effects, and a rejection carries the product
-    effect attaining the margin.  The tolerance is ``cfg.tol`` at the unit
-    size of ``v`` (:func:`unit_tol`).
+    effect attaining the margin.  The tolerance is ``cfg.tol``, or
+    ``DEFAULT_TOL`` without a configuration, at the unit size of ``v``
+    (:func:`unit_tol`).  Without one, :func:`default_config` (and so
+    ``WITWORLD_SEED``) is read only if a search runs.
     """
-    cfg = cfg or default_config()
-    tol = unit_tol(cfg.tol, v.coeffs)
+    tol = unit_tol(DEFAULT_TOL if cfg is None else cfg.tol, v.coeffs)
     if len(v.atoms) == 1:
         return atomic_state_check(v, tol)
     return _form_verdict(v.coeffs, plan("state", v.atoms, ()), cfg, tol,
@@ -963,6 +988,53 @@ def _with_last_transposed(mats: np.ndarray, dims: tuple) -> np.ndarray:
     total = mats.shape[-1]
     rows = _transposes(dims)[[0, len(dims) - 1]]
     return np.swapaxes(mats.reshape(len(mats), -1)[:, rows], 0, 1).reshape(-1, total, total)
+
+
+@functools.lru_cache(maxsize=64)
+def _gate_operator(dims: tuple, gate: str) -> tuple | None:
+    """The matrices ``gate`` reads off a form M on ``dims``, as one linear
+    map of M's coefficients, with their shape (G, S, D, D); None where
+    :func:`coeffs_to_hermitian` does not convert through one cached
+    matrix (one factor, or beyond ``Q3*Q3`` and ``Q2*Q2*Q2``).
+
+    "spectral": G = 1, the partial transposes of :func:`_transposes`;
+    "ppt": M and M transposed on the last factor, S = 1; "spectral-ppt":
+    those two, each with the partial transposes of :func:`_transposes` of
+    the last two factors as one.  Each order is the one
+    :func:`spectral_bound` and :func:`_with_last_transposed` take, so ties
+    fall the same way.  Every partial transpose permutes entries, so the
+    map is the columns of ``systems._basis_change(dims)`` (re, im pairs)
+    gathered through those permutations: one read-only real
+    (D^2, 2 G S D^2) array per shape and gate.
+    """
+    total = math.prod(dims)
+    if len(dims) < 2 or total ** 4 > _CACHED_ENTRIES:
+        return None
+    rows = _transposes(dims)  # row s: the flat index of M each entry reads
+    if gate == "spectral":
+        layout = rows[None]
+    else:
+        pair = rows[[0, len(dims) - 1]]
+        layout = (pair[:, None] if gate == "ppt"
+                  else pair[:, _transposes(dims[:-2] + (dims[-2] * dims[-1],))])
+    basis = _basis_change(dims)
+    out = basis.reshape(len(basis), -1, 2)[:, layout.reshape(-1)].reshape(len(basis), -1)
+    out.flags.writeable = False
+    return out, layout.shape[:-1] + (total, total)
+
+
+def _gate_matrices(coeffs: np.ndarray, operator: tuple) -> np.ndarray:
+    """The (..., G, S, D, D) matrices a :func:`_gate_operator` reads off the
+    forms with coefficient rows ``coeffs``.
+
+    One unoptimized einsum, the one :func:`coeffs_to_hermitian` runs with
+    the basis-change matrix: each entry sums in the same order, so the
+    matrices are bit for bit those that conversion and the layout take
+    give.  Leading axes of ``coeffs`` are a stack.
+    """
+    matrix, shape = operator
+    flat = np.einsum("...k,kj->...j", np.ascontiguousarray(coeffs, dtype=float), matrix)
+    return flat.view(complex).reshape(coeffs.shape[:-1] + shape)
 
 
 def spectral_bound(mats: np.ndarray, dims: tuple) -> float:

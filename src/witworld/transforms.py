@@ -289,17 +289,19 @@ def positivity_check(t: LinearMap, cfg: SearchConfig | None = None) -> Membershi
     domain's probe states count through :func:`composite_state_check` of
     their images, and replace the engine's witness only when strictly
     lower.  A rejection carries a :class:`PositivityViolation`.  The
-    tolerance is ``cfg.tol`` at the unit size of the map's matrix
-    (:func:`witworld.compose.unit_tol`).
+    tolerance is ``cfg.tol``, or ``DEFAULT_TOL`` without a configuration,
+    at the unit size of the map's matrix (:func:`witworld.compose.unit_tol`).
+    Without one, :func:`witworld.compose.default_config` (and so
+    ``WITWORLD_SEED``) is read only where the engine or the probes run.
     """
-    cfg = cfg or default_config()
+    tol = DEFAULT_TOL if cfg is None else cfg.tol
 
     def probe(p):
-        check = composite_state_check(apply(t, p), cfg)
+        check = composite_state_check(apply(t, p), cfg or default_config())
         return check.margin, check.witness
 
     steps = plan("positivity", t.codomain.atoms, t.domain.atoms)
-    return _form_verdict(t.matrix.reshape(-1), steps, cfg, unit_tol(cfg.tol, t.matrix),
+    return _form_verdict(t.matrix.reshape(-1), steps, cfg, unit_tol(tol, t.matrix),
                          lambda effect, state, value: PositivityViolation(state, effect, value),
                          why=_OUTSIDE_CODOMAIN, probe=probe)
 
@@ -363,11 +365,14 @@ def trace_condition_check(t: LinearMap, mode: str,
     T^T u - u`` vanish: its margin is the lowest of <r, s> and <-r, s>,
     ties to the r side, and it is conclusive where the plan is exact or
     every coefficient of r is within tol.  Non-increasing asks that the
-    deficit ``u - T^T u`` be nonnegative.
+    deficit ``u - T^T u`` be nonnegative.  The tolerance is ``cfg.tol``,
+    or ``DEFAULT_TOL`` without a configuration; without one,
+    :func:`witworld.compose.default_config` (and so ``WITWORLD_SEED``) is
+    read only where the engine runs.
     """
     if mode not in ("preserving", "non-increasing"):
         raise ValueError(f"unknown mode {mode!r}; use 'preserving' or 'non-increasing'")
-    cfg = cfg or default_config()
+    tol = DEFAULT_TOL if cfg is None else cfg.tol
     u_dom = unit_effect(t.domain).coeffs
     tu = t.matrix.T @ unit_effect(t.codomain).coeffs
     residual = tu - u_dom
@@ -377,12 +382,12 @@ def trace_condition_check(t: LinearMap, mode: str,
     steps = plan("trace", (), t.domain.atoms)
     if mode == "preserving":
         # within tol on a basis the identity holds, whatever a search found
-        return _form_verdict(residual, steps, cfg, cfg.tol, lambda effect, state, value: state,
+        return _form_verdict(residual, steps, cfg, tol, lambda effect, state, value: state,
                              lambda m: f"max |u(T(s)) - u(s)| found {-m:.3g}",
                              lambda m: f"changes the trace by {-m:.6g} on a state",
                              offset=0.0, form_first=True,
-                             settled=float(np.max(np.abs(residual))) <= cfg.tol)
-    return _form_verdict(u_dom - tu, steps, cfg, cfg.tol, lambda effect, state, value: state,
+                             settled=float(np.max(np.abs(residual))) <= tol)
+    return _form_verdict(u_dom - tu, steps, cfg, tol, lambda effect, state, value: state,
                          why=lambda m: f"trace increases by {-m:.6g} on a state")
 
 

@@ -198,8 +198,8 @@ def test_certified_maps_and_their_margins():
 
 Q2, Q3, C2, B22 = Quantum(2), Quantum(3), Classical(2), Boxworld(2, 2)
 
-# (check, system or map domain, map codomain, the dims that the gate hands to
-# spectral_bound, or None where it does not run): all-quantum states and maps
+# (check, system or map domain, map codomain, the dims that the gate takes its
+# bound on, or None where it does not run): all-quantum states and maps
 # whose search is not exact, and maps from a PPT domain into quantum atoms
 _GATE_TABLE = (
     ("state", (Q2,), None, None),
@@ -249,12 +249,15 @@ _GATE_TABLE = (
 def test_certificate_stays_off_the_exact_paths(monkeypatch):
     calls = []
 
-    def spy(mats, dims):
-        calls.append(dims)
-        return bound(mats, dims)
+    def spy(coeffs, steps):
+        # the dims the bound is taken on: "spectral-ppt" joins the state pair
+        dims = steps.dims
+        calls.append(dims[:-2] + (dims[-2] * dims[-1],) if "spectral-ppt" in steps.methods
+                     else dims)
+        return bound(coeffs, steps)
 
-    bound = compose.spectral_bound
-    monkeypatch.setattr(compose, "spectral_bound", spy)
+    bound = compose.certificate_bound
+    monkeypatch.setattr(compose, "certificate_bound", spy)
     cfg = SearchConfig(restarts=5)
     rng = np.random.default_rng(3)
     for check, first, second, dims in _GATE_TABLE:

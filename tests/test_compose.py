@@ -18,6 +18,7 @@ from witworld import (
     box_pair_state,
     builtin_state,
     choi_matrix,
+    compose_par,
     composite_effect_check,
     composite_state_check,
     cone_generators,
@@ -25,6 +26,7 @@ from witworld import (
     hermitian_basis,
     hermitian_tensor_to_vector,
     hermitian_to_vector,
+    identity_map,
     pair,
     positivity_check,
     pr_state,
@@ -940,6 +942,111 @@ def test_ppt_candidates_keep_their_order_and_values(dims, offset):
             assert state.coeffs.tobytes() == hermitian_tensor_to_vector(w, dims).coeffs.tobytes()
 
 
+# --- the gate operator: one product per shape and gate, the same bits ---------------
+
+_Q2, _Q3 = Quantum(2), Quantum(3)
+
+# (check, effect atoms, state atoms, gate): every shape a cached gate operator serves.
+# A map's effect atoms are its codomain and its state atoms its domain.
+_CACHED_GATES = (
+    ("state", (_Q2, _Q3), (), "spectral"),
+    ("state", (_Q3, _Q2), (), "spectral"),
+    ("state", (_Q3, _Q3), (), "spectral"),
+    ("state", (_Q2, _Q2, _Q2), (), "spectral"),
+    ("positivity", (_Q2,), (_Q3,), "spectral"),
+    ("positivity", (_Q3,), (_Q2,), "spectral"),
+    ("positivity", (_Q3,), (_Q3,), "spectral"),
+    ("positivity", (_Q2,), (_Q2, _Q2), "spectral-ppt"),
+)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=complex if np.iscomplexobj(x) else float).tobytes()
+
+
+def _gate_inputs(rng, dims):
+    """A stack of forms: a random one, a PSD one, a PPT one and a tiny one."""
+    total = math.prod(dims)
+    mats = [random_hermitian(rng, total), random_psd(rng, total),
+            compose._partial_transpose(random_psd(rng, total), dims) + 1e-3 * np.eye(total),
+            1e-200 * random_hermitian(rng, total)]
+    return hermitian_to_coeffs(np.stack(mats), dims)
+
+
+@pytest.mark.parametrize("check, effect_atoms, state_atoms, gate", _CACHED_GATES)
+def test_gate_operator_gives_the_bits_of_conversion_and_layout(check, effect_atoms,
+                                                               state_atoms, gate):
+    steps = plan(check, effect_atoms, state_atoms)
+    dims = steps.dims
+    operator = compose._gate_operator(dims, gate)
+    assert gate in steps.methods and operator is not None
+    assert compose._gate_operator(dims, gate) is operator and not operator[0].flags.writeable
+    merged = dims[:-2] + (dims[-2] * dims[-1],)
+    coeffs = _gate_inputs(np.random.default_rng(math.prod(dims) + len(dims)), dims)
+    mats = coeffs_to_hermitian(coeffs, dims)
+    # the matrices, on the stack and one at a time, as conversion then layout takes them
+    if gate == "spectral":
+        layout = compose._transposes(dims)
+        want = mats.reshape(len(mats), -1)[:, layout].reshape(len(mats), 1, len(layout),
+                                                              *mats.shape[1:])
+    else:
+        pairs = compose._with_last_transposed(mats, dims).reshape(2, len(mats), -1)
+        layout = compose._transposes(merged)
+        want = np.swapaxes(pairs[:, :, layout], 0, 1).reshape(len(mats), 2, len(layout),
+                                                                *mats.shape[1:])
+    assert _bits(compose._gate_matrices(coeffs, operator)) == _bits(want)
+    for c, w in zip(coeffs, want):
+        assert _bits(compose._gate_matrices(c, operator)) == _bits(w)
+        # the bound, as conversion and spectral_bound give it
+        ref = (compose.spectral_bound(coeffs_to_hermitian(c, dims)[None], dims)
+               if gate == "spectral" else
+               compose.spectral_bound(compose._with_last_transposed(
+                   coeffs_to_hermitian(c, dims)[None], dims), merged))
+        assert _bits(compose.certificate_bound(c, steps)) == _bits(ref)
+
+
+@pytest.mark.parametrize("offset", [None, 1.0])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_ppt_operator_gives_the_bits_of_conversion_and_last_transpose(dims, offset):
+    operator = compose._gate_operator(dims, "ppt")
+    coeffs = _gate_inputs(np.random.default_rng(10 * sum(dims) + (offset is None)), dims)
+    mats = coeffs_to_hermitian(coeffs, dims)
+    got = compose._gate_matrices(coeffs, operator)
+    assert got.shape == (len(mats), 2, 1) + mats.shape[1:]
+    want = compose._with_last_transposed(mats, dims).reshape(2, *mats.shape)
+    assert _bits(got[:, :, 0]) == _bits(np.swapaxes(want, 0, 1))
+    total = mats.shape[-1]
+    for c, mat in zip(coeffs, mats):
+        assert _bits(compose._gate_matrices(c, operator)[:, 0]) == _bits(
+            compose._with_last_transposed(mat[None], dims))
+        # the candidates formed the other way round: complement, then last transpose
+        stack = mat[None] if offset is None else np.stack([mat, offset * np.eye(total) - mat])
+        vals = np.linalg.eigh(compose._with_last_transposed(stack, dims))[0][:, 0]
+        assert _bits([v for v, _ in compose._ppt_min(c, dims, offset)]) == _bits(vals)
+
+
+def test_transpose2_x_id_certifies_through_the_general_path(monkeypatch):
+    t = compose_par(transpose_map(2), identity_map(system(_Q2)))
+    steps = plan("positivity", t.codomain.atoms, t.domain.atoms)
+    dims = steps.dims
+    assert dims == (2, 2, 2, 2) and "spectral-ppt" in steps.methods
+    assert compose._gate_operator(dims, "spectral-ppt") is None
+    coeffs = t.matrix.reshape(-1)
+    ref = compose.spectral_bound(compose._with_last_transposed(
+        coeffs_to_hermitian(coeffs, dims)[None], dims), (2, 2, 4))
+    taken = []
+    bound = compose.spectral_bound
+
+    def spy(mats, dims):
+        taken.append(dims)
+        return bound(mats, dims)
+
+    monkeypatch.setattr(compose, "spectral_bound", spy)
+    verdict = positivity_check(t)
+    assert verdict.accepted and verdict.detail == compose._CERTIFIED
+    assert taken == [(2, 2, 4)] and _bits(verdict.margin) == _bits(ref)
+
+
 # --- stacked restart descent --------------------------------------------------------
 
 
@@ -1500,3 +1607,18 @@ def test_default_config_follows_the_seed_variable_between_calls(monkeypatch):
     for check in checks * 2:
         with pytest.raises(ValueError, match="WITWORLD_SEED"):
             check()
+
+
+def test_checks_that_run_no_search_read_no_seed(monkeypatch):
+    rng = np.random.default_rng(17)
+    k = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0][:2]
+    compressed_transpose = map_from_matrix_action(lambda m: k @ m.T @ k.conj().T, 3, 2)
+    swap = np.eye(9)[[3 * (i % 3) + i // 3 for i in range(9)]]  # block-positive on Q3*Q3
+    witness = hermitian_tensor_to_vector(swap, (3, 3))
+    density = hermitian_to_vector(random_density(rng, 3))
+    monkeypatch.setenv("WITWORLD_SEED", "abc")
+    for verdict in (positivity_check(compressed_transpose), composite_state_check(witness)):
+        assert verdict.accepted and verdict.detail == compose._CERTIFIED
+    assert composite_state_check(density).accepted
+    with pytest.raises(ValueError, match="WITWORLD_SEED"):
+        SearchConfig()
