@@ -22,15 +22,17 @@ operator cached per shape and gate (:func:`_gate_operator`, up to
 (:func:`default_config`) only where a search runs.
 
 In the engine, two or more quantum factors go through one stacked
-alternating descent, which takes a qubit or qutrit factor's ground state
-in closed form and a larger factor's from a batched ``eigh``.  It runs on
-the input scaled exactly to unit size, so it cannot overflow and its
-thresholds are relative.  A qubit pair starts it once, from the best
-direction of a scan over one Bloch sphere (the other has a closed-form
-minimum); more or larger quantum factors start it from seeded random
-restarts.  State and positivity verdicts take tol at the
-input's unit size (:func:`unit_tol`), so scaling an input scales its
-threshold with its margin.
+alternating descent.  It takes a qubit factor's ground state in closed
+form, a qutrit factor's from the adjugate where that is well conditioned
+(sin(phi) >= 1/8, which keeps the projector's error within 3.6 times
+that of cos(3 phi); :func:`_qutrit_projectors`), and every other one
+from a batched ``eigh``.  It runs on the input scaled exactly to unit
+size, so it cannot overflow and its thresholds are relative.  A qubit
+pair starts it once, from the best direction of a scan over one Bloch
+sphere (the other has a closed-form minimum); more or larger quantum
+factors start it from seeded random restarts.  State and positivity
+verdicts take tol at the input's unit size (:func:`unit_tol`), so
+scaling an input scales its threshold with its margin.
 """
 from __future__ import annotations
 
@@ -102,10 +104,15 @@ class SearchConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        tol = self.tol
-        if (isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating))
-                or not (np.isfinite(tol) and tol >= 0)):
-            raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+        _checked_tol(self.tol)
+
+
+def _checked_tol(tol):
+    """``tol`` if it is a finite real number >= 0 and not a bool, else ``ValueError``."""
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating))
+            or not (np.isfinite(tol) and tol >= 0)):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 def default_config() -> SearchConfig:
@@ -268,74 +275,7 @@ def _projector_coeffs(psi: np.ndarray) -> np.ndarray:
     return proj.view(float).reshape(len(psi), 2 * d * d) @ _real_basis(d).T
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real * z.real + z.imag * z.imag
-
-
-def _unit(v: tuple) -> tuple:
-    """The complex vectors with components ``v`` (one array each), normalized."""
-    s = 1.0 / np.sqrt(sum(_abs2(c) for c in v))
-    return tuple(c * s for c in v)
-
-
-def _projector_columns(coeffs: np.ndarray) -> np.ndarray:
-    """Of each qutrit projector psi psi^dagger with coefficient rows ``coeffs``, the
-    column with the largest diagonal entry, a nonzero multiple of psi; one row per component."""
-    mats = (coeffs @ _real_basis(3)).view(complex).reshape(-1, 3, 3)
-    j = np.argmax(np.diagonal(mats, axis1=1, axis2=2).real, axis=1)
-    return mats[np.arange(len(j)), :, j].T
-
-
-def _lower_pair_ground(b: np.ndarray, w: tuple, mu: np.ndarray, p: np.ndarray,
-                       prev: np.ndarray) -> tuple:
-    """Ground vectors of qutrit operators whose bottom pair may be degenerate.
-
-    :func:`_qutrit_projectors` sends only its rows with sin(phi) < 1/8
-    here, where the top eigenvalue is isolated by more than 2.7 p.
-    Column r of ``b`` holds the row-major entries of a traceless Hermitian
-    3x3 operator, ``w`` the components of its unit top eigenvectors and
-    ``mu[r]`` that eigenvalue.  The ground vector lies in the plane
-    orthogonal to w, spanned by u1 = w* x e_k (k = 0 unless |w_0|^2 > 1/2,
-    then k = 1) and u2 = w* x u1*.  On that plane the operator is the qubit
-    H = [u_i^dagger b u_j], whose traceless part [[alpha, beta], [beta*,
-    -alpha]] has alpha = H11 + mu / 2 (as tr b = 0) and the ground vector
-    (beta, -alpha - r) or (alpha - r, beta*), r = |(alpha, beta)|.  Where
-    r <= 1e-15 sqrt(3) p, that is |h_vec| <= 1e-15 |t_vec| for the qubit's
-    and the qutrit's coefficients, the plane counts as a degenerate ground
-    space.  The bound is relative, so that a small operator keeps a real
-    splitting.  There, as the qubit closed form keeps its previous
-    direction, the ground vector is the previous projector's state
-    projected onto the plane, or u1 if that is 0.  Returns the components
-    of the ground vectors.
-    """
-    d0, d1, d2, x, y, z = b[0].real, b[4].real, b[8].real, b[1], b[2], b[5]
-    a0, a1, a2 = (c.conj() for c in w)
-    first = _abs2(w[0]) <= 0.5
-    u1 = _unit((np.where(first, 0.0, -a2), np.where(first, a2, 0.0),
-                np.where(first, -a1, a0)))
-    c0, c1, c2 = (c.conj() for c in u1)
-    u2 = (a1 * c2 - a2 * c1, a2 * c0 - a0 * c2, a0 * c1 - a1 * c0)
-    bu0 = d0 * u1[0] + x * u1[1] + y * u1[2]
-    bu1 = x.conj() * u1[0] + d1 * u1[1] + z * u1[2]
-    bu2 = y.conj() * u1[0] + z.conj() * u1[1] + d2 * u1[2]
-    alpha = (c0 * bu0 + c1 * bu1 + c2 * bu2).real + mu / 2
-    beta = bu0.conj() * u2[0] + bu1.conj() * u2[1] + bu2.conj() * u2[2]
-    r = np.sqrt(alpha * alpha + _abs2(beta))
-    up = alpha >= 0
-    g0, g1 = np.where(up, beta, alpha - r), np.where(up, -alpha - r, beta.conj())
-    keep = r <= 1e-15 * np.sqrt(3.0) * p
-    if keep.any():
-        psi = _projector_columns(prev[keep])
-        h0 = c0[keep] * psi[0] + c1[keep] * psi[1] + c2[keep] * psi[2]
-        h1 = (u2[0][keep].conj() * psi[0] + u2[1][keep].conj() * psi[1]
-              + u2[2][keep].conj() * psi[2])
-        h0[_abs2(h0) + _abs2(h1) == 0] = 1.0
-        g0[keep], g1[keep] = h0, h1
-    g0, g1 = _unit((g0, g1))
-    return tuple(g0 * f + g1 * h for f, h in zip(u1, u2))
-
-
-# cos(3 phi) at sin(phi) = 1/8: rows with q above it take the plane solve
+# cos(3 phi) at sin(phi) = 1/8: rows with q above it take eigh
 _PLANE_Q = math.cos(3.0 * math.asin(0.125))
 
 
@@ -349,7 +289,7 @@ def _adjugate_basis() -> np.ndarray:
     return m
 
 
-def _qutrit_projectors(t: np.ndarray, tt: np.ndarray, prev: np.ndarray) -> np.ndarray:
+def _qutrit_projectors(t: np.ndarray, tt: np.ndarray) -> np.ndarray:
     """Ground-state projectors of qutrit operators with coefficient rows ``t``.
 
     ``tt`` holds |t_vec|^2 per row, every one of them > 0.  The traceless
@@ -363,16 +303,16 @@ def _qutrit_projectors(t: np.ndarray, tt: np.ndarray, prev: np.ndarray) -> np.nd
     (Sylvester's formula).  That is only as good as mu: an error e in q
     moves mu by at most p e / (3 sqrt(3) sin(phi)), which leaves a weight
     of that over the gap, at most e / (18 sin(phi)^2), on the other
-    eigenvectors.  The rows with sin(phi) >= 1/8 take it, where that
-    weight stays below 3.6 e.  On the others the bottom pair may be
-    degenerate, while the top eigenvalue is isolated by 2 sqrt(3) p
-    sin(pi / 3 - phi) > 2.7 p: the same formula gives its projector, and
-    :func:`_lower_pair_ground` solves the rest on its complement.  Returns
-    the projector coefficients, one row each.
+    eigenvectors.  So the rows with sin(phi) >= 1/8 take it, where that
+    weight stays below 3.6 e, and the others, whose bottom pair may be
+    degenerate, take the batched ``eigh`` (:func:`_eigh_ground`).  The
+    formula first runs on those at their top eigenvalue, isolated by
+    2 sqrt(3) p sin(pi / 3 - phi) > 2.7 p, so that no trace it divides by
+    is near 0.  Returns the projector coefficients, one row each.
     """
     b = np.ascontiguousarray((t[:, 1:] @ _real_basis(3)[1:]).view(complex).T)
     d0, d1, d2, x, y, z = b[0].real, b[4].real, b[8].real, b[1], b[2], b[5]
-    xx, yy, zz = _abs2(x), _abs2(y), _abs2(z)
+    xx, yy, zz = (c.real * c.real + c.imag * c.imag for c in (x, y, z))
     p = np.sqrt(tt / 6.0)
     det = d0 * d1 * d2 - d0 * zz - d1 * yy - d2 * xx + 2.0 * (x * z * y.conj()).real
     q = np.minimum(np.maximum(det / (2.0 * p ** 3), -1.0), 1.0)
@@ -391,10 +331,16 @@ def _qutrit_projectors(t: np.ndarray, tt: np.ndarray, prev: np.ndarray) -> np.nd
     proj = adj @ _adjugate_basis()
     proj /= (a00 + a11 + a22)[:, None]
     if plane.any():
-        w = _unit(_projector_columns(proj[plane]))
-        low = _lower_pair_ground(b[:, plane], w, mu[plane], p[plane], prev[plane])
-        proj[plane] = _projector_coeffs(np.stack(low, axis=1))
+        proj[plane] = _eigh_ground(t[plane])[1]
     return proj
+
+
+def _eigh_ground(t: np.ndarray) -> tuple:
+    """Lowest eigenvalues and ground-state projector coefficients, by a batched ``eigh``,
+    of the operators with coefficient rows ``t``."""
+    d = math.isqrt(t.shape[1])
+    vals, vecs = np.linalg.eigh((t @ _real_basis(d)).view(complex).reshape(len(t), d, d))
+    return vals[:, 0], _projector_coeffs(vecs[:, :, 0])
 
 
 def _ground_states(t: np.ndarray, prev: np.ndarray):
@@ -405,13 +351,14 @@ def _ground_states(t: np.ndarray, prev: np.ndarray):
     closed form: value (t0 - |t_vec|) / sqrt(2) and projector
     (1, -t_vec / |t_vec|) / sqrt(2), keeping the direction of ``prev``
     where |t_vec| <= 1e-15 (the value is then t0 / sqrt(2) up to that
-    size).  A qutrit has one too (:func:`_qutrit_projectors`): the adjugate
-    projector, a few ulps from the true one, or on 2-3% of a planted map's
-    rows a solve below the top eigenvector.  It keeps ``prev`` where
-    |t_vec| <= 1e-15, and within a degenerate ground space keeps what it
-    can of it.  Either value is the operator's expectation in the returned
-    projector.  Larger factors take a batched ``eigh`` and ignore ``prev``.
-    Returns the values and the projector coefficients, one row each.
+    size).  A qutrit has one too where it is well conditioned
+    (:func:`_qutrit_projectors`): the adjugate projector, a few ulps from
+    the true one, and on the rest, 2-3% of a planted map's rows, the
+    ``eigh`` of larger factors.  It keeps ``prev`` where |t_vec| <= 1e-15.
+    Either value is the operator's expectation in the returned projector.
+    Larger factors take a batched ``eigh`` (:func:`_eigh_ground`) and
+    ignore ``prev``.  Returns the values and the projector coefficients,
+    one row each.
     """
     if t.shape[1] == 4:
         tv = t[:, 1:]
@@ -424,16 +371,13 @@ def _ground_states(t: np.ndarray, prev: np.ndarray):
         tt = np.einsum("ij,ij->i", t[:, 1:], t[:, 1:])
         live = tt > 1e-30
         if live.all():
-            proj = _qutrit_projectors(t, tt, prev)
+            proj = _qutrit_projectors(t, tt)
         else:
             proj = prev.copy()
             if live.any():
-                proj[live] = _qutrit_projectors(t[live], tt[live], prev[live])
+                proj[live] = _qutrit_projectors(t[live], tt[live])
         return np.einsum("ij,ij->i", t, proj), proj
-    d = math.isqrt(t.shape[1])
-    mats = (t @ _real_basis(d)).view(complex).reshape(len(t), d, d)
-    vals, vecs = np.linalg.eigh(mats)
-    return vals[:, 0], _projector_coeffs(vecs[:, :, 0])
+    return _eigh_ground(t)
 
 
 def _contract(red: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:

@@ -26,6 +26,7 @@ from .compose import (
     plan,
     tensor_all,
     unit_tol,
+    _checked_tol,
     _form_verdict,
 )
 from .systems import (
@@ -34,6 +35,7 @@ from .systems import (
     GptVector,
     Quantum,
     SystemType,
+    atomic_state_check,
     classical_point,
     hermitian_basis,
     hermitian_to_coeffs,
@@ -175,17 +177,17 @@ def measurement_map(effects: Sequence[GptVector], tol: float = DEFAULT_TOL) -> L
     ``effects`` lists the outcome effects; they must each be valid and sum
     to the unit effect.  The classical output stores <e_i, s> for the
     first v-1 outcomes and <u, s> in the normalization coordinate, so the
-    map is trace preserving by construction.
+    map is trace preserving by construction.  Each effect is checked at
+    ``tol``, and ``WITWORLD_SEED`` is read only if that check searches.
     """
     v = len(effects)
     if v < 1:
         raise ValueError("a measurement needs at least one outcome")
     dom = effects[0].system
-    cfg = SearchConfig(tol=tol) if len(dom) > 1 else None  # only a search needs one
     for e in effects:
         if e.system != dom:
             raise ValueError("all outcome effects must share one system")
-        check = composite_effect_check(e, cfg=cfg, tol=tol)
+        check = composite_effect_check(e, tol=_checked_tol(tol))
         if not check.passed:
             raise ValueError(f"invalid outcome effect: {check.describe()}")
     total = np.sum([e.coeffs for e in effects], axis=0)
@@ -197,15 +199,18 @@ def measurement_map(effects: Sequence[GptVector], tol: float = DEFAULT_TOL) -> L
 
 
 def preparation_map(states: Sequence[GptVector], tol: float = DEFAULT_TOL) -> LinearMap:
-    """Map a classical value b to the prepared state ``states[b]``."""
+    """Map a classical value b to the prepared state ``states[b]``, each checked at ``tol``;
+    only a composite state's check builds a :class:`SearchConfig` (reading ``WITWORLD_SEED``)."""
     v = len(states)
     if v < 1:
         raise ValueError("a preparation needs at least one state")
     cod = states[0].system
+    cfg = SearchConfig(tol=tol) if len(cod) > 1 else None
     for s in states:
         if s.system != cod:
             raise ValueError("all prepared states must share one system")
-        check = composite_state_check(s, SearchConfig(tol=tol))
+        check = (composite_state_check(s, cfg) if cfg
+                 else atomic_state_check(s, unit_tol(_checked_tol(tol), s.coeffs)))
         if not check.passed:
             raise ValueError(f"invalid prepared state: {check.describe()}")
         if abs(pair(unit_effect(cod), s) - 1.0) > tol:

@@ -411,6 +411,13 @@ def test_json_determinism_across_verbs(capsys, tmp_path):
         b = run(capsys, *argv)
         assert a == b
         _strict_json(a[1])
+    # a rejected Q3->Q3 map: a restart descent through qutrit ground states
+    planted = tmp_path / "planted.json"
+    dump_json(linear_map_to_json(planted_map(np.random.default_rng([0, 2]), 3, 3)), str(planted))
+    argv = ["check-map", str(planted), "--test", "positivity", "--json"]
+    a, b = run(capsys, *argv), run(capsys, *argv)
+    assert a == b and a[0] == 1
+    assert json.loads(a[1])["status"] == "rejected"
 
 
 def test_cached_parser_keeps_no_state_between_calls(tmp_path, monkeypatch):

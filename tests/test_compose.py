@@ -55,7 +55,7 @@ from witworld.compose import (
     plan,
 )
 from witworld.systems import coeffs_to_hermitian, hermitian_to_coeffs
-from witworld.transforms import map_from_matrix_action
+from witworld.transforms import map_from_matrix_action, measurement_map, preparation_map
 
 from conftest import (
     choi_witness,
@@ -1221,19 +1221,11 @@ def test_qubit_ground_states_keep_previous_direction_on_a_multiple_of_identity()
     assert np.allclose(factors[0], zero, rtol=0, atol=1e-16)
 
 
-def test_qutrit_ground_states_keep_previous_state_in_a_degenerate_ground_space():
+def test_qutrit_ground_state_in_a_degenerate_ground_space():
     from witworld.compose import _ground_states
 
-    # diag(0, 0, 1): the ground space is span(|0>, |1>); the previous state
-    # (|0> + |1> + |2>) / sqrt(3) projects onto (|0> + |1>) / sqrt(2) there
-    t = _operator_coeffs(np.diag([0.0, 0.0, 1.0]))[None]
-    prev = _reference_projector_coeffs(np.ones(3) / np.sqrt(3.0))[None]
-    vals, proj = _ground_states(t, prev)
-    assert vals[0] == pytest.approx(0.0, abs=1e-16)
-    kept = _reference_projector_coeffs(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
-    assert np.allclose(proj[0], kept, rtol=0, atol=1e-15)
-    # diag(1, 0, 0) from |0><0|: nothing of the previous state is left in
-    # the ground space span(|1>, |2>), which still gives a ground state
+    # diag(1, 0, 0) from |0><0|: the ground space span(|1>, |2>) holds
+    # nothing of the previous state, and still gives a ground state
     t = _operator_coeffs(np.diag([1.0, 0.0, 0.0]))[None]
     prev = _reference_projector_coeffs(np.eye(3)[0])[None]
     vals, proj = _ground_states(t, prev)
@@ -1271,7 +1263,7 @@ def _qutrit_operators(gen, kind, n):
             "rank-2 indefinite": [-0.6, 0.0, 1.0], "rank-2 positive": [0.0, 0.4, 1.0]}.get(kind)
     if kind.startswith("threshold"):
         # sin(phi) just above or below the threshold of _qutrit_projectors,
-        # where it turns from the plane solve to the adjugate
+        # where it turns from eigh to the adjugate
         from witworld.compose import _PLANE_Q
 
         sin_phi = np.sin(np.arccos(_PLANE_Q) / 3.0)
@@ -1312,22 +1304,23 @@ def test_qutrit_ground_states_match_eigh(rows, scale):
 
 
 def _plane_rows(monkeypatch):
-    """Count the qutrit rows of every ground-state call, and those solved on a plane."""
+    """Count the qutrit rows of every ground-state call, and those sent to ``eigh``."""
     import witworld.compose as compose
 
     rows, plane = [], []
-    kernel, lower = compose._qutrit_projectors, compose._lower_pair_ground
+    kernel, eigh = compose._qutrit_projectors, compose._eigh_ground
 
-    def counted_kernel(t, tt, prev):
+    def counted_kernel(t, tt):
         rows.append(len(t))
-        return kernel(t, tt, prev)
+        return kernel(t, tt)
 
-    def counted_lower(b, w, mu, p, prev):
-        plane.append(len(mu))
-        return lower(b, w, mu, p, prev)
+    def counted_eigh(t):
+        if t.shape[1] == 9:
+            plane.append(len(t))
+        return eigh(t)
 
     monkeypatch.setattr(compose, "_qutrit_projectors", counted_kernel)
-    monkeypatch.setattr(compose, "_lower_pair_ground", counted_lower)
+    monkeypatch.setattr(compose, "_eigh_ground", counted_eigh)
     return rows, plane
 
 
@@ -1365,8 +1358,8 @@ def test_qutrit_projectors_build_outer_products_only_on_plane_rows(monkeypatch):
 
 @pytest.mark.parametrize("dims", [(3, 3), (2, 3)])
 def test_planted_maps_rarely_reach_the_plane_solve(monkeypatch, dims):
-    # their operators are rank 2 with a zero eigenvalue, and the sign of
-    # det sent 94-96% of their rows to the plane solve
+    # their operators are rank 2 with a zero eigenvalue, where a wrong sign
+    # of det once sent 94-96% of their rows off the adjugate
     rows, plane = _plane_rows(monkeypatch)
     for seed in range(3):
         assert positivity_check(planted_map(np.random.default_rng([seed, 2]), *dims)).rejected
@@ -1616,9 +1609,21 @@ def test_checks_that_run_no_search_read_no_seed(monkeypatch):
     swap = np.eye(9)[[3 * (i % 3) + i // 3 for i in range(9)]]  # block-positive on Q3*Q3
     witness = hermitian_tensor_to_vector(swap, (3, 3))
     density = hermitian_to_vector(random_density(rng, 3))
+    # "ppt" decides the Q2*Q2 outcome effects exactly; basis states are single atoms
+    computational = [hermitian_tensor_to_vector(np.diag(np.eye(4)[k]), (2, 2)) for k in range(4)]
+    basis = [hermitian_to_vector(np.diag(np.eye(2)[k])) for k in range(2)]
     monkeypatch.setenv("WITWORLD_SEED", "abc")
     for verdict in (positivity_check(compressed_transpose), composite_state_check(witness)):
         assert verdict.accepted and verdict.detail == compose._CERTIFIED
     assert composite_state_check(density).accepted
+    assert measurement_map(computational).matrix.shape == (4, 16)
+    assert preparation_map(basis).matrix.shape == (4, 2)
+    # a single-atom state is still checked at the given tolerance
+    near = hermitian_to_vector(np.diag([1.0 + 1e-6, -1e-6]))
+    assert preparation_map([near], tol=1e-3).matrix.shape == (4, 1)
+    with pytest.raises(ValueError, match="invalid prepared state"):
+        preparation_map([near])
+    with pytest.raises(ValueError, match="tol must be"):
+        preparation_map([near], tol=float("inf"))
     with pytest.raises(ValueError, match="WITWORLD_SEED"):
         SearchConfig()

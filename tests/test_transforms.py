@@ -519,17 +519,18 @@ def test_positive_box_maps_extend_to_composites():
             assert composite_state_check(apply(ext, g)).accepted
 
 
-def test_measurement_map_builds_a_config_only_for_a_composite_domain(monkeypatch):
+def test_measurement_map_reads_the_seed_only_where_the_engine_runs(monkeypatch):
     rays = effect_cone_rays(Classical(2))
     single = [rays[0], rays[1]]
     pairs = [tensor(a, b) for a in rays for b in rays]
     monkeypatch.setenv("WITWORLD_SEED", "abc")
     assert measurement_map(single).matrix.shape == (2, 2)  # no search, no configuration
     with pytest.raises(ValueError, match="WITWORLD_SEED"):
-        measurement_map(pairs)
+        measurement_map(pairs)  # C2*C2 effects go through the engine
     monkeypatch.setenv("WITWORLD_SEED", "0")
     assert measurement_map(pairs).matrix.shape == (4, 4)
-    with pytest.raises(ValueError, match="tol"):
-        measurement_map(pairs, tol=-1.0)
-    with pytest.raises(ValueError, match="invalid outcome effect"):
-        measurement_map(single, tol=-1.0)  # the atomic test at that tolerance
+    # the tolerance is validated with no configuration, atomic or composite
+    for effects in (pairs, single):
+        for tol in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="tol must be"):
+                measurement_map(effects, tol=tol)
